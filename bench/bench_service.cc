@@ -20,8 +20,6 @@
 #include "bench/bench_util.h"
 #include "service/service.h"
 #include "service/workload.h"
-#include "shard/sharded_catalog.h"
-#include "shard/sharded_service.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
 
@@ -116,93 +114,6 @@ SwapPoint OfferSaturatedWithSwaps(
   return point;
 }
 
-/// Sharded counterpart of OfferSaturated: same offered load through the
-/// K-shard router (partition + per-shard signature slices + fan-out).
-Point ShardedOfferSaturated(const graph::Graph& g,
-                            const std::vector<service::QueryRequest>& requests,
-                            size_t workers, uint32_t shards) {
-  shard::ShardedServiceOptions options;
-  options.num_workers = workers;
-  options.max_queue_depth = 4 * requests.size();
-  options.build.partition.num_shards = shards;
-  shard::ShardedPsiService psi_service(g, options);
-
-  std::vector<std::future<service::QueryResponse>> futures;
-  futures.reserve(requests.size());
-  util::WallTimer wall;
-  for (const service::QueryRequest& request : requests) {
-    auto future = psi_service.Submit(request);
-    if (future.has_value()) futures.push_back(std::move(*future));
-  }
-  for (auto& future : futures) future.get();
-
-  Point point;
-  point.wall_seconds = wall.Seconds();
-  point.stats = psi_service.Stats();
-  return point;
-}
-
-/// Sharded swap-under-load: the swapper republishes whole K-shard
-/// generations (partition + K signature-slice snapshots per publish)
-/// back-to-back while the offered load saturates the router.
-SwapPoint ShardedOfferSaturatedWithSwaps(
-    const graph::Graph& g, const std::vector<service::QueryRequest>& requests,
-    size_t workers, uint32_t shards) {
-  shard::ShardedCatalog catalog;
-  shard::ShardedCatalog::BuildOptions build;
-  build.partition.num_shards = shards;
-  auto seed = catalog.BuildAndPublish("bench", g.Clone(), build);
-  if (!seed.ok()) {
-    std::cerr << "sharded seed publish failed: " << seed.status().ToString()
-              << "\n";
-    std::exit(1);
-  }
-  shard::ShardedServiceOptions options;
-  options.num_workers = workers;
-  options.max_queue_depth = 4 * requests.size();
-  options.default_graph = "bench";
-  options.build.partition.num_shards = shards;
-  shard::ShardedPsiService psi_service(&catalog, options);
-
-  std::atomic<bool> stop{false};
-  size_t publishes = 0;
-  double publish_seconds = 0.0;
-  std::thread swapper([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      util::WallTimer publish_timer;
-      if (catalog.BuildAndPublish("bench", g.Clone(), build).ok()) {
-        publish_seconds += publish_timer.Seconds();
-        ++publishes;
-      }
-    }
-  });
-
-  std::vector<std::future<service::QueryResponse>> futures;
-  futures.reserve(requests.size());
-  util::WallTimer wall;
-  for (const service::QueryRequest& request : requests) {
-    auto future = psi_service.Submit(request);
-    if (future.has_value()) futures.push_back(std::move(*future));
-  }
-  for (auto& future : futures) future.get();
-
-  SwapPoint point;
-  point.wall_seconds = wall.Seconds();
-  stop.store(true, std::memory_order_release);
-  swapper.join();
-  point.publishes = publishes;
-  point.mean_publish_seconds =
-      publishes == 0 ? 0.0 : publish_seconds / static_cast<double>(publishes);
-  point.stats = psi_service.Stats();
-  return point;
-}
-
-uint64_t TotalForwards(const service::ServiceStats& stats) {
-  uint64_t total = 0;
-  for (const auto& sh : stats.metrics.shards) total += sh.cross_shard_forwards;
-  return total;
-}
-
 }  // namespace
 
 int main() {
@@ -293,93 +204,6 @@ int main() {
               << swapped.stats.cache.epoch_drops << ")\n";
     return 1;
   }
-
-  // --- Sharded serving ------------------------------------------------------
-  // 1-shard (router overhead alone) vs 4-shard partitioned serving, each
-  // steady and under a generation swap storm. Per-shard evaluation does
-  // strictly more verification work than the single engine (cross-shard
-  // continuations), so this quantifies what the partitioned layout costs —
-  // or saves — end to end.
-  const size_t shard_workers = 8;
-  struct ShardRun {
-    uint32_t shards = 1;
-    Point steady;
-    SwapPoint storm;
-  };
-  std::vector<ShardRun> shard_runs;
-  for (const uint32_t k : {1u, 4u}) {
-    ShardRun run;
-    run.shards = k;
-    run.steady = ShardedOfferSaturated(g, requests, shard_workers, k);
-    run.storm = ShardedOfferSaturatedWithSwaps(g, requests, shard_workers, k);
-    shard_runs.push_back(std::move(run));
-  }
-  std::cout << "\nSharded serving (" << shard_workers
-            << " workers, router fan-out, generation swap storm):\n";
-  util::TablePrinter shard_table({"Shards", "Run", "Wall", "Throughput",
-                                  "p50", "p95", "p99", "Forwards"});
-  auto add_shard_row = [&](uint32_t shards, const char* name, double wall,
-                           const service::ServiceStats& stats) {
-    char throughput[32];
-    std::snprintf(throughput, sizeof(throughput), "%.1f q/s",
-                  static_cast<double>(total) / std::max(1e-9, wall));
-    shard_table.AddRow({std::to_string(shards), name,
-                        bench::TimeCell(wall, false, 0), throughput,
-                        bench::TimeCell(stats.metrics.latency.p50, false, 0),
-                        bench::TimeCell(stats.metrics.latency.p95, false, 0),
-                        bench::TimeCell(stats.metrics.latency.p99, false, 0),
-                        std::to_string(TotalForwards(stats))});
-  };
-  for (const ShardRun& run : shard_runs) {
-    add_shard_row(run.shards, "steady", run.steady.wall_seconds,
-                  run.steady.stats);
-    add_shard_row(run.shards, "swap storm", run.storm.wall_seconds,
-                  run.storm.stats);
-  }
-  shard_table.Print(std::cout);
-  std::cout << "4-shard vs 1-shard steady throughput: "
-            << shard_runs[0].steady.wall_seconds /
-                   std::max(1e-9, shard_runs[1].steady.wall_seconds)
-            << "x\n";
-
-  const char* shard_env = std::getenv("PSI_BENCH_SHARD_JSON");
-  const std::string shard_path =
-      shard_env != nullptr ? shard_env : "BENCH_shard.json";
-  {
-    std::ofstream shard_out(shard_path);
-    shard_out << "{\n  \"bench\": \"shard\",\n"
-              << "  \"graph\": \"youtube_standin\",\n"
-              << "  \"num_nodes\": " << g.num_nodes() << ",\n"
-              << "  \"num_edges\": " << g.num_edges() << ",\n"
-              << "  \"requests\": " << total << ",\n"
-              << "  \"workers\": " << shard_workers << ",\n"
-              << "  \"runs\": [";
-    bool first_run = true;
-    auto emit_phase = [&](const char* name, double wall,
-                          const service::ServiceStats& stats) {
-      const auto& l = stats.metrics.latency;
-      shard_out << "\n      \"" << name << "\": {\"wall_s\": " << wall
-                << ", \"throughput_qps\": "
-                << static_cast<double>(total) / std::max(1e-9, wall)
-                << ", \"p50_s\": " << l.p50 << ", \"p95_s\": " << l.p95
-                << ", \"p99_s\": " << l.p99
-                << ", \"cross_shard_forwards\": " << TotalForwards(stats)
-                << "}";
-    };
-    for (const ShardRun& run : shard_runs) {
-      shard_out << (first_run ? "" : ",") << "\n    {\"shards\": "
-                << run.shards << ",";
-      emit_phase("steady", run.steady.wall_seconds, run.steady.stats);
-      shard_out << ",";
-      emit_phase("swap_storm", run.storm.wall_seconds, run.storm.stats);
-      shard_out << ",\n      \"swap_publishes\": " << run.storm.publishes
-                << ",\n      \"mean_publish_s\": "
-                << run.storm.mean_publish_seconds << "\n    }";
-      first_run = false;
-    }
-    shard_out << "\n  ]\n}\n";
-  }
-  std::cout << "wrote " << shard_path << "\n";
 
   // --- JSON artifact --------------------------------------------------------
   const char* env = std::getenv("PSI_BENCH_JSON");

@@ -1,7 +1,7 @@
 // Thread-scaling study (extension; the paper runs SmartPSI single-threaded
 // except in Figure 9): signature construction and candidate evaluation
 // across engine worker counts on a large Twitter stand-in, plus a
-// search-core tail-latency phase (Luby restarts and work-stealing parallel
+// search-core tail-latency phase (sequential vs work-stealing parallel
 // search, DESIGN.md §14) that writes BENCH_search.json (override the path
 // with PSI_BENCH_SEARCH_JSON).
 
@@ -32,12 +32,9 @@ double Percentile(std::vector<double> sorted, double q) {
 struct SearchConfigPoint {
   const char* name;
   size_t threads;
-  bool restarts;
   double p50 = 0.0;
   double p99 = 0.0;
   double total_seconds = 0.0;
-  uint64_t restarts_fired = 0;
-  uint64_t nogood_hits = 0;
   uint64_t work_steals = 0;
 };
 }  // namespace
@@ -93,20 +90,17 @@ int main() {
                "paper), bounding the\nachievable speedup by Amdahl's law. Scaling requires as many\nhardware threads as workers — on a single-core machine all rows tie.\n";
 
   // --- Search-core tail latency (DESIGN.md §14) ---------------------------
-  // Per-query latency distribution of the pure pessimistic driver under the
-  // three search-core configurations. Restarts target the heavy tail of
-  // refutation (p99); parallel search targets both ends; answers are
-  // bit-identical across all rows.
+  // Per-query latency distribution of the pure pessimistic driver, searched
+  // sequentially and on work-stealing parallel search; answers are
+  // bit-identical across both rows.
   const size_t tail_queries = 12 * scale;
   const auto tail_workload = bench::MakeWorkload(g, query_size, tail_queries);
   const auto sigs =
       signature::BuildMatrixSignatures(g, 2, g.num_labels());
 
   std::vector<SearchConfigPoint> points = {
-      {"sequential", 1, false},
-      {"restarts", 1, true},
-      {"parallel", 4, false},
-      {"parallel+restarts", 4, true},
+      {"sequential", 1},
+      {"parallel", 4},
   };
   std::cout << "\n";
   bench::PrintBanner("Search-core tail latency: pure pessimistic driver",
@@ -114,13 +108,11 @@ int main() {
                      std::to_string(tail_queries) + " queries of size " +
                          std::to_string(query_size) +
                          " per configuration, same Twitter stand-in.");
-  util::TablePrinter tail_table({"Config", "p50", "p99", "Total", "Restarts",
-                                 "Nogood hits", "Steals"});
+  util::TablePrinter tail_table({"Config", "p50", "p99", "Total", "Steals"});
   for (SearchConfigPoint& point : points) {
     core::PureDriverOptions pure;
     pure.strategy = core::PureStrategy::kPessimistic;
     pure.search_threads = point.threads;
-    pure.restarts.enabled = point.restarts;
     match::SearchStats stats;
     std::vector<double> latencies;
     latencies.reserve(tail_workload.size());
@@ -135,24 +127,16 @@ int main() {
     std::sort(latencies.begin(), latencies.end());
     point.p50 = Percentile(latencies, 0.50);
     point.p99 = Percentile(latencies, 0.99);
-    point.restarts_fired = stats.restarts;
-    point.nogood_hits = stats.nogood_hits;
     point.work_steals = stats.work_steals;
     tail_table.AddRow({point.name, bench::TimeCell(point.p50, false, 0),
                        bench::TimeCell(point.p99, false, 0),
                        bench::TimeCell(point.total_seconds, false, 0),
-                       std::to_string(point.restarts_fired),
-                       std::to_string(point.nogood_hits),
                        std::to_string(point.work_steals)});
   }
   tail_table.Print(std::cout);
-  std::cout << "\nNotes: restarts pay off on satisfiable-but-unlucky "
-               "candidates (an early exit\nexists and a perturbed order "
-               "finds it); on refutation-dominated workloads like\nthis "
-               "stand-in they add bounded budget overhead and nothing to "
-               "prune toward.\nThe parallel rows need as many hardware "
-               "threads as workers to show a win;\nanswers are bit-identical "
-               "across all rows either way.\n";
+  std::cout << "\nNotes: the parallel row needs as many hardware threads "
+               "as workers to show a\nwin; answers are bit-identical across "
+               "both rows either way.\n";
 
   // --- JSON artifact ------------------------------------------------------
   const char* env = std::getenv("PSI_BENCH_SEARCH_JSON");
@@ -170,11 +154,8 @@ int main() {
     for (const SearchConfigPoint& point : points) {
       out << (first ? "" : ",") << "\n    {\"config\": \"" << point.name
           << "\", \"search_threads\": " << point.threads
-          << ", \"restarts\": " << (point.restarts ? "true" : "false")
           << ", \"p50_s\": " << point.p50 << ", \"p99_s\": " << point.p99
           << ", \"total_s\": " << point.total_seconds
-          << ", \"search_restarts\": " << point.restarts_fired
-          << ", \"nogood_hits\": " << point.nogood_hits
           << ", \"work_steals\": " << point.work_steals << "}";
       first = false;
     }

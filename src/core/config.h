@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "core/classifier.h"
-#include "match/restart_policy.h"
 #include "signature/signature_matrix.h"
 
 namespace psi::core {
@@ -67,13 +66,6 @@ struct SmartPsiConfig {
   /// Enable the 3-state detection-and-recovery executor (paper §4.3);
   /// disabled, mispredictions simply run to completion.
   bool enable_preemption = true;
-
-  /// Luby restarts + nogood recording for the pessimistic search paths
-  /// (phase-2 evaluation and the small-candidate fast path; training runs
-  /// stay restart-free so per-plan timing labels are comparable). The
-  /// final run of every restart sequence is budget-unlimited, so answers
-  /// are unchanged — only tail latency is.
-  match::RestartOptions restarts;
 
   /// Evaluate one representative per syntactic-equivalence class of data
   /// nodes and copy its answer to the twins (BoostIso-style, see

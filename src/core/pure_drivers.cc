@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/query_context.h"
-#include "match/nogood_store.h"
 #include "match/parallel_search.h"
 #include "match/plan.h"
 #include "match/psi_evaluator.h"
@@ -60,7 +59,6 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
   eval_options.super_optimistic_limit = options.super_optimistic_limit;
   eval_options.deadline = options.deadline;
   eval_options.stop = options.stop;
-  eval_options.restarts = options.restarts;
 
   if (options.strategy == PureStrategy::kPessimistic) {
     // The pessimist checks every pivot candidate's signature anyway (no
@@ -93,8 +91,6 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
     match::SearchScratchPool::Lease lease(options.scratch_pool);
     match::PsiEvaluator evaluator(g, graph_sigs, lease.get());
     evaluator.BindQuery(q, query_sigs, plan);
-    match::NogoodStore nogoods(options.nogood_salt);
-    if (options.restarts.enabled) eval_options.nogoods = &nogoods;
     for (const graph::NodeId u : candidates) {
       // Poll between candidates: the evaluator only checks every
       // kCheckInterval steps, so small searches finish between polls and
@@ -120,13 +116,12 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
   }
 
   // Work-stealing parallel loop: each worker owns a full evaluation stack
-  // (evaluator + scratch + stats + nogood store) and appends to a private
+  // (evaluator + scratch + stats) and appends to a private
   // valid list; the final sorted merge makes the answer independent of
   // which worker ran which candidate.
   struct Worker {
     std::unique_ptr<match::SearchScratchPool::Lease> lease;
     std::unique_ptr<match::PsiEvaluator> evaluator;
-    std::unique_ptr<match::NogoodStore> nogoods;
     match::PsiEvaluator::Options eval_options;
     std::vector<graph::NodeId> valid;
     match::SearchStats stats;
@@ -139,9 +134,7 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
     w.evaluator =
         std::make_unique<match::PsiEvaluator>(g, graph_sigs, w.lease->get());
     w.evaluator->BindQuery(q, query_sigs, plan);
-    w.nogoods = std::make_unique<match::NogoodStore>(options.nogood_salt);
     w.eval_options = eval_options;
-    if (options.restarts.enabled) w.eval_options.nogoods = w.nogoods.get();
   }
   std::atomic<bool> halted{false};
 

@@ -6,7 +6,6 @@
 #include "core/query_context.h"
 #include "graph/graph.h"
 #include "graph/query_graph.h"
-#include "match/restart_policy.h"
 #include "match/search_scratch.h"
 #include "match/search_stats.h"
 #include "signature/signature_matrix.h"
@@ -41,14 +40,9 @@ struct PureDriverOptions {
   util::StopToken stop;
   /// Intra-query parallelism: split the pivot-candidate list across this
   /// many work-stealing workers (1 = sequential). Each worker owns its
-  /// evaluator, scratch, stats, and nogood store; a complete parallel run
-  /// returns valid_nodes bit-identical to the sequential run.
+  /// evaluator, scratch and stats; a complete parallel run returns
+  /// valid_nodes bit-identical to the sequential run.
   size_t search_threads = 1;
-  /// Luby restarts + nogood recording on the pessimistic search path.
-  match::RestartOptions restarts;
-  /// Snapshot-generation salt for the per-query nogood stores, so recorded
-  /// prefixes can never be confused across graph versions.
-  uint64_t nogood_salt = 0;
   /// Optional shared batch preparation (DESIGN.md §17): when non-null,
   /// PrepareQuery is skipped and the driver evaluates against this
   /// immutable context — equal by construction to what PrepareQuery would

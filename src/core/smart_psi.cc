@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "core/query_context.h"
-#include "match/nogood_store.h"
 #include "match/parallel_search.h"
 #include "match/plan.h"
 #include "match/psi_evaluator.h"
@@ -31,20 +30,12 @@ using match::PsiMode;
 Outcome RunMethod(PsiEvaluator& evaluator, graph::NodeId node, bool optimistic,
                   size_t super_limit, util::Deadline deadline,
                   util::StopToken stop, match::SearchStats* stats,
-                  bool pivot_prefiltered = false,
-                  const match::RestartOptions* restarts = nullptr,
-                  match::NogoodStore* nogoods = nullptr) {
+                  bool pivot_prefiltered = false) {
   PsiEvaluator::Options options;
   options.super_optimistic_limit = super_limit;
   options.deadline = deadline;
   options.stop = stop;
   options.pivot_prefiltered = pivot_prefiltered;
-  if (restarts != nullptr) {
-    // The evaluator only applies these on pessimistic runs, so passing
-    // them unconditionally costs the optimist nothing.
-    options.restarts = *restarts;
-    options.nogoods = nogoods;
-  }
   if (optimistic) {
     return evaluator.EvaluateNodeOptimisticStrategy(node, options, stats);
   }
@@ -225,7 +216,6 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     // Everything below runs pessimistically, so one bulk kernel sweep
     // replaces the per-candidate pivot signature checks.
     evaluator.FilterPivotCandidates(candidates, &result.search);
-    match::NogoodStore nogoods(cache_salt_);
     for (const graph::NodeId u : candidates) {
       // Same rationale as the phase-2 loop below: poll between candidates
       // so small searches cannot slip past an expired deadline.
@@ -236,8 +226,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
       const Outcome outcome =
           RunMethod(evaluator, u, /*optimistic=*/false,
                     config_.super_optimistic_limit, deadline, stop,
-                    &result.search, /*pivot_prefiltered=*/true,
-                    &config_.restarts, &nogoods);
+                    &result.search, /*pivot_prefiltered=*/true);
       if (outcome == Outcome::kValid) {
         result.valid_nodes.push_back(u);
       } else if (outcome != Outcome::kInvalid) {
@@ -385,14 +374,11 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     if (!is_training[i]) remaining.push_back(i);
   }
 
-  // One evaluation stack per work-stealing worker: scratch, evaluator, and
-  // a snapshot-salted nogood store each worker consults across its share of
-  // the candidates.
+  // One evaluation stack per work-stealing worker: scratch and evaluator.
   struct EvalWorker {
     WorkerState state;
     std::unique_ptr<match::SearchScratchPool::Lease> scratch;
     std::unique_ptr<PsiEvaluator> evaluator;
-    std::unique_ptr<match::NogoodStore> nogoods;
   };
 
   std::atomic<bool> global_incomplete{false};
@@ -460,8 +446,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
                             config_.super_optimistic_limit,
                             MinDeadline(util::Deadline::After(max_time),
                                         deadline),
-                            stop, &ws.stats, /*pivot_prefiltered=*/false,
-                            &config_.restarts, worker.nogoods.get());
+                            stop, &ws.stats);
         // Chaos hook: pretend MaxTime expired even though state 1 finished,
         // forcing the recovery ladder. Both PSI methods are exact, so the
         // re-evaluation in state 2/3 reaches the same answer.
@@ -477,8 +462,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
                               config_.super_optimistic_limit,
                               MinDeadline(util::Deadline::After(max_time),
                                           deadline),
-                              stop, &ws.stats, /*pivot_prefiltered=*/false,
-                              &config_.restarts, worker.nogoods.get());
+                              stop, &ws.stats);
         }
         if (outcome == Outcome::kTimeout && !deadline.Expired()) {
           // State 3: predicted method + heuristic plan, no MaxTime —
@@ -488,14 +472,12 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
           evaluator.BindQuery(q, ctx.query_sigs, plan_pool[0]);
           outcome = RunMethod(evaluator, u, predicted_valid,
                               config_.super_optimistic_limit, deadline,
-                              stop, &ws.stats, /*pivot_prefiltered=*/false,
-                              &config_.restarts, worker.nogoods.get());
+                              stop, &ws.stats);
         }
       } else {
         outcome = RunMethod(evaluator, u, predicted_valid,
                             config_.super_optimistic_limit, deadline,
-                            stop, &ws.stats, /*pivot_prefiltered=*/false,
-                            &config_.restarts, worker.nogoods.get());
+                            stop, &ws.stats);
       }
 
       if (outcome != Outcome::kValid && outcome != Outcome::kInvalid) {
@@ -536,7 +518,6 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
         std::make_unique<match::SearchScratchPool::Lease>(&scratch_pool_);
     w.evaluator =
         std::make_unique<PsiEvaluator>(*graph_, sigs(), w.scratch->get());
-    w.nogoods = std::make_unique<match::NogoodStore>(cache_salt_);
   }
   const uint64_t steals = match::RunWorkStealing(
       remaining.size(), num_workers, pool_.get(),

@@ -40,11 +40,6 @@ RaceState ToRaceState(match::Outcome outcome) {
       return kDecidedTimeout;
     case match::Outcome::kStopped:
       return kUndecided;  // the loser: does not publish
-    case match::Outcome::kBudgetExhausted:
-      // Internal to the restart loop; a racer never returns it. Treat a
-      // hypothetical leak as inconclusive rather than publishing a wrong
-      // decision.
-      return kUndecided;
   }
   return kUndecided;
 }
@@ -65,7 +60,6 @@ TwoThreadedBaseline::Result TwoThreadedBaseline::Evaluate(
   const match::Plan plan = match::MakeHeuristicPlan(q, graph_, q.pivot());
   Racer optimist(graph_, graph_sigs_);
   Racer pessimist(graph_, graph_sigs_);
-  match::NogoodStore pessimist_nogoods;
   optimist.evaluator.BindQuery(q, ctx.query_sigs, plan);
   pessimist.evaluator.BindQuery(q, ctx.query_sigs, plan);
 
@@ -117,10 +111,6 @@ TwoThreadedBaseline::Result TwoThreadedBaseline::Evaluate(
       opts.mode = match::PsiMode::kPessimistic;
       opts.deadline = options.deadline;
       opts.stop = util::StopToken(&stop_source);
-      opts.restarts = options.restarts;
-      // Races are joined before the next candidate starts, so the store is
-      // only ever touched by one pessimist run at a time.
-      opts.nogoods = &pessimist_nogoods;
       const match::Outcome outcome =
           pessimist.evaluator.EvaluateNode(u, opts, &pessimist.stats);
       publish(outcome, /*from_optimist=*/false);

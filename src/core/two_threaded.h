@@ -5,7 +5,6 @@
 
 #include "graph/graph.h"
 #include "graph/query_graph.h"
-#include "match/restart_policy.h"
 #include "match/search_stats.h"
 #include "signature/signature_matrix.h"
 #include "util/timer.h"
@@ -27,10 +26,6 @@ class TwoThreadedBaseline {
     bool spawn_per_node = true;
     size_t super_optimistic_limit = 10;
     util::Deadline deadline;
-    /// Luby restarts for the pessimistic racer (the optimist ignores the
-    /// field). Sound under the race: the final run is unlimited, so the
-    /// pessimist still reaches a definite answer if it wins.
-    match::RestartOptions restarts;
   };
 
   struct Result {

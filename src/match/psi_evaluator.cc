@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <span>
 
 #include "signature/kernels.h"
-#include "util/random.h"
 
 namespace psi::match {
 
@@ -77,19 +75,10 @@ void PsiEvaluator::BindQuery(const graph::QueryGraph& q,
   s.mapping.assign(n, graph::kInvalidNode);
   s.mapped_stack.assign(n, graph::kInvalidNode);
   s.level_candidates.resize(n);
-  s.level_index.assign(n, 0);
   s.level_reqs.resize(n);
   for (size_t level = 0; level < n; ++level) {
     s.level_reqs[level].Assign(query_sigs.row(s.plan.order[level]));
   }
-
-  // Nogood prefixes are positional in the plan order, so the scoping tag
-  // covers both the query's structure and the exact matching order.
-  uint64_t tag = q.Fingerprint();
-  for (const graph::NodeId v : s.plan.order) {
-    tag ^= (tag << 6) + (tag >> 2) + 0x9e3779b97f4a7c15ULL + v;
-  }
-  binding_tag_ = tag;
 }
 
 bool PsiEvaluator::IsUsed(graph::NodeId data_node, size_t level) const {
@@ -177,17 +166,6 @@ Outcome PsiEvaluator::Search(size_t level, const Options& options,
   // Line 1: full mapping -> a first embedding exists; PSI stops here.
   if (level == s.plan.size()) return Outcome::kValid;
 
-  // Luby budget (restart runs only): charge one node per call. Checked
-  // after the full-mapping test so a completed embedding always reports
-  // kValid even on the run's last node.
-  if (budget_limited_) {
-    if (budget_remaining_ == 0) return Outcome::kBudgetExhausted;
-    if (--budget_remaining_ == 0) {
-      RecordNogoods(stats);
-      return Outcome::kBudgetExhausted;
-    }
-  }
-
   const graph::NodeId v = s.plan.order[level];
   GenerateCandidates(level, stats);
   auto& candidates = s.level_candidates[level];
@@ -201,15 +179,6 @@ Outcome PsiEvaluator::Search(size_t level, const Options& options,
     const size_t pruned =
         signature::FilterCandidates(graph_sigs_, req, candidates);
     if (stats != nullptr) stats->pruned_by_signature += pruned;
-    // Restart runs past the first perturb the value ordering so a rerun
-    // explores the heavy-tailed space in a different order (the point of
-    // restarting). The pessimist's base order carries no heuristic, so
-    // shuffling loses nothing.
-    if (perturb_seed_ != 0 && candidates.size() > 1) {
-      util::Rng rng(perturb_seed_ ^
-                    (0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(level) + 1)));
-      util::Shuffle(candidates, rng);
-    }
   } else {
     // Line 4 (super optimistic): cap the candidate list *before* sorting
     // so the sorting overhead is bounded too; line 5 (optimist): visit
@@ -228,18 +197,7 @@ Outcome PsiEvaluator::Search(size_t level, const Options& options,
     }
   }
 
-  const bool consult_nogoods = nogoods_ != nullptr && !nogoods_->empty() &&
-                               level + 1 <= nogoods_->limits().max_prefix_length;
-  for (size_t idx = 0; idx < candidates.size(); ++idx) {
-    const graph::NodeId c = candidates[idx];
-    s.level_index[level] = idx;
-    if (consult_nogoods &&
-        nogoods_->Contains({s.mapped_stack.data(), level}, c)) {
-      // A previous run exhausted this assignment's subtree; skipping it is
-      // as sound as having searched it again.
-      if (stats != nullptr) ++stats->nogood_hits;
-      continue;
-    }
+  for (const graph::NodeId c : candidates) {
     s.mapping[v] = c;
     s.mapped_stack[level] = c;
     const Outcome result = Search(level + 1, options, stats);
@@ -250,43 +208,6 @@ Outcome PsiEvaluator::Search(size_t level, const Options& options,
     // never touch — safe to continue iterating.
   }
   return Outcome::kInvalid;
-}
-
-Outcome PsiEvaluator::RunFromPivot(graph::NodeId candidate,
-                                   const Options& options,
-                                   SearchStats* stats) {
-  SearchScratch& s = *scratch_;
-  const graph::NodeId pivot = query_->pivot();
-  s.mapping[pivot] = candidate;
-  s.mapped_stack[0] = candidate;
-  const Outcome result = Search(1, options, stats);
-  s.mapping[pivot] = graph::kInvalidNode;
-  s.mapped_stack[0] = graph::kInvalidNode;
-  return result;
-}
-
-void PsiEvaluator::RecordNogoods(SearchStats* stats) {
-  if (nogoods_ == nullptr) return;
-  SearchScratch& s = *scratch_;
-  const size_t n = s.plan.size();
-  const size_t max_len = nogoods_->limits().max_prefix_length;
-  // Walk the live search path. At each active level the candidates before
-  // level_index[level] were either exhaustively refuted this run or pruned
-  // by an earlier nogood — either way their subtrees are proven empty, so
-  // (mapped_stack[0..level-1], sibling) is a sound nogood.
-  for (size_t level = 1; level < n; ++level) {
-    if (s.mapped_stack[level] == graph::kInvalidNode) break;
-    if (level + 1 > max_len) break;  // deeper prefixes only get longer
-    const std::span<const graph::NodeId> head(s.mapped_stack.data(), level);
-    const auto& candidates = s.level_candidates[level];
-    const size_t exhausted = std::min(s.level_index[level], candidates.size());
-    for (size_t idx = 0; idx < exhausted; ++idx) {
-      if (nogoods_->full()) return;
-      if (nogoods_->Record(head, candidates[idx]) && stats != nullptr) {
-        ++stats->nogoods_recorded;
-      }
-    }
-  }
 }
 
 Outcome PsiEvaluator::EvaluateNode(graph::NodeId candidate,
@@ -311,40 +232,12 @@ Outcome PsiEvaluator::EvaluateNode(graph::NodeId candidate,
     }
   }
 
-  const bool restarting =
-      options.restarts.enabled && options.mode == PsiMode::kPessimistic;
-  if (!restarting) {
-    budget_limited_ = false;
-    perturb_seed_ = 0;
-    nogoods_ = nullptr;
-    return RunFromPivot(candidate, options, stats);
-  }
-
-  if (options.nogoods != nullptr) {
-    options.nogoods->EnsureBinding(binding_tag_);
-  }
-  for (size_t run = 0;; ++run) {
-    const uint64_t budget = options.restarts.BudgetForRun(run);
-    budget_limited_ = budget != 0;
-    budget_remaining_ = budget;
-    // Perturbation diversifies *budgeted* probes only. The final unlimited
-    // run reverts to the unperturbed baseline order, so its cost is the
-    // non-restarting search minus whatever the nogoods prune — restarts
-    // can never make the worst case more than the budgeted probes slower.
-    perturb_seed_ = budget_limited_
-                        ? PerturbationSeed(options.restarts, candidate, run)
-                        : 0;
-    nogoods_ = options.nogoods;
-    const Outcome outcome = RunFromPivot(candidate, options, stats);
-    budget_limited_ = false;
-    perturb_seed_ = 0;
-    nogoods_ = nullptr;
-    // BudgetForRun(run >= max_restarts) is 0 = unlimited, so the loop
-    // always terminates with a definite (or timeout/stop) outcome —
-    // kBudgetExhausted never escapes.
-    if (outcome != Outcome::kBudgetExhausted) return outcome;
-    if (stats != nullptr) ++stats->restarts;
-  }
+  s.mapping[pivot] = candidate;
+  s.mapped_stack[0] = candidate;
+  const Outcome result = Search(1, options, stats);
+  s.mapping[pivot] = graph::kInvalidNode;
+  s.mapped_stack[0] = graph::kInvalidNode;
+  return result;
 }
 
 Outcome PsiEvaluator::EvaluateNodeOptimisticStrategy(graph::NodeId candidate,

@@ -5,9 +5,7 @@
 
 #include "graph/graph.h"
 #include "graph/query_graph.h"
-#include "match/nogood_store.h"
 #include "match/plan.h"
-#include "match/restart_policy.h"
 #include "match/search_scratch.h"
 #include "match/search_stats.h"
 #include "signature/signature_matrix.h"
@@ -66,17 +64,6 @@ class PsiEvaluator {
     bool pivot_prefiltered = false;
     util::Deadline deadline;
     util::StopToken stop;
-    /// Luby restarts for the pessimistic refutation search (ignored by the
-    /// optimist modes, whose score-guided order *is* the heuristic). The
-    /// final run is budget-unlimited, so enabling restarts never changes
-    /// the answer — only the order the space is explored in.
-    RestartOptions restarts;
-    /// Optional conflict store consulted and fed by restart runs. Must
-    /// belong to this thread; the evaluator calls EnsureBinding() with a
-    /// (query, plan) tag on every restarting evaluation, so entries can
-    /// never be applied under a binding other than the one that recorded
-    /// them.
-    NogoodStore* nogoods = nullptr;
   };
 
   /// `graph_sigs` must have one row per node of `g`. Both must outlive the
@@ -118,16 +105,6 @@ class PsiEvaluator {
  private:
   Outcome Search(size_t level, const Options& options, SearchStats* stats);
 
-  /// One search run from an already-validated pivot binding (the body the
-  /// restart loop reruns).
-  Outcome RunFromPivot(graph::NodeId candidate, const Options& options,
-                       SearchStats* stats);
-
-  /// Harvests nogood prefixes from the live search stack at the moment a
-  /// node budget runs out: for every active level, each already-exhausted
-  /// sibling candidate heads a subtree proven empty.
-  void RecordNogoods(SearchStats* stats);
-
   /// Fills the level's candidate buffer with data nodes consistent with
   /// all already-mapped query neighbors of plan node `level`.
   void GenerateCandidates(size_t level, SearchStats* stats);
@@ -150,14 +127,6 @@ class PsiEvaluator {
   SearchScratch* scratch_;
 
   uint32_t steps_until_check_ = kCheckInterval;
-
-  /// Restart-run state, set by EvaluateNode around each RunFromPivot call.
-  bool budget_limited_ = false;
-  uint64_t budget_remaining_ = 0;
-  uint64_t perturb_seed_ = 0;
-  NogoodStore* nogoods_ = nullptr;
-  /// Identifies the bound (query, plan) for nogood scoping.
-  uint64_t binding_tag_ = 0;
 };
 
 }  // namespace psi::match

@@ -49,12 +49,6 @@ struct SearchScratch {
   /// Per-level candidate buffers.
   std::vector<std::vector<graph::NodeId>> level_candidates;
 
-  /// level_index[i] = index into level_candidates[i] of the candidate
-  /// currently mapped at level i. Lets the restart machinery read off the
-  /// exhausted siblings of every active level (the nogood prefixes) at the
-  /// moment a budget runs out, before the stack unwinds.
-  std::vector<size_t> level_index;
-
   /// level_reqs[i] = sparse view of the query signature row of plan node i
   /// (shared by the satisfaction filter and the score ranking).
   std::vector<signature::SparseRequirement> level_reqs;

@@ -21,12 +21,6 @@ struct SearchStats {
   uint64_t score_sorts = 0;
   /// Full embeddings found (enumeration engines).
   uint64_t embeddings_found = 0;
-  /// Luby-budget restarts taken (search torn down and reseeded).
-  uint64_t restarts = 0;
-  /// Nogood prefixes recorded at restart boundaries.
-  uint64_t nogoods_recorded = 0;
-  /// Candidate expansions pruned by a recorded nogood.
-  uint64_t nogood_hits = 0;
   /// Successful work-steal operations in parallel search.
   uint64_t work_steals = 0;
 
@@ -37,9 +31,6 @@ struct SearchStats {
     pruned_by_signature += other.pruned_by_signature;
     score_sorts += other.score_sorts;
     embeddings_found += other.embeddings_found;
-    restarts += other.restarts;
-    nogoods_recorded += other.nogoods_recorded;
-    nogood_hits += other.nogood_hits;
     work_steals += other.work_steals;
     return *this;
   }
@@ -55,10 +46,6 @@ enum class Outcome {
   kTimeout,
   /// An external StopToken cancelled the search (two-threaded baseline).
   kStopped,
-  /// A restart-policy node budget ran out before a decision. Internal to
-  /// the restart loop: the final run is budget-unlimited, so this never
-  /// escapes a public evaluation entry point.
-  kBudgetExhausted,
 };
 
 inline const char* OutcomeName(Outcome o) {
@@ -71,8 +58,6 @@ inline const char* OutcomeName(Outcome o) {
       return "timeout";
     case Outcome::kStopped:
       return "stopped";
-    case Outcome::kBudgetExhausted:
-      return "budget-exhausted";
   }
   return "unknown";
 }

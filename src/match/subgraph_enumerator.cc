@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "match/parallel_search.h"
-#include "util/random.h"
 
 namespace psi::match {
 
@@ -65,38 +64,7 @@ SubgraphEnumerator::EnumerationResult SubgraphEnumerator::EnumerateRoots(
   std::vector<graph::NodeId> mapped_stack(q.num_nodes(),
                                           graph::kInvalidNode);
   std::vector<Frame> frames(q.num_nodes());
-
-  // Luby restart state. Restarts only tear the search down while zero
-  // embeddings have been visited; after the first embedding (or once the
-  // budgeted runs are spent) the budget is lifted in place, so a
-  // restarting enumeration is always exact on completion.
-  size_t run = 0;
-  uint64_t budget = options.restarts.enabled
-                        ? options.restarts.BudgetForRun(0)
-                        : options.node_budget;
-  bool budget_limited = budget != 0;
-  uint64_t nodes_used = 0;
-  uint64_t perturb =
-      options.restarts.enabled
-          ? PerturbationSeed(options.restarts, roots.size(), 0)
-          : 0;
-
-  auto perturb_frame = [&](size_t level) {
-    auto& candidates = frames[level].candidates;
-    if (perturb != 0 && candidates.size() > 1) {
-      util::Rng rng(perturb ^ (0x9e3779b97f4a7c15ULL *
-                               (static_cast<uint64_t>(level) + 1)));
-      util::Shuffle(candidates, rng);
-    }
-  };
-
-  auto reset_root = [&] {
-    auto& root_frame = frames[0];
-    root_frame.candidates.assign(roots.begin(), roots.end());
-    root_frame.next_index = 0;
-    perturb_frame(0);
-  };
-  reset_root();
+  frames[0].candidates.assign(roots.begin(), roots.end());
 
   auto is_used = [&](graph::NodeId u, size_t level) {
     for (size_t i = 0; i < level; ++i) {
@@ -147,7 +115,6 @@ SubgraphEnumerator::EnumerationResult SubgraphEnumerator::EnumerateRoots(
       }
       if (consistent) frame.candidates.push_back(c);
     }
-    perturb_frame(level);
   };
 
   // Iterative backtracking so deep data graphs cannot overflow the stack
@@ -155,7 +122,6 @@ SubgraphEnumerator::EnumerationResult SubgraphEnumerator::EnumerateRoots(
   size_t level = 0;
   uint32_t steps_until_check = 1024;
   bool truncated = false;
-  bool budget_truncated = false;
   while (true) {
     if (--steps_until_check == 0) {
       steps_until_check = 1024;
@@ -175,40 +141,6 @@ SubgraphEnumerator::EnumerationResult SubgraphEnumerator::EnumerateRoots(
       ++frames[level].next_index;
       continue;
     }
-    if (budget_limited && nodes_used >= budget) {
-      if (options.restarts.enabled && result.embedding_count == 0 &&
-          run < options.restarts.max_restarts) {
-        // Tear down and restart with the next Luby budget and a fresh
-        // value-ordering perturbation.
-        ++run;
-        if (stats != nullptr) ++stats->restarts;
-        budget = options.restarts.BudgetForRun(run);
-        budget_limited = budget != 0;
-        nodes_used = 0;
-        // Budgeted probes get a fresh perturbation; the final unlimited
-        // run reverts to the baseline order (see PsiEvaluator — bounded
-        // worst case beats diversity once nothing can cut the run short).
-        perturb = budget_limited
-                      ? PerturbationSeed(options.restarts, roots.size(), run)
-                      : 0;
-        std::fill(mapping.begin(), mapping.end(), graph::kInvalidNode);
-        std::fill(mapped_stack.begin(), mapped_stack.end(),
-                  graph::kInvalidNode);
-        level = 0;
-        reset_root();
-        continue;
-      }
-      if (options.restarts.enabled) {
-        // Embeddings were already visited (a restart would replay them) or
-        // the budgeted runs are spent: lift the budget in place and finish.
-        budget_limited = false;
-      } else {
-        truncated = true;
-        budget_truncated = true;
-        break;
-      }
-    }
-    ++nodes_used;
     const graph::NodeId c = frame.candidates[frame.next_index];
     const graph::NodeId v = plan.order[level];
     if (stats != nullptr) ++stats->recursive_calls;
@@ -240,8 +172,7 @@ SubgraphEnumerator::EnumerationResult SubgraphEnumerator::EnumerateRoots(
   result.outcome =
       result.embedding_count > 0 ? Outcome::kValid : Outcome::kInvalid;
   if (truncated && result.embedding_count == 0) {
-    result.outcome =
-        budget_truncated ? Outcome::kBudgetExhausted : Outcome::kTimeout;
+    result.outcome = Outcome::kTimeout;
   }
   return result;
 }

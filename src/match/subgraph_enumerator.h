@@ -9,7 +9,6 @@
 #include "graph/graph.h"
 #include "graph/query_graph.h"
 #include "match/plan.h"
-#include "match/restart_policy.h"
 #include "match/search_stats.h"
 #include "util/stop_token.h"
 #include "util/timer.h"
@@ -34,23 +33,12 @@ class SubgraphEnumerator {
     uint64_t max_embeddings = UINT64_MAX;
     util::Deadline deadline;
     util::StopToken stop;
-    /// Hard cap on expanded search-tree nodes; 0 = unlimited. Exceeding it
-    /// truncates the run (complete = false) unless restarts are enabled,
-    /// which manage budgets themselves and ignore this field.
-    uint64_t node_budget = 0;
-    /// Luby restarts for the existence phase: while *zero* embeddings have
-    /// been reported, a run that exhausts its budget tears down and
-    /// restarts with a perturbed candidate order (the visitor never sees a
-    /// duplicate, because it has seen nothing). Once an embedding has been
-    /// visited — or the budgeted runs are spent — the budget is lifted in
-    /// place and the enumeration runs to completion, so results are exact.
-    RestartOptions restarts;
   };
 
   struct EnumerationResult {
     uint64_t embedding_count = 0;
-    /// False if the run was cut short (max_embeddings, node_budget,
-    /// deadline, or stop); embedding_count is then a lower bound.
+    /// False if the run was cut short (max_embeddings, deadline, or stop);
+    /// embedding_count is then a lower bound.
     bool complete = true;
     Outcome outcome = Outcome::kInvalid;  // kValid iff >= 1 embedding found
   };

@@ -95,23 +95,11 @@ void MetricsRegistry::RecordOutcome(const QueryResponse& response,
                                   std::memory_order_relaxed);
   cache_mismatches_.fetch_add(response.cache_mismatches,
                               std::memory_order_relaxed);
-  search_restarts_.fetch_add(response.search_restarts,
-                             std::memory_order_relaxed);
-  nogoods_recorded_.fetch_add(response.nogoods_recorded,
-                              std::memory_order_relaxed);
-  nogood_hits_.fetch_add(response.nogood_hits, std::memory_order_relaxed);
   work_steals_.fetch_add(response.work_steals, std::memory_order_relaxed);
   if (response.served_degraded) {
     degraded_requests_.fetch_add(1, std::memory_order_relaxed);
   }
   latencies_.Record(response.latency_seconds);
-}
-
-void MetricsRegistry::EnableShardCounters(size_t num_shards) {
-  shard_slots_ = num_shards == 0
-                     ? nullptr
-                     : std::make_unique<ShardSlot[]>(num_shards);
-  num_shard_slots_ = num_shards;
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
@@ -134,9 +122,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   s.candidates_evaluated =
       candidates_evaluated_.load(std::memory_order_relaxed);
   s.cache_mismatches = cache_mismatches_.load(std::memory_order_relaxed);
-  s.search_restarts = search_restarts_.load(std::memory_order_relaxed);
-  s.nogoods_recorded = nogoods_recorded_.load(std::memory_order_relaxed);
-  s.nogood_hits = nogood_hits_.load(std::memory_order_relaxed);
   s.work_steals = work_steals_.load(std::memory_order_relaxed);
   s.degraded_entries = degraded_entries_.load(std::memory_order_relaxed);
   s.degraded_exits = degraded_exits_.load(std::memory_order_relaxed);
@@ -150,17 +135,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   s.batch_queries = batch_queries_.load(std::memory_order_relaxed);
   s.batch_context_hits = batch_context_hits_.load(std::memory_order_relaxed);
   s.batch_degraded = batch_degraded_.load(std::memory_order_relaxed);
-  // Per-shard counters: settled before admitted, mirroring the flat read
-  // order, so shard settled <= shard admitted holds in every snapshot.
-  s.shards.resize(num_shard_slots_);
-  for (size_t k = 0; k < num_shard_slots_; ++k) {
-    s.shards[k].cross_shard_forwards =
-        shard_slots_[k].forwards.load(std::memory_order_relaxed);
-    s.shards[k].settled =
-        shard_slots_[k].settled.load(std::memory_order_acquire);
-    s.shards[k].admitted =
-        shard_slots_[k].admitted.load(std::memory_order_relaxed);
-  }
   s.admitted = admitted_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   return s;
@@ -177,10 +151,7 @@ std::string MetricsSnapshot::ToString() const {
       << " plan_fallbacks=" << plan_fallbacks
       << " candidates=" << candidates_evaluated
       << " cache_mismatches=" << cache_mismatches << "\n"
-      << "search: restarts=" << search_restarts
-      << " nogoods_recorded=" << nogoods_recorded
-      << " nogood_hits=" << nogood_hits << " work_steals=" << work_steals
-      << "\n"
+      << "search: work_steals=" << work_steals << "\n"
       << "degradation: entries=" << degraded_entries
       << " exits=" << degraded_exits
       << " degraded_requests=" << degraded_requests
@@ -200,11 +171,6 @@ std::string MetricsSnapshot::ToString() const {
       << " p95=" << util::FormatDuration(latency.p95)
       << " p99=" << util::FormatDuration(latency.p99)
       << " max=" << util::FormatDuration(latency.max);
-  for (size_t k = 0; k < shards.size(); ++k) {
-    oss << "\nshard " << k << ": admitted=" << shards[k].admitted
-        << " settled=" << shards[k].settled
-        << " cross_shard_forwards=" << shards[k].cross_shard_forwards;
-  }
   return oss.str();
 }
 

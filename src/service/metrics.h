@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,17 +42,6 @@ class LatencyReservoir {
   std::atomic<uint64_t> count_{0};
 };
 
-/// Per-shard slice of the request counters (sharded serving, DESIGN.md
-/// §13). The shard id is the vector index; admitted/settled count shard
-/// subtasks (each sharded request fans out one subtask per shard), and
-/// cross_shard_forwards counts partial matches this shard delegated to a
-/// boundary vertex's owner.
-struct ShardCounterSnapshot {
-  uint64_t admitted = 0;
-  uint64_t settled = 0;
-  uint64_t cross_shard_forwards = 0;
-};
-
 /// Point-in-time copy of every service counter, cheap to pass around and
 /// print. Counters are monotonic since service construction.
 struct MetricsSnapshot {
@@ -82,11 +70,8 @@ struct MetricsSnapshot {
   /// the poisoning signal (answers stay exact; see PsiQueryResult).
   uint64_t cache_mismatches = 0;
 
-  // Search-core activity (Luby restarts, nogood recording, work stealing —
-  // DESIGN.md §14), aggregated across requests.
-  uint64_t search_restarts = 0;
-  uint64_t nogoods_recorded = 0;
-  uint64_t nogood_hits = 0;
+  // Work-stealing parallel search (DESIGN.md §14), aggregated across
+  // requests.
   uint64_t work_steals = 0;
 
   // Graceful degradation (DESIGN.md §11).
@@ -120,11 +105,6 @@ struct MetricsSnapshot {
   uint64_t snapshot_publish_failures = 0;  // catalog.publish fault aborts
 
   LatencyReservoir::Summary latency;
-
-  /// Per-shard labeled counters, indexed by shard id. Empty unless the
-  /// owning registry enabled the shard dimension (unsharded services) —
-  /// the flat counters above are always authoritative either way.
-  std::vector<ShardCounterSnapshot> shards;
 
   /// Terminal events recorded so far (== admitted once the queue drains).
   uint64_t Settled() const {
@@ -213,36 +193,7 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
-  /// Sizes the per-shard counter dimension (sharded services call this once
-  /// at construction). Not safe to call concurrently with the shard
-  /// recorders below — the slot array is reallocated. The flat counters are
-  /// unaffected: unsharded registries never call this and their Snapshot()
-  /// keeps returning an empty `shards` vector.
-  void EnableShardCounters(size_t num_shards);
-
-  size_t num_shards() const { return num_shard_slots_; }
-
-  void RecordShardAdmitted(size_t shard) {
-    shard_slots_[shard].admitted.fetch_add(1, std::memory_order_relaxed);
-  }
-  /// Release pairing: Snapshot() reads settled with acquire before admitted
-  /// so per-shard settled <= admitted holds in every snapshot (the same
-  /// contract as the flat counters).
-  void RecordShardSettled(size_t shard) {
-    shard_slots_[shard].settled.fetch_add(1, std::memory_order_release);
-  }
-  void RecordShardForwards(size_t shard, uint64_t n) {
-    if (n == 0) return;
-    shard_slots_[shard].forwards.fetch_add(n, std::memory_order_relaxed);
-  }
-
  private:
-  struct ShardSlot {
-    std::atomic<uint64_t> admitted{0};
-    std::atomic<uint64_t> settled{0};
-    std::atomic<uint64_t> forwards{0};
-  };
-
   std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> retries_{0};
@@ -261,9 +212,6 @@ class MetricsRegistry {
   std::atomic<uint64_t> method_recoveries_{0};
   std::atomic<uint64_t> plan_fallbacks_{0};
   std::atomic<uint64_t> candidates_evaluated_{0};
-  std::atomic<uint64_t> search_restarts_{0};
-  std::atomic<uint64_t> nogoods_recorded_{0};
-  std::atomic<uint64_t> nogood_hits_{0};
   std::atomic<uint64_t> work_steals_{0};
   std::atomic<uint64_t> batch_submitted_{0};
   std::atomic<uint64_t> batch_rejected_{0};
@@ -271,9 +219,6 @@ class MetricsRegistry {
   std::atomic<uint64_t> batch_context_hits_{0};
   std::atomic<uint64_t> batch_degraded_{0};
   LatencyReservoir latencies_;
-  /// Shard dimension (EnableShardCounters); null for unsharded registries.
-  std::unique_ptr<ShardSlot[]> shard_slots_;
-  size_t num_shard_slots_ = 0;
 };
 
 }  // namespace psi::service

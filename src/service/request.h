@@ -93,12 +93,8 @@ struct QueryResponse {
   /// Execution time alone.
   double exec_seconds = 0.0;
 
-  // Search-core counters for this request (Luby restarts, nogood store,
-  // work-stealing parallel search — DESIGN.md §14). Zero when the worker
-  // ran the plain sequential configuration.
-  uint64_t search_restarts = 0;
-  uint64_t nogoods_recorded = 0;
-  uint64_t nogood_hits = 0;
+  /// Work-stealing operations of this request's parallel search
+  /// (DESIGN.md §14). Zero when the worker searched sequentially.
   uint64_t work_steals = 0;
 
   bool ok() const { return status == RequestStatus::kOk; }

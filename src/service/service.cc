@@ -85,7 +85,6 @@ void PsiService::StartWorkers() {
   // parallelism is the service-level search_threads knob, not whatever the
   // caller left in the engine config.
   config.num_threads = std::max<size_t>(1, options_.search_threads);
-  config.restarts.enabled = options_.search_restarts;
   config.query_keyed_cache = true;
   options_.engine = config;
   engines_.reserve(options_.num_workers);
@@ -413,8 +412,11 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
     const double limit = request.deadline_seconds > 0.0
                              ? request.deadline_seconds
                              : options_.default_deadline_seconds;
+    // The budget runs from admission (request.h), so queue wait, a stalled
+    // worker and earlier members of a sequential batch all spend it.
     const util::Deadline deadline =
-        limit > 0.0 ? util::Deadline::After(limit) : util::Deadline();
+        limit > 0.0 ? util::Deadline::After(limit - admission_timer.Seconds())
+                    : util::Deadline();
     const util::StopToken stop(&shutdown_);
 
     // Degradation policy: under a misprediction-timeout storm, kSmart
@@ -450,9 +452,6 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
       response.num_candidates = result.num_candidates;
       response.cache_hits = result.cache_hits;
       response.cache_mismatches = result.cache_mismatches;
-      response.search_restarts = result.search.restarts;
-      response.nogoods_recorded = result.search.nogoods_recorded;
-      response.nogood_hits = result.search.nogood_hits;
       response.work_steals = result.search.work_steals;
       method_recoveries = result.method_recoveries;
       plan_fallbacks = result.plan_fallbacks;
@@ -467,7 +466,6 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
       pure.search_threads = slot != nullptr && slot->search_threads_override > 0
                                 ? slot->search_threads_override
                                 : options_.search_threads;
-      pure.restarts = options_.engine.restarts;
       if (slot != nullptr && !slot->fault_degraded) {
         // Batch fast path: evaluate against the shared prepared context and
         // lease scratch from the batch-wide pool. Bit-identical to the
@@ -478,16 +476,9 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
         pure.prepared_pivot_requirement = slot->pivot_requirement;
         pure.scratch_pool = slot->scratch;
       }
-      // Salt the per-request nogood store by the pinned snapshot generation
-      // so recorded prefixes can never be confused across graph versions
-      // (same invariant the prediction cache keeps via set_cache_keying).
-      pure.nogood_salt = pin->cache_salt();
       core::PureDriverResult result = core::EvaluatePure(
           pin->graph(), pin->signatures(), request.query, pure);
       response.valid_nodes = std::move(result.valid_nodes);
-      response.search_restarts = result.stats.restarts;
-      response.nogoods_recorded = result.stats.nogoods_recorded;
-      response.nogood_hits = result.stats.nogood_hits;
       response.work_steals = result.stats.work_steals;
       complete = result.complete;
     }

@@ -101,11 +101,6 @@ struct ServiceOptions {
   /// 1 keeps the classic sequential search. Multiplies with num_workers,
   /// so total concurrency is num_workers × search_threads.
   size_t search_threads = 1;
-
-  /// Enables Luby restarts + nogood recording on the pessimistic search
-  /// paths (DESIGN.md §14). Answers are unchanged — the final run of every
-  /// restart sequence is budget-unlimited — only tail latency differs.
-  bool search_restarts = false;
 };
 
 /// Point-in-time service health: request metrics plus the shared-state

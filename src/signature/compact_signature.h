@@ -129,8 +129,7 @@ class CompactSignatureMatrix {
     return {data() + i * num_labels_, num_labels_};
   }
 
-  /// Writable row pointer; only valid on owned matrices (shard slicing
-  /// copies global rows through this).
+  /// Writable row pointer; only valid on owned matrices.
   uint8_t* mutable_row(size_t i) {
     assert(view_ == nullptr);
     return owned_.data() + i * num_labels_;

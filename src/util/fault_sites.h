@@ -27,7 +27,6 @@ inline constexpr char kSmartPlanMispredict[] = "smart.plan.mispredict";
 inline constexpr char kSmartPreemptExpire[] = "smart.preempt.expire";
 inline constexpr char kThreadPoolTaskStart[] = "threadpool.task.start";
 inline constexpr char kCatalogPublish[] = "catalog.publish";
-inline constexpr char kCatalogShardPublish[] = "catalog.shard_publish";
 inline constexpr char kGraphIoShortRead[] = "io.graph.short_read";
 inline constexpr char kQueryIoShortRead[] = "io.query.short_read";
 inline constexpr char kSignatureIoShortRead[] = "io.signature.short_read";

@@ -5,9 +5,8 @@
 // the bulk filter re-checks survivors with the exact float kernel, so every
 // kept set stays byte-identical to the float-only path. This suite attacks
 // the contract with randomized magnitude sweeps (denormals, zero, epsilon
-// neighborhoods, saturation), pins the dispatch (AVX2 when available)
-// against the scalar reference bit-for-bit, and checks that shard-sliced
-// compact rows equal a from-scratch re-quantization.
+// neighborhoods, saturation) and pins the dispatch (AVX2 when available)
+// against the scalar reference bit-for-bit.
 
 #include <algorithm>
 #include <bit>
@@ -18,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include "shard/partitioner.h"
 #include "signature/builders.h"
 #include "signature/compact_signature.h"
 #include "signature/kernels.h"
@@ -282,39 +280,6 @@ TEST(CompactFilterTest, DispatchMatchesScalarReference) {
         ASSERT_EQ(signature::internal::CompactRowMaySatisfy(row, req),
                   signature::internal::CompactRowMaySatisfyScalar(row, req))
             << "dim " << dim << " row " << i << " trial " << trial;
-      }
-    }
-  }
-}
-
-// Shard slicing copies global compact rows byte-for-byte; re-quantizing the
-// sliced float rows must reproduce them exactly (the partitioner's
-// bit-identical-slicing contract extended to the compact companion).
-TEST(CompactShardTest, SlicedCompactRowsEqualRequantization) {
-  const uint64_t seed = psi::testing::TestSeed(0xc0de06);
-  PSI_LOG_TEST_SEED(seed);
-  const graph::Graph g = psi::testing::MakeRandomGraph(250, 800, 4, seed);
-  SignatureMatrix gs = signature::BuildSignatures(
-      g, signature::Method::kMatrix, 2, g.num_labels());
-  gs.BuildCompact();
-
-  for (const uint32_t k : {1u, 2u}) {
-    shard::PartitionOptions options;
-    options.num_shards = k;
-    const shard::PartitionedGraph pg = shard::BuildPartitionedGraph(
-        g, gs, shard::GraphPartitioner(options).Partition(g));
-    for (const shard::ShardPart& part : pg.parts) {
-      ASSERT_NE(part.sigs.compact(), nullptr) << "k=" << k;
-      const CompactSignatureMatrix& sliced = *part.sigs.compact();
-      ASSERT_EQ(sliced.num_rows(), part.sigs.num_rows());
-      for (size_t i = 0; i < part.sigs.num_rows(); ++i) {
-        const auto floats = part.sigs.row(i);
-        const auto codes = sliced.row(i);
-        for (size_t l = 0; l < floats.size(); ++l) {
-          ASSERT_EQ(codes[l], QuantizeWeight(floats[l]))
-              << "k=" << k << " shard " << part.layout.shard << " row " << i
-              << " label " << l;
-        }
       }
     }
   }

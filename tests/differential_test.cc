@@ -59,19 +59,6 @@ void ExpectAllPathsMatchOracle(const graph::Graph& g,
   ASSERT_TRUE(smart_result.complete);
   EXPECT_EQ(smart_result.valid_nodes, oracle) << "smart";
 
-  // The Realist again with Luby restarts on the pessimistic search paths
-  // (DESIGN.md §14): the final unbudgeted run makes answers exact, so the
-  // pivot set must not move.
-  core::SmartPsiConfig restart_config = config;
-  restart_config.restarts.enabled = true;
-  restart_config.restarts.unit_nodes = 8;  // tiny: force restart boundaries
-  restart_config.restarts.max_restarts = 4;
-  core::SmartPsiEngine smart_restarting(g, restart_config);
-  const core::PsiQueryResult smart_restart_result =
-      smart_restarting.Evaluate(q);
-  ASSERT_TRUE(smart_restart_result.complete);
-  EXPECT_EQ(smart_restart_result.valid_nodes, oracle) << "smart-restarts";
-
   // Both pure single-method drivers.
   const auto gs = signature::BuildSignatures(
       g, signature::Method::kMatrix, 2, g.num_labels());
@@ -86,29 +73,15 @@ void ExpectAllPathsMatchOracle(const graph::Graph& g,
                                                         : "pessimistic");
   }
 
-  // The pessimistic driver through the search-core upgrades: restarts,
-  // work-stealing parallel search, and both at once. Complete runs are
-  // bit-identical to the oracle regardless of thread count or schedule.
-  struct SearchCoreConfig {
-    const char* name;
-    size_t threads;
-    bool restarts;
-  };
-  for (const SearchCoreConfig& variant :
-       {SearchCoreConfig{"pessimistic-restarts", 1, true},
-        SearchCoreConfig{"pessimistic-parallel2", 2, false},
-        SearchCoreConfig{"pessimistic-parallel4", 4, false},
-        SearchCoreConfig{"pessimistic-parallel-restarts", 3, true}}) {
+  // The pessimistic driver on work-stealing parallel search. Complete runs
+  // are bit-identical to the oracle regardless of thread count or schedule.
+  for (const size_t threads : {2u, 4u}) {
     core::PureDriverOptions pure;
     pure.strategy = core::PureStrategy::kPessimistic;
-    pure.search_threads = variant.threads;
-    pure.restarts.enabled = variant.restarts;
-    pure.restarts.unit_nodes = 8;
-    pure.restarts.max_restarts = 4;
-    pure.nogood_salt = seed;
+    pure.search_threads = threads;
     const core::PureDriverResult result = core::EvaluatePure(g, gs, q, pure);
-    ASSERT_TRUE(result.complete) << variant.name;
-    EXPECT_EQ(result.valid_nodes, oracle) << variant.name;
+    ASSERT_TRUE(result.complete) << "pessimistic-parallel" << threads;
+    EXPECT_EQ(result.valid_nodes, oracle) << "pessimistic-parallel" << threads;
   }
 
   // Every enumeration engine, via pivot projection.
@@ -160,8 +133,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Determinism of the parallel search (DESIGN.md §14): the work-stealing
 // schedule varies run to run, but per-candidate work is schedule-independent
 // and the merge is canonical, so every thread count must return the exact
-// byte sequence the sequential driver returns — including with restarts
-// layered on top.
+// byte sequence the sequential driver returns.
 TEST_P(DifferentialTest, ParallelSearchIsBitIdenticalToSequential) {
   const auto [base_seed, query_size] = GetParam();
   const uint64_t seed = psi::testing::TestSeed(base_seed, query_size);
@@ -174,26 +146,20 @@ TEST_P(DifferentialTest, ParallelSearchIsBitIdenticalToSequential) {
   const auto gs = signature::BuildSignatures(
       g, signature::Method::kMatrix, 2, g.num_labels());
 
-  for (const bool restarts : {false, true}) {
-    core::PureDriverOptions sequential;
-    sequential.strategy = core::PureStrategy::kPessimistic;
-    sequential.restarts.enabled = restarts;
-    sequential.restarts.unit_nodes = 8;
-    sequential.nogood_salt = seed;
-    const auto reference = core::EvaluatePure(g, gs, q, sequential);
-    ASSERT_TRUE(reference.complete);
+  core::PureDriverOptions sequential;
+  sequential.strategy = core::PureStrategy::kPessimistic;
+  const auto reference = core::EvaluatePure(g, gs, q, sequential);
+  ASSERT_TRUE(reference.complete);
 
-    for (const size_t threads : {2u, 3u, 4u, 8u}) {
-      core::PureDriverOptions parallel = sequential;
-      parallel.search_threads = threads;
-      // Two runs per config: schedule jitter across repeats must not show.
-      for (int repeat = 0; repeat < 2; ++repeat) {
-        const auto result = core::EvaluatePure(g, gs, q, parallel);
-        ASSERT_TRUE(result.complete);
-        EXPECT_EQ(result.valid_nodes, reference.valid_nodes)
-            << "threads=" << threads << " restarts=" << restarts
-            << " repeat=" << repeat;
-      }
+  for (const size_t threads : {2u, 3u, 4u, 8u}) {
+    core::PureDriverOptions parallel = sequential;
+    parallel.search_threads = threads;
+    // Two runs per config: schedule jitter across repeats must not show.
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      const auto result = core::EvaluatePure(g, gs, q, parallel);
+      ASSERT_TRUE(result.complete);
+      EXPECT_EQ(result.valid_nodes, reference.valid_nodes)
+          << "threads=" << threads << " repeat=" << repeat;
     }
   }
 }

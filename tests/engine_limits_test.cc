@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "graph/query_extractor.h"
 #include "match/cfl_match.h"
 #include "match/engine.h"
@@ -93,32 +97,37 @@ TEST_F(EngineLimitsTest, MaxEmbeddingsAcrossEngines) {
   ExpectMaxEmbeddingsTruncates<Vf2Engine>(g_, q_);
 }
 
-// Restart budgets interact with deadlines but never with truthfulness
-// (DESIGN.md §14): without a deadline the final unbudgeted run completes
-// the enumeration exactly; with an expired deadline the run is censored
-// as a timeout, and the restart loop must not re-launch past it.
-TEST_F(EngineLimitsTest, RestartBudgetsKeepCompleteFlagTruthful) {
+// ProjectPivot's `complete` flag is truthful both ways: a run without
+// limits reports complete and returns exactly the pivot images a visitor
+// over Enumerate sees; an expired deadline censors the run as incomplete
+// and leaves a subset of the true answer.
+TEST_F(EngineLimitsTest, ProjectPivotCompleteFlagIsTruthful) {
   SubgraphEnumerator enumerator(g_);
   const Plan plan = MakeHeuristicPlan(q_, g_, q_.pivot());
 
+  std::vector<graph::NodeId> visited;
   SubgraphEnumerator::Options plain;
-  const auto expected = enumerator.ProjectPivot(q_, plan, plain);
-  ASSERT_TRUE(expected.complete);
+  enumerator.Enumerate(
+      q_, plan,
+      [&](std::span<const graph::NodeId> mapping) {
+        visited.push_back(mapping[q_.pivot()]);
+        return true;
+      },
+      plain);
+  std::sort(visited.begin(), visited.end());
+  visited.erase(std::unique(visited.begin(), visited.end()), visited.end());
 
-  SubgraphEnumerator::Options restarting;
-  restarting.restarts.enabled = true;
-  restarting.restarts.unit_nodes = 1;  // every budgeted run exhausts
-  restarting.restarts.max_restarts = 3;
-  SearchStats stats;
-  const auto exact = enumerator.ProjectPivot(q_, plan, restarting, &stats);
+  const auto exact = enumerator.ProjectPivot(q_, plan, plain);
   EXPECT_TRUE(exact.complete);
-  EXPECT_EQ(exact.pivot_matches, expected.pivot_matches);
-  EXPECT_EQ(stats.restarts, restarting.restarts.max_restarts);
+  EXPECT_EQ(exact.pivot_matches, visited);
 
-  SubgraphEnumerator::Options doomed = restarting;
+  SubgraphEnumerator::Options doomed;
   doomed.deadline = util::Deadline::After(-1.0);
   const auto censored = enumerator.ProjectPivot(q_, plan, doomed);
   EXPECT_FALSE(censored.complete);
+  EXPECT_TRUE(std::includes(visited.begin(), visited.end(),
+                            censored.pivot_matches.begin(),
+                            censored.pivot_matches.end()));
 }
 
 TEST_F(EngineLimitsTest, StopTokenCancelsEnumeration) {
@@ -139,10 +148,7 @@ TEST(SearchStatsTest, AggregationSumsAllCounters) {
   a.pruned_by_signature = 4;
   a.score_sorts = 5;
   a.embeddings_found = 6;
-  a.restarts = 7;
-  a.nogoods_recorded = 8;
-  a.nogood_hits = 9;
-  a.work_steals = 10;
+  a.work_steals = 7;
   SearchStats b = a;
   b += a;
   EXPECT_EQ(b.recursive_calls, 2u);
@@ -151,10 +157,7 @@ TEST(SearchStatsTest, AggregationSumsAllCounters) {
   EXPECT_EQ(b.pruned_by_signature, 8u);
   EXPECT_EQ(b.score_sorts, 10u);
   EXPECT_EQ(b.embeddings_found, 12u);
-  EXPECT_EQ(b.restarts, 14u);
-  EXPECT_EQ(b.nogoods_recorded, 16u);
-  EXPECT_EQ(b.nogood_hits, 18u);
-  EXPECT_EQ(b.work_steals, 20u);
+  EXPECT_EQ(b.work_steals, 14u);
 }
 
 TEST(OutcomeTest, Names) {
@@ -162,7 +165,6 @@ TEST(OutcomeTest, Names) {
   EXPECT_STREQ(OutcomeName(Outcome::kInvalid), "invalid");
   EXPECT_STREQ(OutcomeName(Outcome::kTimeout), "timeout");
   EXPECT_STREQ(OutcomeName(Outcome::kStopped), "stopped");
-  EXPECT_STREQ(OutcomeName(Outcome::kBudgetExhausted), "budget-exhausted");
   EXPECT_STREQ(PsiModeName(PsiMode::kOptimistic), "optimistic");
   EXPECT_STREQ(PsiModeName(PsiMode::kSuperOptimistic), "super-optimistic");
   EXPECT_STREQ(PsiModeName(PsiMode::kPessimistic), "pessimistic");

@@ -19,7 +19,6 @@
 #include "core/smart_psi.h"
 #include "service/request.h"
 #include "service/service.h"
-#include "shard/sharded_service.h"
 #include "tests/test_fixtures.h"
 #include "util/timer.h"
 
@@ -390,16 +389,15 @@ TEST_F(FaultInjectionTest, PoisonedCacheTriggersBypassAndRecovers) {
   EXPECT_GE(stats.metrics.cache_bypass_exits, 1u);
 }
 
-// The service.worker.stall site deschedules the sharded router between
-// dequeue and execution — latency moves, the answer must not (DESIGN.md
-// §11's core corollary).
+// The service.worker.stall site deschedules a worker between dequeue and
+// execution — latency moves, the answer must not (DESIGN.md §11's core
+// corollary).
 TEST_F(FaultInjectionTest, WorkerStallDelaysEvaluationNotTheAnswer) {
   const graph::Graph g = psi::testing::MakeFigure1Graph();
-  shard::ShardedServiceOptions options;
+  service::ServiceOptions options;
   options.num_workers = 2;
-  options.build.partition.num_shards = 2;
-  options.build.snapshot.signature_depth = 2;
-  shard::ShardedPsiService service(g, options);
+  options.engine.signature_depth = 2;
+  service::PsiService service(g, options);
 
   ScopedFaultSpec chaos("service.worker.stall=always@2");
   service::QueryRequest request;
@@ -410,6 +408,68 @@ TEST_F(FaultInjectionTest, WorkerStallDelaysEvaluationNotTheAnswer) {
   const auto stats =
       FaultInjector::Global().Stats(util::faults::kServiceWorkerStall);
   EXPECT_GE(stats.fires, 1u);
+}
+
+// A request's deadline runs from admission (service/request.h), so a worker
+// stalled past it must settle kTimeout — with a sound subset of the answer —
+// instead of starting a fresh budget when execution begins.
+TEST_F(FaultInjectionTest, WorkerStallPastDeadlineTimesOut) {
+  const graph::Graph g = psi::testing::MakeFigure1Graph();
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  options.engine.signature_depth = 2;
+  service::PsiService service(g, options);
+
+  const std::vector<graph::NodeId> answer = {0, 5};
+  ScopedFaultSpec chaos("service.worker.stall=always@100");
+  for (const service::Method method :
+       {service::Method::kSmart, service::Method::kPessimistic}) {
+    service::QueryRequest request;
+    request.query = psi::testing::MakeFigure1Query();
+    request.method = method;
+    request.deadline_seconds = 0.02;
+    const service::QueryResponse response =
+        service.Execute(std::move(request));
+    SCOPED_TRACE(service::MethodName(method));
+    EXPECT_EQ(response.status, service::RequestStatus::kTimeout);
+    EXPECT_GE(response.latency_seconds, 0.1);
+    EXPECT_TRUE(std::includes(answer.begin(), answer.end(),
+                              response.valid_nodes.begin(),
+                              response.valid_nodes.end()));
+  }
+}
+
+// A batch shares one admission time, so members that start after the
+// batch deadline has passed report kTimeout rather than each getting a
+// fresh full budget.
+TEST_F(FaultInjectionTest, BatchMembersStartingPastDeadlineTimeOut) {
+  const graph::Graph g = psi::testing::MakeFigure1Graph();
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  options.engine.signature_depth = 2;
+  service::PsiService service(g, options);
+
+  const std::vector<graph::NodeId> answer = {0, 5};
+  ScopedFaultSpec chaos("service.worker.stall=always@100");
+  service::BatchRequest batch;
+  batch.deadline_seconds = 0.02;
+  for (const service::Method method :
+       {service::Method::kPessimistic, service::Method::kOptimistic,
+        service::Method::kSmart}) {
+    service::QueryRequest member;
+    member.query = psi::testing::MakeFigure1Query();
+    member.method = method;
+    batch.queries.push_back(std::move(member));
+  }
+  const service::BatchResponse response =
+      service.ExecuteBatch(std::move(batch));
+  ASSERT_EQ(response.responses.size(), 3u);
+  for (const service::QueryResponse& member : response.responses) {
+    EXPECT_EQ(member.status, service::RequestStatus::kTimeout) << member.id;
+    EXPECT_TRUE(std::includes(answer.begin(), answer.end(),
+                              member.valid_nodes.begin(),
+                              member.valid_nodes.end()));
+  }
 }
 
 #else  // !PSI_FAULT_INJECTION_ENABLED

@@ -20,7 +20,6 @@
 #include "graph/query_graph.h"
 #include "service/request.h"
 #include "service/service.h"
-#include "shard/sharded_service.h"
 #include "signature/builders.h"
 #include "tests/test_fixtures.h"
 #include "util/fault_injection.h"
@@ -413,40 +412,6 @@ TEST_F(FsmServiceTest, ShutDownServiceRejectsBatchWhole) {
   EXPECT_EQ(m.batch_rejected, 2u);
   EXPECT_EQ(m.rejected, 2u);
   EXPECT_EQ(m.batch_submitted, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Sharded router: explicit batch rejection.
-// ---------------------------------------------------------------------------
-
-TEST_F(FsmServiceTest, ShardedServiceRejectsBatchesExplicitly) {
-  const uint64_t seed = psi::testing::TestSeed(113);
-  PSI_LOG_TEST_SEED(seed);
-  const graph::Graph g = psi::testing::MakeRandomGraph(80, 240, 3, seed);
-  shard::ShardedServiceOptions options;
-  options.build.partition.num_shards = 2;
-  shard::ShardedPsiService service(g, options);
-
-  service::BatchRequest batch;
-  for (int i = 0; i < 2; ++i) {
-    service::QueryRequest request;
-    request.id = i + 1;
-    request.query = psi::testing::MakeSingleNodeQuery(0);
-    batch.queries.push_back(std::move(request));
-  }
-  EXPECT_FALSE(service.SubmitBatch(batch).has_value());
-  const service::BatchResponse response = service.ExecuteBatch(batch);
-  ASSERT_EQ(response.responses.size(), 2u);
-  for (size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(response.responses[i].status,
-              service::RequestStatus::kRejected);
-    EXPECT_EQ(response.responses[i].id, i + 1);
-  }
-  const service::MetricsSnapshot m = service.Stats().metrics;
-  EXPECT_EQ(m.batch_rejected, 2u);  // SubmitBatch + ExecuteBatch's inner one
-  EXPECT_EQ(m.rejected, 4u);
-  EXPECT_EQ(m.batch_submitted, 0u);
-  EXPECT_EQ(m.batch_queries, 0u);
 }
 
 // ---------------------------------------------------------------------------

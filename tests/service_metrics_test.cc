@@ -171,8 +171,7 @@ TEST(MetricsSnapshotTest, ToStringMentionsEverySection) {
   const std::string text = metrics.Snapshot().ToString();
   EXPECT_NE(text.find("admitted=1"), std::string::npos);
   EXPECT_NE(text.find("completed=1"), std::string::npos);
-  EXPECT_NE(text.find("search: restarts="), std::string::npos);
-  EXPECT_NE(text.find("work_steals="), std::string::npos);
+  EXPECT_NE(text.find("search: work_steals="), std::string::npos);
   EXPECT_NE(text.find("p99="), std::string::npos);
 }
 
@@ -195,43 +194,38 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
   s.plan_fallbacks = 11;
   s.candidates_evaluated = 12;
   s.cache_mismatches = 13;
-  s.search_restarts = 14;
-  s.nogoods_recorded = 15;
-  s.nogood_hits = 16;
-  s.work_steals = 17;
-  s.degraded_entries = 18;
-  s.degraded_exits = 19;
-  s.degraded_requests = 20;
-  s.cache_bypass_entries = 21;
-  s.cache_bypass_exits = 22;
-  s.snapshot_publishes = 23;
-  s.snapshot_swaps = 24;
-  s.snapshot_retires = 25;
-  s.snapshot_publish_failures = 26;
-  s.batch_submitted = 27;
-  s.batch_rejected = 28;
-  s.batch_queries = 29;
-  s.batch_context_hits = 30;
-  s.batch_degraded = 31;
+  s.work_steals = 14;
+  s.degraded_entries = 15;
+  s.degraded_exits = 16;
+  s.degraded_requests = 17;
+  s.cache_bypass_entries = 18;
+  s.cache_bypass_exits = 19;
+  s.snapshot_publishes = 20;
+  s.snapshot_swaps = 21;
+  s.snapshot_retires = 22;
+  s.snapshot_publish_failures = 23;
+  s.batch_submitted = 24;
+  s.batch_rejected = 25;
+  s.batch_queries = 26;
+  s.batch_context_hits = 27;
+  s.batch_degraded = 28;
 
   const std::string text = s.ToString();
   const std::vector<std::string> expected = {
-      "admitted=1",          "rejected=2",
-      "retries=3",           "completed=4",
-      "timed_out=5",         "cancelled=6",
-      "invalid=7",           "not_found=8",
-      "cache_hits=9",        "method_recoveries=10",
-      "plan_fallbacks=11",   "candidates=12",
-      "cache_mismatches=13", "restarts=14",
-      "nogoods_recorded=15", "nogood_hits=16",
-      "work_steals=17",      "entries=18",
-      "exits=19",            "degraded_requests=20",
-      "cache_bypass_entries=21", "cache_bypass_exits=22",
-      "publishes=23",        "swaps=24",
-      "retires=25",          "publish_failures=26",
-      "batch_submitted=27",  "batch_rejected=28",
-      "batch_queries=29",    "batch_context_hits=30",
-      "batch_degraded=31",
+      "admitted=1", "rejected=2",
+      "retries=3", "completed=4",
+      "timed_out=5", "cancelled=6",
+      "invalid=7", "not_found=8",
+      "cache_hits=9", "method_recoveries=10",
+      "plan_fallbacks=11", "candidates=12",
+      "cache_mismatches=13", "work_steals=14",
+      "entries=15", "exits=16",
+      "degraded_requests=17", "cache_bypass_entries=18",
+      "cache_bypass_exits=19", "publishes=20",
+      "swaps=21", "retires=22",
+      "publish_failures=23", "batch_submitted=24",
+      "batch_rejected=25", "batch_queries=26",
+      "batch_context_hits=27", "batch_degraded=28",
   };
   for (const std::string& label : expected) {
     EXPECT_NE(text.find(label), std::string::npos)
@@ -261,96 +255,13 @@ TEST(MetricsRegistryTest, BatchRecordersAccumulate) {
 TEST(MetricsSnapshotTest, SearchCoreCountersAggregate) {
   MetricsRegistry metrics;
   QueryResponse response = MakeResponse(RequestStatus::kOk, 1e-3);
-  response.search_restarts = 3;
-  response.nogoods_recorded = 5;
-  response.nogood_hits = 7;
   response.work_steals = 11;
   metrics.RecordAdmitted();
   metrics.RecordOutcome(response);
   metrics.RecordAdmitted();
   metrics.RecordOutcome(response);
   const MetricsSnapshot s = metrics.Snapshot();
-  EXPECT_EQ(s.search_restarts, 6u);
-  EXPECT_EQ(s.nogoods_recorded, 10u);
-  EXPECT_EQ(s.nogood_hits, 14u);
   EXPECT_EQ(s.work_steals, 22u);
-}
-
-// --- Per-shard labeled counters (DESIGN.md §13) ----------------------------
-
-TEST(ShardCountersTest, DisabledByDefaultAndFlatContractUnchanged) {
-  MetricsRegistry metrics;
-  EXPECT_EQ(metrics.num_shards(), 0u);
-  metrics.RecordAdmitted();
-  metrics.RecordOutcome(MakeResponse(RequestStatus::kOk, 1e-3));
-  const MetricsSnapshot s = metrics.Snapshot();
-  EXPECT_TRUE(s.shards.empty()) << "flat consumers see no shard dimension";
-  EXPECT_EQ(s.admitted, 1u);
-  EXPECT_EQ(s.Settled(), 1u);
-  EXPECT_EQ(s.ToString().find("shard "), std::string::npos);
-}
-
-TEST(ShardCountersTest, SnapshotRoundTripsPerShardCounters) {
-  MetricsRegistry metrics;
-  metrics.EnableShardCounters(3);
-  ASSERT_EQ(metrics.num_shards(), 3u);
-  for (int request = 0; request < 5; ++request) {
-    metrics.RecordAdmitted();
-    for (size_t shard = 0; shard < 3; ++shard) {
-      metrics.RecordShardAdmitted(shard);
-      metrics.RecordShardForwards(shard, shard * 10);
-      metrics.RecordShardSettled(shard);
-    }
-    metrics.RecordOutcome(MakeResponse(RequestStatus::kOk, 1e-3));
-  }
-  const MetricsSnapshot s = metrics.Snapshot();
-  ASSERT_EQ(s.shards.size(), 3u);
-  for (size_t shard = 0; shard < 3; ++shard) {
-    EXPECT_EQ(s.shards[shard].admitted, 5u);
-    EXPECT_EQ(s.shards[shard].settled, 5u);
-    EXPECT_EQ(s.shards[shard].cross_shard_forwards, shard * 10 * 5);
-  }
-  // Flat counters are untouched by the shard dimension.
-  EXPECT_EQ(s.admitted, 5u);
-  EXPECT_EQ(s.Settled(), 5u);
-  const std::string text = s.ToString();
-  EXPECT_NE(text.find("shard 0:"), std::string::npos);
-  EXPECT_NE(text.find("shard 2:"), std::string::npos);
-  EXPECT_NE(text.find("cross_shard_forwards=100"), std::string::npos);
-}
-
-TEST(ShardCountersTest, ConcurrentShardRecordsNeverTearInvariants) {
-  MetricsRegistry metrics;
-  metrics.EnableShardCounters(2);
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 4000;
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&metrics] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        const size_t shard = static_cast<size_t>(i) % 2;
-        metrics.RecordShardAdmitted(shard);
-        metrics.RecordShardForwards(shard, 1);
-        metrics.RecordShardSettled(shard);
-      }
-    });
-  }
-  // Per-shard settled must never be observed above admitted mid-run.
-  for (int round = 0; round < 2000; ++round) {
-    const MetricsSnapshot s = metrics.Snapshot();
-    for (const ShardCounterSnapshot& shard : s.shards) {
-      ASSERT_LE(shard.settled, shard.admitted);
-    }
-  }
-  for (auto& writer : writers) writer.join();
-  const MetricsSnapshot s = metrics.Snapshot();
-  ASSERT_EQ(s.shards.size(), 2u);
-  for (const ShardCounterSnapshot& shard : s.shards) {
-    EXPECT_EQ(shard.admitted, static_cast<uint64_t>(kWriters) * kPerWriter / 2);
-    EXPECT_EQ(shard.settled, shard.admitted);
-    EXPECT_EQ(shard.cross_shard_forwards, shard.admitted);
-  }
 }
 
 }  // namespace

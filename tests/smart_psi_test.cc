@@ -1,5 +1,6 @@
 #include "core/smart_psi.h"
 
+#include <ostream>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -87,6 +88,14 @@ struct ConfigCase {
   size_t threads;
   signature::Method method;
 };
+
+// Without a printer gtest dumps the struct's raw bytes, padding included, so
+// the test names would change from process to process.
+void PrintTo(const ConfigCase& c, std::ostream* os) {
+  *os << "cache=" << c.cache << " preempt=" << c.preemption
+      << " plan=" << c.plan_model << " t=" << c.threads << ' '
+      << signature::MethodName(c.method);
+}
 
 class SmartPsiExactnessTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, ConfigCase>> {};

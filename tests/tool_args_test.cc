@@ -1,8 +1,8 @@
 // Regression tests for the strict tool argument parser. The bug this
 // locks out: the tools' historical parsers treated ANY "--x" as a
-// value-taking option, so an unknown flag (e.g. --shards before sharding
-// existed, or a typo like --sharsd) silently swallowed the next argv and
-// the run proceeded with default settings instead of failing.
+// value-taking option, so an unknown flag (e.g. --shards, or a typo like
+// --sharsd) silently swallowed the next argv and the run proceeded with
+// default settings instead of failing.
 
 #include <string>
 #include <vector>

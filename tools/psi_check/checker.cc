@@ -20,7 +20,7 @@ const std::map<std::string, int>& LayerRanks() {
   static const std::map<std::string, int> kRanks = {
       {"util", 0},    {"graph", 1},   {"signature", 2},
       {"match", 3},   {"ml", 3},      {"core", 4},
-      {"service", 5}, {"shard", 6},   {"fsm", 7},
+      {"service", 5}, {"fsm", 6},
   };
   return kRanks;
 }
@@ -449,7 +449,7 @@ void Checker::CheckLayering(const SourceFile& file) {
              "layer '" + file.layer + "' must not include '" + inc.path +
                  "' (layer '" + target +
                  "' is not below it in the DAG util -> graph -> signature "
-                 "-> {match, ml} -> core -> service -> shard -> fsm)");
+                 "-> {match, ml} -> core -> service -> fsm)");
     }
   }
 }

@@ -8,7 +8,7 @@
 //
 //   layering      src/ include edges must follow the layer DAG
 //                 util → graph → signature → {match, ml} → core →
-//                 service → shard → fsm (tools/tests/bench sit on top).
+//                 service → fsm (tools/tests/bench sit on top).
 //   determinism   result-producing layers (graph, signature, match, core,
 //                 fsm) may not call rand()/time(), touch
 //                 std::random_device / std::chrono::system_clock, default-

@@ -30,8 +30,6 @@
 #include "graph/graph_io.h"
 #include "service/service.h"
 #include "service/workload.h"
-#include "shard/sharded_catalog.h"
-#include "shard/sharded_service.h"
 #include "tools/tool_args.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
@@ -96,17 +94,6 @@ void Usage() {
       "                        memory is actually released. Exits nonzero on\n"
       "                        any violation\n"
       "  --swaps N             publishes the swapper attempts (default 24)\n"
-      "  --shards K            serve through the sharded router: the graph is\n"
-      "                        partitioned into K label-aware shards published\n"
-      "                        as one generation, every request fans out to K\n"
-      "                        shard-local evaluations, and the report includes\n"
-      "                        per-shard admitted/settled/cross_shard_forwards\n"
-      "                        counters. Combines with --baseline and with\n"
-      "                        --swap-storm (which then storms whole K-shard\n"
-      "                        generations with catalog.shard_publish armed,\n"
-      "                        so publishes abort MID-generation); --chaos and\n"
-      "                        --stress are single-engine-only and are\n"
-      "                        rejected\n"
       "  --batch N             group the workload into BatchRequests of N\n"
       "                        queries and offer them through SubmitBatch at\n"
       "                        saturation (one admission unit, one pinned\n"
@@ -114,13 +101,9 @@ void Usage() {
       "                        batch). Combines with --baseline (which then\n"
       "                        re-runs the same workload through sequential\n"
       "                        Submit for a batching-speedup figure); not\n"
-      "                        with --shards (the router rejects batches),\n"
-      "                        --chaos, --stress or --swap-storm\n"
+      "                        with --chaos, --stress or --swap-storm\n"
       "  --search-threads N    work-stealing workers per query evaluation\n"
-      "                        (default 1 = sequential; not with --shards)\n"
-      "  --restarts on|off     Luby restarts + nogood recording on the\n"
-      "                        pessimistic search paths (default off; not\n"
-      "                        with --shards)\n";
+      "                        (default 1 = sequential)\n";
 }
 
 struct RunReport {
@@ -139,10 +122,8 @@ struct RunReport {
 /// response. qps <= 0 runs saturation mode: shed submissions are retried
 /// after a short pause, measuring peak sustainable throughput. qps > 0
 /// runs open-loop: arrivals stick to the schedule and shed requests stay
-/// shed. Works against either service flavour — both expose the same
-/// Submit/Stats surface.
-template <typename Service>
-RunReport DriveLoad(Service& psi_service,
+/// shed.
+RunReport DriveLoad(service::PsiService& psi_service,
                     const std::vector<service::QueryRequest>& requests,
                     double qps) {
   std::vector<std::future<service::QueryResponse>> futures;
@@ -229,14 +210,6 @@ RunReport BatchedOfferLoad(const graph::Graph& g,
             << batch_size << ", context hits " << context_hits
             << ", degraded " << degraded << "\n";
   return report;
-}
-
-RunReport ShardedOfferLoad(const graph::Graph& g,
-                           const std::vector<service::QueryRequest>& requests,
-                           const shard::ShardedServiceOptions& options,
-                           double qps) {
-  shard::ShardedPsiService psi_service(g, options);
-  return DriveLoad(psi_service, requests, qps);
 }
 
 /// One stress wave: saturate the admission queue (no retry — shed stays
@@ -654,221 +627,6 @@ int SwapStormRun(const graph::Graph& g,
   return failures == 0 ? 0 : 1;
 }
 
-/// Sharded hot-swap storm: same offered-load/swapper/poller topology as
-/// SwapStormRun, but the swapper republishes whole K-shard GENERATIONS and
-/// the armed fault site is catalog.shard_publish — which fires per shard,
-/// so an injected abort tears the build mid-generation after some shard
-/// snapshots already exist. The checks pin down the sharded tentpole
-/// invariants: aborted publishes stay invisible (the old generation keeps
-/// serving, nothing torn is ever pinned), every response reports a
-/// published generation id, settlement is exact, every settled request
-/// fanned out to all K shards, pins drain, and retired generations release
-/// their memory.
-int ShardedSwapStormRun(const graph::Graph& g,
-                        const std::vector<service::QueryRequest>& requests,
-                        const shard::ShardedServiceOptions& options,
-                        const std::string& spec, size_t swaps_target) {
-  util::FaultInjector& injector = util::FaultInjector::Global();
-  const util::Status armed = injector.ArmFromSpec(spec);
-  if (!armed.ok()) {
-    std::cerr << "bad --faults spec: " << armed.ToString() << "\n";
-    return 2;
-  }
-
-  shard::ShardedCatalog catalog;
-  const shard::ShardedCatalog::BuildOptions& build = options.build;
-
-  std::vector<uint64_t> published_generations;
-  std::vector<std::weak_ptr<const shard::ShardedGeneration>> generations;
-
-  // Seed generation; retried because the armed injector may abort the very
-  // first publish (and with the per-shard site, possibly several in a row).
-  for (int attempt = 0; attempt < 64 && generations.empty(); ++attempt) {
-    auto published =
-        catalog.BuildAndPublish(options.default_graph, g.Clone(), build);
-    if (published.ok()) {
-      published_generations.push_back(published.value()->generation());
-      generations.emplace_back(published.value());
-    }
-  }
-  if (generations.empty()) {
-    std::cerr << "could not publish the seed generation\n";
-    return 1;
-  }
-
-  shard::ShardedPsiService psi_service(&catalog, options);
-
-  std::atomic<bool> swapping{true};
-  uint64_t swap_failures = 0;
-  std::vector<uint64_t> swapped_generation_ids;
-  std::vector<std::weak_ptr<const shard::ShardedGeneration>> swapped_generations;
-  std::thread swapper([&] {
-    for (size_t i = 0; i < swaps_target; ++i) {
-      auto published =
-          catalog.BuildAndPublish(options.default_graph, g.Clone(), build);
-      if (published.ok()) {
-        swapped_generation_ids.push_back(published.value()->generation());
-        swapped_generations.emplace_back(published.value());
-      } else {
-        ++swap_failures;
-      }
-    }
-    swapping.store(false, std::memory_order_release);
-  });
-
-  // Invariant poller: flat metrics contract plus the per-shard one — a
-  // shard never settles more subtasks than were fanned out to it.
-  std::atomic<bool> poll{true};
-  std::atomic<bool> invariant_violated{false};
-  std::thread poller([&] {
-    while (poll.load(std::memory_order_acquire)) {
-      const service::ServiceStats stats = psi_service.Stats();
-      const auto& m = stats.metrics;
-      bool shard_ok = true;
-      for (const auto& sh : m.shards) {
-        shard_ok = shard_ok && sh.settled <= sh.admitted;
-      }
-      if (m.latency.count > m.Settled() || m.Settled() > m.admitted ||
-          !shard_ok) {
-        std::cerr << "sharded swap-storm invariant violated mid-run: "
-                  << "latency.count=" << m.latency.count
-                  << " settled=" << m.Settled() << " admitted=" << m.admitted
-                  << " shard_ok=" << shard_ok << "\n";
-        invariant_violated.store(true, std::memory_order_release);
-        return;
-      }
-    }
-  });
-
-  // Saturation offering until the swapper is done (same round structure
-  // and swapper_done sampling as the single-engine storm).
-  std::map<std::string, uint64_t> outcomes;
-  std::set<uint64_t> response_generations;
-  size_t admitted = 0;
-  size_t zero_version_responses = 0;
-  size_t rounds = 0;
-  util::WallTimer wall;
-  for (;;) {
-    const bool swapper_done = !swapping.load(std::memory_order_acquire);
-    ++rounds;
-    std::vector<std::future<service::QueryResponse>> futures;
-    futures.reserve(requests.size());
-    for (const service::QueryRequest& request : requests) {
-      for (;;) {
-        auto future = psi_service.Submit(request);
-        if (future.has_value()) {
-          futures.push_back(std::move(*future));
-          ++admitted;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    }
-    for (auto& future : futures) {
-      const service::QueryResponse response = future.get();
-      ++outcomes[service::RequestStatusName(response.status)];
-      if (response.snapshot_version == 0) ++zero_version_responses;
-      response_generations.insert(response.snapshot_version);
-    }
-    if (swapper_done) break;
-  }
-  swapper.join();
-  published_generations.insert(published_generations.end(),
-                               swapped_generation_ids.begin(),
-                               swapped_generation_ids.end());
-  generations.insert(generations.end(), swapped_generations.begin(),
-                     swapped_generations.end());
-  const double wall_seconds = wall.Seconds();
-
-  const service::ServiceStats stats = psi_service.Stats();
-  poll.store(false, std::memory_order_release);
-  poller.join();
-  const uint64_t fires = injector.TotalFires();
-  const auto publish_site_stats =
-      injector.Stats(util::faults::kCatalogShardPublish);
-  injector.DisarmAll();
-
-  psi_service.Shutdown();
-  catalog.Retire(options.default_graph);
-
-  // --- Report -------------------------------------------------------------
-  const auto& m = stats.metrics;
-  uint64_t total_forwards = 0;
-  for (const auto& sh : m.shards) total_forwards += sh.cross_shard_forwards;
-  std::cout << "--- sharded swap-storm (" << options.build.partition.num_shards
-            << " shards, " << requests.size() << " requests/round, " << rounds
-            << (rounds == 1 ? " round, " : " rounds, ")
-            << published_generations.size() << " generations, "
-            << swap_failures << " injected publish failures) ---\n"
-            << "wall: " << wall_seconds
-            << " s, cross-shard forwards: " << total_forwards << "\n"
-            << m.ToString() << "\n"
-            << "response generations: " << response_generations.size()
-            << " distinct across " << admitted << " admitted\n";
-  for (const auto& [status, count] : outcomes) {
-    std::cout << status << ": " << count << "\n";
-  }
-
-  // --- Verification -------------------------------------------------------
-  int failures = 0;
-  auto check = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::cerr << "SHARDED SWAP-STORM CHECK FAILED: " << what << "\n";
-      ++failures;
-    }
-  };
-  check(!invariant_violated.load(std::memory_order_acquire),
-        "flat + per-shard metrics invariants held in every mid-run poll");
-  check(m.Settled() == admitted, "every admitted request settled exactly once");
-  check(zero_version_responses == 0,
-        "every response reported a generation id");
-  check(std::all_of(response_generations.begin(), response_generations.end(),
-                    [&](uint64_t v) {
-                      return std::find(published_generations.begin(),
-                                       published_generations.end(),
-                                       v) != published_generations.end();
-                    }),
-        "every response generation matches a published one (never a torn "
-        "abort)");
-  check(m.not_found == 0, "failed publishes never unserved the name");
-  check(m.shards.size() == options.build.partition.num_shards,
-        "per-shard counters sized to K");
-  const uint64_t fanouts = m.shards.empty() ? 0 : m.shards[0].settled;
-  for (const auto& sh : m.shards) {
-    check(sh.settled == sh.admitted, "per-shard subtasks settled exactly");
-    check(sh.settled == fanouts, "fan-out symmetric across shards");
-  }
-  check(fanouts == m.Settled(),
-        "every settled request fanned out to every shard");
-  check(m.snapshot_publishes == published_generations.size(),
-        "publish counter matches successful generation publishes");
-  check(m.snapshot_swaps == published_generations.size() - 1,
-        "swap counter matches republishes");
-  check(m.snapshot_publish_failures == publish_site_stats.fires,
-        "publish-failure counter matches injected mid-generation aborts");
-  if (swapped_generation_ids.size() > 1) {
-    check(response_generations.size() > 1,
-          "load actually spanned more than one generation");
-  }
-  // Memory release: a generation holds all K shard snapshots, so one live
-  // weak_ptr here would mean K leaked signature matrices.
-  const size_t alive = static_cast<size_t>(
-      std::count_if(generations.begin(), generations.end(),
-                    [](const auto& weak) { return !weak.expired(); }));
-  check(alive == 0, "all retired generations released their memory");
-  for (const auto& entry : catalog.List()) {
-    check(entry.pins == 0, "pin gauge drained to zero");
-  }
-  if (fires > 0) {
-    check(swap_failures > 0, "injected publish failures were observed");
-  } else {
-    std::cout << "(no faults fired — PSI_ENABLE_FAULT_INJECTION=OFF build; "
-                 "publish-failure checks skipped)\n";
-  }
-  if (failures == 0) std::cout << "sharded swap-storm OK\n";
-  return failures == 0 ? 0 : 1;
-}
-
 void PrintReport(const char* title, const RunReport& report) {
   const auto& m = report.stats.metrics;
   std::cout << "--- " << title << " ---\n"
@@ -881,21 +639,12 @@ void PrintReport(const char* title, const RunReport& report) {
             << report.stats.cache.HitRate() << ")\n";
 }
 
-/// Sharded runs have no prediction cache; the metrics ToString already
-/// carries the per-shard admitted/settled/forwards lines.
-void PrintShardReport(const char* title, const RunReport& report) {
-  std::cout << "--- " << title << " ---\n"
-            << "wall: " << report.wall_seconds << " s, throughput: "
-            << report.Throughput() << " q/s\n"
-            << report.stats.metrics.ToString() << "\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   // Strict parsing: anything not on these lists is an error, not a silent
-  // no-op. (The old parser swallowed unknown "--x value" pairs, so e.g.
-  // --shards before this tool grew sharding quietly changed nothing.)
+  // no-op. (The old parser swallowed unknown "--x value" pairs, so a
+  // mistyped option quietly changed nothing.)
   tools::ArgSpec arg_spec;
   arg_spec.switches = {"--baseline", "--stress", "--chaos", "--swap-storm"};
   arg_spec.options = {"--generate",        "--requests", "--qps",
@@ -903,8 +652,8 @@ int main(int argc, char** argv) {
                       "--unique",          "--deadline-ms-min",
                       "--deadline-ms-max", "--method",   "--depth",
                       "--seed",            "--waves",    "--faults",
-                      "--swaps",           "--shards",   "--search-threads",
-                      "--restarts",        "--batch"};
+                      "--swaps",           "--search-threads",
+                      "--batch"};
   arg_spec.max_positional = 1;
   const tools::ParsedArgs args = tools::ParseArgs(argc, argv, arg_spec);
   if (!args.ok()) {
@@ -1012,16 +761,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (args.Has("--restarts")) {
-    const std::string raw = get("--restarts", "off");
-    if (raw == "on") {
-      options.search_restarts = true;
-    } else if (raw != "off") {
-      std::cerr << "psi_loadgen: --restarts wants on|off, got '" << raw
-                << "'\n";
-      return 2;
-    }
-  }
   const double qps = std::atof(get("--qps", "0").c_str());
 
   // --- Batched dispatch ---------------------------------------------------
@@ -1032,10 +771,9 @@ int main(int argc, char** argv) {
       std::cerr << "psi_loadgen: --batch wants a positive batch size\n";
       return 2;
     }
-    if (args.Has("--shards") || args.Has("--chaos") || stress ||
-        args.Has("--swap-storm")) {
+    if (args.Has("--chaos") || stress || args.Has("--swap-storm")) {
       std::cerr << "psi_loadgen: --batch offers plain batched load and does "
-                   "not combine with --shards/--chaos/--stress/--swap-storm\n";
+                   "not combine with --chaos/--stress/--swap-storm\n";
       return 2;
     }
     const RunReport batched = BatchedOfferLoad(g, requests, options,
@@ -1049,62 +787,6 @@ int main(int argc, char** argv) {
       if (sequential.Throughput() > 0.0) {
         std::cout << "batching speedup at batch " << batch_size << ": "
                   << batched.Throughput() / sequential.Throughput() << "x\n";
-      }
-    }
-    return 0;
-  }
-
-  // --- Sharded dispatch ---------------------------------------------------
-  if (args.Has("--shards")) {
-    const uint32_t shards = static_cast<uint32_t>(
-        std::strtoul(get("--shards", "0").c_str(), nullptr, 10));
-    if (shards == 0) {
-      std::cerr << "psi_loadgen: --shards wants a positive shard count\n";
-      return 2;
-    }
-    if (args.Has("--chaos") || stress) {
-      std::cerr << "psi_loadgen: --chaos/--stress exercise single-engine "
-                   "degradation paths and do not combine with --shards\n";
-      return 2;
-    }
-    if (args.Has("--search-threads") || args.Has("--restarts")) {
-      std::cerr << "psi_loadgen: --search-threads/--restarts tune the "
-                   "single-node engine and cannot combine with --shards\n";
-      return 2;
-    }
-    shard::ShardedServiceOptions soptions;
-    soptions.num_workers = options.num_workers;
-    soptions.max_queue_depth = options.max_queue_depth;
-    soptions.build.partition.num_shards = shards;
-    soptions.build.snapshot.signature_method = options.engine.signature_method;
-    soptions.build.snapshot.signature_depth = options.engine.signature_depth;
-    soptions.build.snapshot.signature_decay = options.engine.signature_decay;
-
-    if (args.Has("--swap-storm")) {
-      const size_t swaps = std::max<size_t>(
-          1, std::strtoull(get("--swaps", "24").c_str(), nullptr, 10));
-      // The per-shard site gets up to K hits per publish, so the default
-      // period must exceed K or every single publish would abort. 3K+1
-      // fails roughly one publish in three-to-four and never all of them.
-      const std::string default_spec =
-          "catalog.shard_publish=every:" + std::to_string(3 * shards + 1);
-      return ShardedSwapStormRun(g, requests, soptions,
-                                 get("--faults", default_spec), swaps);
-    }
-
-    const RunReport concurrent = ShardedOfferLoad(g, requests, soptions, qps);
-    const std::string title =
-        "sharded concurrent (" + std::to_string(shards) + " shards)";
-    PrintShardReport(title.c_str(), concurrent);
-    if (args.Has("--baseline")) {
-      shard::ShardedServiceOptions serial = soptions;
-      serial.num_workers = 1;
-      const RunReport baseline =
-          ShardedOfferLoad(g, requests, serial, /*qps=*/0.0);
-      PrintShardReport("sharded serial baseline (1 worker)", baseline);
-      if (baseline.Throughput() > 0.0) {
-        std::cout << "speedup at " << soptions.num_workers << " workers: "
-                  << concurrent.Throughput() / baseline.Throughput() << "x\n";
       }
     }
     return 0;

@@ -6,7 +6,6 @@
 //
 //   psi_serve graph.lg --workers 8 < workload.txt
 //   psi_serve --generate 100000,400000,8 --workload w.txt --deadline-ms 50
-//   psi_serve graph.lg --shards 4        # sharded router, same stream
 //   psi_generate --nodes 1000 ... && psi_serve graph.lg   # end-to-end
 //
 // Admin commands ride the same control stream, prefixed with '!'; queries
@@ -19,11 +18,6 @@
 //   !retire social
 //   !list
 // Queries select a graph with the g= token: v=0,1 e=0-1 p=0 g=social
-//
-// With --shards K every named graph is partitioned into K label-aware
-// shards and published as one atomic generation; !load/!swap then build
-// whole generations, !list shows the per-shard snapshot rows, and the
-// final stats include per-shard admitted/settled/cross_shard_forwards.
 
 #include <algorithm>
 #include <chrono>
@@ -38,7 +32,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -47,8 +40,6 @@
 #include "service/service.h"
 #include "service/snapshot_io.h"
 #include "service/workload.h"
-#include "shard/sharded_catalog.h"
-#include "shard/sharded_service.h"
 #include "tools/tool_args.h"
 #include "util/random.h"
 
@@ -66,20 +57,14 @@ void Usage() {
       "  --deadline-ms D   default per-request deadline (default: none)\n"
       "  --depth D         signature depth (default 2)\n"
       "  --seed S          RNG seed for --generate (default 42)\n"
-      "  --shards K        sharded serving: partition every graph into K\n"
-      "                    label-aware shards published as one atomic\n"
-      "                    generation; requests fan out to shard-local\n"
-      "                    evaluation with cross-shard continuations\n"
       "  --search-threads N  work-stealing workers per query evaluation\n"
-      "                    (default 1 = sequential; not with --shards)\n"
-      "  --restarts on|off Luby restarts + nogood recording on pessimistic\n"
-      "                    search paths (default off; not with --shards)\n"
+      "                    (default 1 = sequential)\n"
       "  --quiet           suppress per-request lines, print stats only\n"
       "\n"
       "Admin commands (inline in the request stream):\n"
       "  !load NAME SRC    build+publish graph SRC (file or gen:N,M[,L[,S]]);\n"
       "                    a .psnap SRC is mmapped and published without\n"
-      "                    rebuilding (psi_snapshot build; not with --shards)\n"
+      "                    rebuilding (psi_snapshot build)\n"
       "  !swap NAME SRC    alias for !load — hot-swaps a served name\n"
       "  !save NAME FILE   write served graph NAME as a .psnap snapshot\n"
       "  !retire NAME      stop serving NAME (in-flight requests finish)\n"
@@ -116,41 +101,15 @@ util::Result<graph::Graph> LoadAdminGraph(const std::string& source) {
   return graph::LoadLgFile(source);
 }
 
-/// Admin !load/!swap build options for each service flavour. The sharded
-/// overload inherits the service's partitioning config so a hot-swapped
-/// graph lands with the same K as the seed.
-service::SnapshotBuildOptions AdminBuildOptions(const service::PsiService&,
-                                                uint32_t depth) {
-  service::SnapshotBuildOptions build;
-  build.signature_depth = depth;
-  return build;
-}
-shard::ShardedCatalog::BuildOptions AdminBuildOptions(
-    const shard::ShardedPsiService& s, uint32_t depth) {
-  shard::ShardedCatalog::BuildOptions build = s.options().build;
-  build.snapshot.signature_depth = depth;
-  build.snapshot.pool = nullptr;  // background std::async build stays serial
-  return build;
-}
-
 void PrintLoaded(const std::string& name, const service::GraphSnapshot& s) {
   std::cerr << "loaded '" << name << "' version=" << s.version() << " ("
             << s.graph().num_nodes() << " nodes, built in "
             << s.timings().signature_build_seconds << " s)\n";
 }
-void PrintLoaded(const std::string& name, const shard::ShardedGeneration& g) {
-  std::cerr << "loaded '" << name << "' generation=" << g.generation() << " ("
-            << g.num_shards() << " shards, " << g.meta().num_nodes
-            << " nodes, built in "
-            << g.shard(0).timings().signature_build_seconds << " s)\n";
-}
 
-/// The serve loop proper, generic over the two service flavours — both
-/// expose the same Submit/Stats/catalog() surface, so the control stream,
-/// admin commands and response windowing are shared verbatim. Returns the
-/// process exit code.
-template <typename Service>
-int ServeLoop(Service& psi_service, std::istream& in, bool quiet,
+/// The serve loop proper: the control stream, admin commands and response
+/// windowing. Returns the process exit code.
+int ServeLoop(service::PsiService& psi_service, std::istream& in, bool quiet,
               size_t window, uint32_t depth) {
   // Responses print in submission order; the window keeps enough requests
   // in flight to saturate the workers without holding every future at once.
@@ -163,8 +122,12 @@ int ServeLoop(Service& psi_service, std::istream& in, bool quiet,
 
   // Background loads in flight: polled (non-blocking) every control-stream
   // turn so completions print promptly, drained (blocking) before exit.
+  // Admin builds stay serial: they run on a background std::async thread,
+  // not on the serving pool.
+  service::SnapshotBuildOptions admin_build;
+  admin_build.signature_depth = depth;
   using LoadFuture = decltype(psi_service.catalog().BuildAndPublishAsync(
-      std::string(), graph::Graph(), AdminBuildOptions(psi_service, depth)));
+      std::string(), graph::Graph(), admin_build));
   std::vector<std::pair<std::string, LoadFuture>> pending_loads;
   auto poll_loads = [&](bool block) {
     for (auto it = pending_loads.begin(); it != pending_loads.end();) {
@@ -197,46 +160,33 @@ int ServeLoop(Service& psi_service, std::istream& in, bool quiet,
       // A prebuilt snapshot publishes synchronously: the load is mmap +
       // validation, not a signature rebuild, so there is no build to hide
       // in the background (DESIGN.md §16.3).
-      if constexpr (std::is_same_v<Service, service::PsiService>) {
-        auto published =
-            psi_service.catalog().PublishFromFile(name, source);
-        if (!published.ok()) {
-          std::cerr << "!" << op << ": " << published.status().ToString()
-                    << "\n";
-          return false;
-        }
-        const service::GraphSnapshot& s = *published.value();
-        std::cerr << "loaded '" << name << "' version=" << s.version()
-                  << " (" << s.graph().num_nodes() << " nodes, mapped in "
-                  << s.timings().load_seconds << " s)\n";
-        return true;
-      } else {
-        std::cerr << "!" << op
-                  << ": .psnap snapshots hold one unpartitioned graph and "
-                     "cannot be published into a sharded catalog\n";
+      auto published = psi_service.catalog().PublishFromFile(name, source);
+      if (!published.ok()) {
+        std::cerr << "!" << op << ": " << published.status().ToString()
+                  << "\n";
         return false;
       }
+      const service::GraphSnapshot& s = *published.value();
+      std::cerr << "loaded '" << name << "' version=" << s.version() << " ("
+                << s.graph().num_nodes() << " nodes, mapped in "
+                << s.timings().load_seconds << " s)\n";
+      return true;
     }
     if (op == "save" && !name.empty() && !source.empty()) {
-      if constexpr (std::is_same_v<Service, service::PsiService>) {
-        const auto snapshot = psi_service.catalog().Resolve(name);
-        if (snapshot == nullptr) {
-          std::cerr << "!save: unknown graph '" << name << "'\n";
-          return false;
-        }
-        const auto status = service::SaveSnapshotFile(
-            snapshot->graph(), snapshot->signatures(), source);
-        if (!status.ok()) {
-          std::cerr << "!save: " << status.ToString() << "\n";
-          return false;
-        }
-        std::cerr << "saved '" << name << "' version="
-                  << snapshot->version() << " to " << source << "\n";
-        return true;
-      } else {
-        std::cerr << "!save: not supported with --shards\n";
+      const auto snapshot = psi_service.catalog().Resolve(name);
+      if (snapshot == nullptr) {
+        std::cerr << "!save: unknown graph '" << name << "'\n";
         return false;
       }
+      const auto status = service::SaveSnapshotFile(
+          snapshot->graph(), snapshot->signatures(), source);
+      if (!status.ok()) {
+        std::cerr << "!save: " << status.ToString() << "\n";
+        return false;
+      }
+      std::cerr << "saved '" << name << "' version=" << snapshot->version()
+                << " to " << source << "\n";
+      return true;
     }
     if ((op == "load" || op == "swap") && !name.empty() && !source.empty()) {
       auto loaded = LoadAdminGraph(source);
@@ -246,8 +196,7 @@ int ServeLoop(Service& psi_service, std::istream& in, bool quiet,
       }
       pending_loads.emplace_back(
           name, psi_service.catalog().BuildAndPublishAsync(
-                    name, std::move(loaded).value(),
-                    AdminBuildOptions(psi_service, depth)));
+                    name, std::move(loaded).value(), admin_build));
       std::cerr << "building '" << name << "' in background...\n";
       return true;
     }
@@ -314,13 +263,11 @@ int ServeLoop(Service& psi_service, std::istream& in, bool quiet,
   // --- Stats --------------------------------------------------------------
   const service::ServiceStats stats = psi_service.Stats();
   std::cerr << stats.metrics.ToString() << "\n";
-  if constexpr (std::is_same_v<Service, service::PsiService>) {
-    std::cerr << "cache: entries=" << stats.cache_entries
-              << " hits=" << stats.cache.hits
-              << " misses=" << stats.cache.misses
-              << " inserts=" << stats.cache.inserts
-              << " epoch_drops=" << stats.cache.epoch_drops << "\n";
-  }
+  std::cerr << "cache: entries=" << stats.cache_entries
+            << " hits=" << stats.cache.hits
+            << " misses=" << stats.cache.misses
+            << " inserts=" << stats.cache.inserts
+            << " epoch_drops=" << stats.cache.epoch_drops << "\n";
   for (const auto& e : stats.snapshots) {
     std::cerr << "snapshot: " << (e.current ? "current" : "retired") << " "
               << e.name << " v" << e.version << " pins=" << e.pins
@@ -336,8 +283,7 @@ int main(int argc, char** argv) {
   arg_spec.switches = {"--quiet"};
   arg_spec.options = {"--generate",       "--workload", "--workers",
                       "--queue",          "--deadline-ms", "--depth",
-                      "--seed",           "--shards",   "--search-threads",
-                      "--restarts"};
+                      "--seed",           "--search-threads"};
   arg_spec.max_positional = 1;
   const tools::ParsedArgs args = tools::ParseArgs(argc, argv, arg_spec);
   if (!args.ok()) {
@@ -414,53 +360,14 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  bool search_restarts = false;
-  if (args.Has("--restarts")) {
-    const std::string raw = get("--restarts", "off");
-    if (raw == "on") {
-      search_restarts = true;
-    } else if (raw != "off") {
-      std::cerr << "psi_serve: --restarts wants on|off, got '" << raw
-                << "'\n";
-      return 2;
-    }
-  }
-  if (args.Has("--shards") &&
-      (args.Has("--search-threads") || args.Has("--restarts"))) {
-    std::cerr << "psi_serve: --search-threads/--restarts tune the "
-                 "single-node engine and cannot combine with --shards\n";
-    return 2;
-  }
 
   // --- Service ------------------------------------------------------------
-  if (args.Has("--shards")) {
-    const uint32_t shards = static_cast<uint32_t>(
-        std::strtoul(get("--shards", "0").c_str(), nullptr, 10));
-    if (shards == 0) {
-      std::cerr << "psi_serve: --shards wants a positive shard count\n";
-      return 2;
-    }
-    shard::ShardedServiceOptions options;
-    options.num_workers = num_workers;
-    options.max_queue_depth = max_queue_depth;
-    options.default_deadline_seconds = deadline_seconds;
-    options.build.partition.num_shards = shards;
-    options.build.snapshot.signature_depth = depth;
-    shard::ShardedPsiService psi_service(g, options);
-    std::cerr << "Service: " << shards << " shards, " << num_workers
-              << " workers, queue bound " << max_queue_depth
-              << ", signatures built in "
-              << psi_service.Stats().signature_build_seconds << " s\n";
-    return ServeLoop(psi_service, in, quiet, window, depth);
-  }
-
   service::ServiceOptions options;
   options.num_workers = num_workers;
   options.max_queue_depth = max_queue_depth;
   options.default_deadline_seconds = deadline_seconds;
   options.engine.signature_depth = depth;
   options.search_threads = search_threads;
-  options.search_restarts = search_restarts;
   service::PsiService psi_service(g, options);
   std::cerr << "Service: " << num_workers << " workers, queue bound "
             << max_queue_depth << ", signatures built in "

@@ -3,8 +3,7 @@
 
 // Strict command-line parsing shared by the tools. The historical parsers
 // consumed any unknown "--x value" pair silently, so a typo (or a flag
-// meant for a different tool, like --shards before it existed) changed
-// nothing and reported nothing. Here every flag must be declared: unknown
+// meant for a different tool) changed nothing and reported nothing. Here every flag must be declared: unknown
 // flags, missing values and stray positionals all produce a nonzero-exit
 // error instead of silently skewing the run.
 //
