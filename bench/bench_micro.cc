@@ -255,7 +255,10 @@ void BM_PredictionCacheLookup(benchmark::State& state) {
   core::PredictionCache cache;
   constexpr uint64_t kEntries = 4096;
   for (uint64_t h = 0; h < kEntries; ++h) {
-    cache.Insert(h * 0x9e3779b97f4a7c15ULL, {h % 2 == 0, uint32_t(h % 8)});
+    cache.Insert(h * 0x9e3779b97f4a7c15ULL,
+                 {.valid = h % 2 == 0,
+                  .plan_index = static_cast<uint16_t>(h % 8),
+                  .seconds = 1e-3f});
   }
   uint64_t i = 0;
   for (auto _ : state) {

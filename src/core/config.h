@@ -23,12 +23,14 @@ struct SmartPsiConfig {
   float signature_decay = signature::SignatureMatrix::kDefaultDecay;
 
   // --- Training (Models α and β) ----------------------------------------
-  /// Fraction of candidate nodes evaluated to build training data.
+  /// Fraction of the cache-missing candidates evaluated to build training
+  /// data.
   double train_fraction = 0.1;
   /// Hard cap on training nodes (paper §5.2 uses 1000).
   size_t max_train_nodes = 1000;
-  /// Below this many candidates, skip ML entirely and evaluate everything
-  /// pessimistically with the heuristic plan (training would dominate).
+  /// Below this many prediction-cache misses, fit no model and evaluate the
+  /// misses pessimistically with the heuristic plan (training would
+  /// dominate); cache hits still run their cached decision.
   size_t min_candidates_for_ml = 24;
   /// Number of plans in Model β's pool (heuristic plan + random plans).
   size_t plan_pool_size = 4;

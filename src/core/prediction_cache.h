@@ -2,9 +2,10 @@
 #define SMARTPSI_CORE_PREDICTION_CACHE_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -21,15 +22,23 @@ namespace psi::core {
 /// Correctness is unaffected either way: every node is still evaluated;
 /// only the choice of method/plan comes from the cache.
 ///
+/// Bounded: 16 flat open-addressing shards (linear probing, power-of-two
+/// capacity) that grow by doubling up to a fixed total of kMaxSlots. A shard
+/// at its cap that fills to 3/4 load is emptied; its entries are counted in
+/// Counters::evictions and re-confirmed on their next miss.
+///
 /// Thread-safe; sharded 16 ways so parallel candidate evaluation does not
 /// serialize on one mutex (every candidate performs a lookup + insert).
 class PredictionCache {
  public:
   struct Entry {
     /// Confirmed node type: true = valid (optimistic method is right).
-    bool valid;
+    bool valid = false;
     /// Plan-pool index that completed the evaluation.
-    uint32_t plan_index;
+    uint16_t plan_index = 0;
+    /// Wall time of the run that confirmed the decision; the Realist's
+    /// MaxTime base for the next evaluation steered by this entry.
+    float seconds = 0.0f;
     /// Generation stamp of the state the decision was confirmed against —
     /// the service stamps entries with the graph-snapshot version. 0 for
     /// standalone engines with no snapshot. An entry whose epoch differs
@@ -37,6 +46,14 @@ class PredictionCache {
     /// in Counters::epoch_drops (the cross-snapshot tripwire).
     uint64_t epoch = 0;
   };
+  static_assert(sizeof(Entry) == 16, "Entry must pack to 16 bytes");
+
+  static constexpr size_t kShards = 16;
+  /// Total slot capacity across shards, and the entry bound it implies at
+  /// the 3/4 maximum load: 393,216 entries, over twice the working set of
+  /// a hot 192-query Zipf workload, so steady hot traffic never evicts.
+  static constexpr size_t kMaxSlots = size_t{1} << 19;
+  static constexpr size_t kMaxEntries = kMaxSlots / 4 * 3;
 
   /// Monotonic usage counters, aggregated across shards. A consistent
   /// per-shard view is taken under the shard lock; the totals may mix
@@ -52,6 +69,8 @@ class PredictionCache {
     /// `psi_loadgen --swap-storm`; a nonzero value means a cache key
     /// collided across snapshot generations.
     uint64_t epoch_drops = 0;
+    /// Entries dropped when a full shard at its cap was emptied.
+    uint64_t evictions = 0;
 
     double HitRate() const {
       const uint64_t lookups = hits + misses;
@@ -69,7 +88,9 @@ class PredictionCache {
   /// Records a confirmed decision (last writer wins).
   void Insert(uint64_t signature_hash, Entry entry);
 
+  /// Entries held; never above kMaxEntries.
   size_t size() const;
+  /// Drops every entry and releases the slot storage.
   void Clear();
 
   /// Snapshot of hit/miss/insert counters since construction (Clear() does
@@ -77,23 +98,51 @@ class PredictionCache {
   Counters counters() const;
 
  private:
-  static constexpr size_t kShards = 16;
+  static constexpr size_t kShardSlots = kMaxSlots / kShards;
+  static constexpr size_t kInitialShardSlots = 64;
 
-  /// Everything in a shard — the map and its traffic counters — is guarded
+  /// One table slot: the key and the Entry's fields, plus the occupancy
+  /// flag in the byte the Entry would spend on padding.
+  struct Slot {
+    uint64_t key;
+    uint64_t epoch;
+    float seconds;
+    uint16_t plan_index;
+    bool valid;
+    uint8_t flags;  // kOccupied or 0
+  };
+  static_assert(sizeof(Slot) <= 24, "a slot is the key plus a 16-byte Entry");
+  static constexpr uint8_t kOccupied = 1;
+
+  /// Everything in a shard — its table and traffic counters — is guarded
   /// by the shard's own mutex; shards never nest, so no lock order exists.
   struct Shard {
     mutable util::Mutex mutex;
-    std::unordered_map<uint64_t, Entry> entries PSI_GUARDED_BY(mutex);
-    // Plain integers bumped under the shard lock already held for the map
+    /// Empty until the first insert; otherwise a power of two in
+    /// [kInitialShardSlots, kShardSlots].
+    std::vector<Slot> slots PSI_GUARDED_BY(mutex);
+    size_t size PSI_GUARDED_BY(mutex) = 0;
+    // Plain integers bumped under the shard lock already held for the table
     // operation itself — no extra synchronization on the fast path.
     mutable uint64_t hits PSI_GUARDED_BY(mutex) = 0;
     mutable uint64_t misses PSI_GUARDED_BY(mutex) = 0;
     mutable uint64_t epoch_drops PSI_GUARDED_BY(mutex) = 0;
     uint64_t inserts PSI_GUARDED_BY(mutex) = 0;
+    uint64_t evictions PSI_GUARDED_BY(mutex) = 0;
+
+    /// Index of `key`'s slot, or of the empty slot where it would go. The
+    /// table must be non-empty and below full load.
+    size_t Find(uint64_t key) const PSI_REQUIRES(mutex);
+    /// Doubles the table and rehashes every entry into it.
+    void Grow() PSI_REQUIRES(mutex);
+    /// Makes room for one more entry: doubles below the cap, otherwise
+    /// empties the shard.
+    void MakeRoom() PSI_REQUIRES(mutex);
   };
 
-  /// The low bits feed unordered_map's bucketing; shard on high bits so the
-  /// two partitions are independent.
+  /// Shard on the key's top bits; Shard::Find picks the slot from a
+  /// multiplicative mix of the whole key, so every shard's slots fill
+  /// evenly.
   static size_t ShardIndex(uint64_t hash) { return (hash >> 60) % kShards; }
 
   std::array<Shard, kShards> shards_;

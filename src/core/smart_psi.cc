@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <cassert>
 #include <cmath>
+#include <optional>
 
 #include "core/query_context.h"
 #include "match/parallel_search.h"
@@ -204,56 +205,46 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
   };
 
   // ---------------------------------------------------------------------
-  // Tiny candidate sets: ML overhead would dominate (paper Table 4 shows
-  // it already hurts on small graphs) — evaluate everything pessimistically
-  // with the heuristic plan.
+  // Cache-first split (paper §4.2.3): a candidate whose decision an earlier
+  // run confirmed needs neither training nor the models. Only the misses
+  // are sampled for training and predicted; when they are too few for a
+  // model to pay off (paper Table 4: ML overhead hurts on small inputs),
+  // no model is fitted and they run pessimistically with the heuristic
+  // plan.
   // ---------------------------------------------------------------------
-  if (candidates.size() < config_.min_candidates_for_ml) {
-    util::WallTimer eval_timer;
-    match::SearchScratchPool::Lease scratch(&scratch_pool_);
-    PsiEvaluator evaluator(*graph_, sigs(), scratch.get());
-    evaluator.BindQuery(q, ctx.query_sigs, plan_pool[0]);
-    // Everything below runs pessimistically, so one bulk kernel sweep
-    // replaces the per-candidate pivot signature checks.
-    evaluator.FilterPivotCandidates(candidates, &result.search);
-    for (const graph::NodeId u : candidates) {
-      // Same rationale as the phase-2 loop below: poll between candidates
-      // so small searches cannot slip past an expired deadline.
-      if (deadline.Expired() || stop.StopRequested()) {
-        result.complete = false;
-        break;
-      }
-      const Outcome outcome =
-          RunMethod(evaluator, u, /*optimistic=*/false,
-                    config_.super_optimistic_limit, deadline, stop,
-                    &result.search, /*pivot_prefiltered=*/true);
-      if (outcome == Outcome::kValid) {
-        result.valid_nodes.push_back(u);
-      } else if (outcome != Outcome::kInvalid) {
-        result.complete = false;
-        break;
-      }
+  util::WallTimer lookup_timer;
+  std::vector<std::optional<PredictionCache::Entry>> cached(candidates.size());
+  std::vector<size_t> misses;
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (config_.enable_cache) {
+      cached[i] = active_cache_->Lookup(
+          sigs().RowHash(candidates[i]) ^ cache_key_salt, cache_epoch_);
     }
-    result.eval_seconds = eval_timer.Seconds();
-    expand_twins();
-    result.total_seconds = total_timer.Seconds();
-    return result;
+    if (!cached[i]) misses.push_back(i);
   }
+  const double lookup_seconds = lookup_timer.Seconds();
+  const bool fit_models = misses.size() >= config_.min_candidates_for_ml;
 
   // ---------------------------------------------------------------------
-  // Phase 1 — training sample: ground-truth labels for Model α, best plans
-  // and per-plan average times for Model β / MaxTime (paper §4.2).
+  // Phase 1 — training sample drawn from the misses: ground-truth labels
+  // for Model α, best plans and per-plan average times for Model β /
+  // MaxTime (paper §4.2). Empty when no model is fitted.
   // ---------------------------------------------------------------------
   util::WallTimer train_timer;
-  const size_t want_train = std::clamp<size_t>(
-      static_cast<size_t>(std::ceil(config_.train_fraction *
-                                    static_cast<double>(
-                                        candidates.size()))),
-      1, std::min(config_.max_train_nodes, candidates.size()));
-  std::vector<size_t> train_indices =
-      util::SampleWithoutReplacement(candidates.size(), want_train, rng);
-  std::vector<uint8_t> is_training(candidates.size(), 0);
-  for (const size_t i : train_indices) is_training[i] = 1;
+  std::vector<size_t> train_indices;
+  if (fit_models) {
+    const size_t want_train = std::clamp<size_t>(
+        static_cast<size_t>(std::ceil(config_.train_fraction *
+                                      static_cast<double>(misses.size()))),
+        1, std::min(config_.max_train_nodes, misses.size()));
+    train_indices =
+        util::SampleWithoutReplacement(misses.size(), want_train, rng);
+    for (size_t& idx : train_indices) idx = misses[idx];
+  }
+  // Candidate indices phase 2 skips: training nodes, and model-free misses
+  // the bulk pivot-signature sweep refutes.
+  std::vector<uint8_t> settled(candidates.size(), 0);
+  for (const size_t i : train_indices) settled[i] = 1;
   result.num_training_nodes = train_indices.size();
 
   const size_t num_features = sigs().num_labels();
@@ -314,8 +305,9 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
                     config_.super_optimistic_limit, deadline, stop,
                     &result.search);
       if (outcome == Outcome::kValid || outcome == Outcome::kInvalid) {
-        plan_times[0].Add(plan_timer.Seconds());
-        all_times.Add(plan_timer.Seconds());
+        best_time = plan_timer.Seconds();
+        plan_times[0].Add(best_time);
+        all_times.Add(best_time);
         node_valid = outcome == Outcome::kValid;
         best_plan = 0;
         decided = true;
@@ -332,22 +324,24 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     beta_data.AddExample(row, best_plan);
     if (node_valid) result.valid_nodes.push_back(u);
     if (config_.enable_cache) {
-      active_cache_->Insert(
-          sigs().RowHash(u) ^ cache_key_salt,
-          {node_valid, static_cast<uint32_t>(best_plan), cache_epoch_});
+      active_cache_->Insert(sigs().RowHash(u) ^ cache_key_salt,
+                            {node_valid, static_cast<uint16_t>(best_plan),
+                             static_cast<float>(best_time), cache_epoch_});
     }
   }
 
   Classifier alpha(config_.classifier);
   Classifier beta(config_.classifier);
-  if (!training_aborted) {
+  if (fit_models && !training_aborted) {
     alpha.Train(alpha_data, /*num_classes=*/2, config_.forest_trees, rng);
     if (config_.enable_plan_model && num_plans > 1) {
       beta.Train(beta_data, num_plans, config_.forest_trees, rng);
     }
   }
-  result.train_seconds = train_timer.Seconds();
+  // Exactly 0.0 when nothing was fitted: the timer measured no training.
+  if (fit_models) result.train_seconds = train_timer.Seconds();
   if (training_aborted) {
+    result.predict_seconds = lookup_seconds;
     std::sort(result.valid_nodes.begin(), result.valid_nodes.end());
     expand_twins();
     result.total_seconds = total_timer.Seconds();
@@ -364,14 +358,36 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
   }
 
   // ---------------------------------------------------------------------
-  // Phase 2 — predicted evaluation of the remaining candidates with the
-  // preemptive 3-state executor (paper §4.3).
+  // Phase 2 — evaluation of every candidate not settled above with the
+  // preemptive 3-state executor (paper §4.3), steered by its cache entry
+  // or the models; model-free misses run the pessimist unlimited.
   // ---------------------------------------------------------------------
   util::WallTimer eval_timer;
+  if (!fit_models && !misses.empty()) {
+    // Everything the bulk sweep refutes is invalid; the survivors skip the
+    // per-candidate pivot signature check.
+    std::vector<graph::NodeId> kept(misses.size());
+    for (size_t j = 0; j < misses.size(); ++j) {
+      kept[j] = candidates[misses[j]];
+    }
+    match::SearchScratchPool::Lease scratch(&scratch_pool_);
+    PsiEvaluator evaluator(*graph_, sigs(), scratch.get());
+    evaluator.BindQuery(q, ctx.query_sigs, plan_pool[0]);
+    evaluator.FilterPivotCandidates(kept, &result.search);
+    // The sweep keeps candidate order, so one merge finds the refuted.
+    size_t k = 0;
+    for (const size_t i : misses) {
+      if (k < kept.size() && kept[k] == candidates[i]) {
+        ++k;
+      } else {
+        settled[i] = 1;
+      }
+    }
+  }
   std::vector<size_t> remaining;
-  remaining.reserve(candidates.size() - train_indices.size());
+  remaining.reserve(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    if (!is_training[i]) remaining.push_back(i);
+    if (!settled[i]) remaining.push_back(i);
   }
 
   // One evaluation stack per work-stealing worker: scratch and evaluator.
@@ -396,57 +412,78 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
         global_incomplete.store(true, std::memory_order_relaxed);
         return;
       }
-      const graph::NodeId u = candidates[remaining[r]];
+      const size_t i = remaining[r];
+      const graph::NodeId u = candidates[i];
       const auto row = sigs().row(u);
 
       // --- Prediction (cache, then models) --------------------------
+      // With models fitted, an up-front miss is looked up again: a
+      // signature twin evaluated earlier in this query may have confirmed
+      // its decision since. Model-free runs insert nothing, so there is
+      // nothing new to find.
       util::WallTimer predict_timer;
+      const uint64_t hash = sigs().RowHash(u) ^ cache_key_salt;
+      std::optional<PredictionCache::Entry> entry = cached[i];
+      if (!entry && config_.enable_cache && fit_models) {
+        entry = active_cache_->Lookup(hash, cache_epoch_);
+      }
+      const bool from_cache = entry.has_value();
+      const bool model_free = !from_cache && !fit_models;
       bool predicted_valid = false;
       uint32_t plan_index = 0;
-      bool from_cache = false;
-      const uint64_t hash = sigs().RowHash(u) ^ cache_key_salt;
-      if (config_.enable_cache) {
-        if (const auto entry = active_cache_->Lookup(hash, cache_epoch_)) {
-          predicted_valid = entry->valid;
-          plan_index = std::min<uint32_t>(entry->plan_index,
-                                          static_cast<uint32_t>(num_plans -
-                                                                1));
-          from_cache = true;
-          ++ws.cache_hits;
-        }
-      }
-      if (!from_cache) {
+      double max_time = 0.0;
+      if (from_cache) {
+        predicted_valid = entry->valid;
+        plan_index = std::min<uint32_t>(entry->plan_index,
+                                        static_cast<uint32_t>(num_plans - 1));
+        max_time = config_.timeout_factor *
+                   std::max<double>(entry->seconds,
+                                    config_.min_preemption_seconds);
+        ++ws.cache_hits;
+      } else if (fit_models) {
         predicted_valid = alpha.Predict(row) == 1;
         if (config_.enable_plan_model && beta.trained()) {
           plan_index = static_cast<uint32_t>(
               std::clamp<int32_t>(beta.Predict(row), 0,
                                   static_cast<int32_t>(num_plans - 1)));
         }
+        max_time = config_.timeout_factor * plan_mean[plan_index];
       }
-      // Chaos hooks: simulated Model α / Model β mispredictions. The
-      // preemptive executor below is exactly the machinery that must absorb
-      // these — a flip costs a state-2/3 recovery, never correctness.
-      if (PSI_INJECT_FAULT(util::faults::kSmartPredictFlip)) {
-        predicted_valid = !predicted_valid;
-      }
-      if (num_plans > 1 &&
-          PSI_INJECT_FAULT(util::faults::kSmartPlanMispredict)) {
-        plan_index = (plan_index + 1) % static_cast<uint32_t>(num_plans);
+      if (!model_free) {
+        // Chaos hooks: simulated Model α / Model β mispredictions. The
+        // preemptive executor below is exactly the machinery that must
+        // absorb these — a flip costs a state-2/3 recovery, never
+        // correctness.
+        if (PSI_INJECT_FAULT(util::faults::kSmartPredictFlip)) {
+          predicted_valid = !predicted_valid;
+        }
+        if (num_plans > 1 &&
+            PSI_INJECT_FAULT(util::faults::kSmartPlanMispredict)) {
+          plan_index = (plan_index + 1) % static_cast<uint32_t>(num_plans);
+        }
       }
       ws.predict_seconds += predict_timer.Seconds();
 
       // --- Preemptive execution (3 states) ---------------------------
-      const double max_time = config_.timeout_factor * plan_mean[plan_index];
+      // `run` times each attempt; the one that completes is what the cache
+      // records as the decision's MaxTime base.
+      double seconds = 0.0;
+      auto run = [&](bool optimistic, util::Deadline limit) {
+        util::WallTimer run_timer;
+        const Outcome outcome =
+            RunMethod(evaluator, u, optimistic,
+                      config_.super_optimistic_limit, limit, stop, &ws.stats,
+                      /*pivot_prefiltered=*/model_free);
+        seconds = run_timer.Seconds();
+        return outcome;
+      };
       Outcome outcome;
       uint32_t completed_plan = plan_index;
       evaluator.BindQuery(q, ctx.query_sigs, plan_pool[plan_index]);
-      if (config_.enable_preemption) {
+      if (config_.enable_preemption && !model_free) {
         // State 1: predicted method + predicted plan, limited.
-        outcome = RunMethod(evaluator, u, predicted_valid,
-                            config_.super_optimistic_limit,
-                            MinDeadline(util::Deadline::After(max_time),
-                                        deadline),
-                            stop, &ws.stats);
+        outcome = run(predicted_valid,
+                      MinDeadline(util::Deadline::After(max_time), deadline));
         // Chaos hook: pretend MaxTime expired even though state 1 finished,
         // forcing the recovery ladder. Both PSI methods are exact, so the
         // re-evaluation in state 2/3 reaches the same answer.
@@ -458,11 +495,9 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
           // State 2: opposite method, restarted, still limited — recovers
           // from Model α mispredictions.
           ++ws.method_recoveries;
-          outcome = RunMethod(evaluator, u, !predicted_valid,
-                              config_.super_optimistic_limit,
-                              MinDeadline(util::Deadline::After(max_time),
-                                          deadline),
-                              stop, &ws.stats);
+          outcome = run(!predicted_valid,
+                        MinDeadline(util::Deadline::After(max_time),
+                                    deadline));
         }
         if (outcome == Outcome::kTimeout && !deadline.Expired()) {
           // State 3: predicted method + heuristic plan, no MaxTime —
@@ -470,14 +505,12 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
           ++ws.plan_fallbacks;
           completed_plan = 0;
           evaluator.BindQuery(q, ctx.query_sigs, plan_pool[0]);
-          outcome = RunMethod(evaluator, u, predicted_valid,
-                              config_.super_optimistic_limit, deadline,
-                              stop, &ws.stats);
+          outcome = run(predicted_valid, deadline);
         }
       } else {
-        outcome = RunMethod(evaluator, u, predicted_valid,
-                            config_.super_optimistic_limit, deadline,
-                            stop, &ws.stats);
+        // Unlimited: preemption off, or a model-free miss (pessimist,
+        // heuristic plan).
+        outcome = run(predicted_valid, deadline);
       }
 
       if (outcome != Outcome::kValid && outcome != Outcome::kInvalid) {
@@ -493,13 +526,18 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
         // the entry was stale or corrupted — the poisoning signal the
         // service's verify-on-sample detector consumes.
         if (predicted_valid != actual_valid) ++ws.cache_mismatches;
-      } else {
+      } else if (!model_free) {
         ++ws.alpha_predictions;
         if (predicted_valid == actual_valid) ++ws.alpha_correct;
       }
-      if (config_.enable_cache) {
-        active_cache_->Insert(hash,
-                              {actual_valid, completed_plan, cache_epoch_});
+      // Model-free runs confirm no prediction and are not cached. That keeps
+      // a repeated small query off the preemptive executor, whose
+      // wall-clock MaxTime can preempt a cheap search on a busy host.
+      if (config_.enable_cache && !model_free) {
+        active_cache_->Insert(hash, {actual_valid,
+                                     static_cast<uint16_t>(completed_plan),
+                                     static_cast<float>(seconds),
+                                     cache_epoch_});
       }
     }
   };
@@ -541,6 +579,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     if (ws.incomplete) result.complete = false;
   }
   result.eval_seconds = eval_timer.Seconds() - result.predict_seconds;
+  result.predict_seconds += lookup_seconds;
 
   std::sort(result.valid_nodes.begin(), result.valid_nodes.end());
   expand_twins();

@@ -23,16 +23,20 @@ namespace psi::core {
 ///
 /// Construction loads the graph signatures (matrix-based by default). Each
 /// Evaluate() call then:
-///   1. extracts the candidate pivot bindings,
-///   2. evaluates a small random sample of them (10%, capped) with the
+///   1. extracts the candidate pivot bindings and looks every one of them up
+///      in the signature-keyed prediction cache (cache-first),
+///   2. if the cache misses number at least min_candidates_for_ml, evaluates
+///      a small random sample of the misses (10%, capped) with the
 ///      pessimistic method to label training data, timing a pool of
-///      execution plans per node under escalating time limits,
+///      execution plans per node under escalating time limits, and
 ///   3. trains Model α (valid/invalid Random Forest) and Model β
-///      (best-plan Random Forest) on the neighborhood-signature features,
-///   4. evaluates every remaining candidate with the predicted method and
-///      plan under the preemptive 3-state detection-and-recovery executor
-///      (MaxTime = 2 × AvgT), consulting the signature-keyed prediction
-///      cache first,
+///      (best-plan Random Forest) on the neighborhood-signature features;
+///      with fewer misses it fits no model and evaluates the misses
+///      pessimistically with the heuristic plan and no MaxTime,
+///   4. evaluates every other candidate with the cached or predicted
+///      method and plan under the preemptive 3-state detection-and-recovery
+///      executor (MaxTime = 2 × AvgT for predictions, 2 × the confirming
+///      run's time for cache hits),
 ///   5. returns the exact set of valid nodes with full instrumentation.
 ///
 /// Exactness does not depend on the models: both PSI methods explore the

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -180,6 +181,12 @@ inline const char* RequestStatusName(RequestStatus s) {
       return "not_found";
   }
   return "unknown";
+}
+
+/// Prints the status name, so a failed test comparison reads `timeout`
+/// rather than a byte dump of the enum.
+inline void PrintTo(RequestStatus s, std::ostream* os) {
+  *os << RequestStatusName(s);
 }
 
 }  // namespace psi::service

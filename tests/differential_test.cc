@@ -125,6 +125,43 @@ TEST_P(DifferentialTest, EveryPathMatchesBruteForceWithAndWithoutFaults) {
   }
 }
 
+// smart-warm: the Realist's cache-first path. The second evaluation of a
+// query on one engine runs its candidates' cached decisions (and fits
+// models only for what the cache misses); it must still match the oracle,
+// bare and under the chaos schedule, whose cache.lookup.poison hands back
+// flipped decisions and smart.predict.flip flips predictions.
+TEST_P(DifferentialTest, WarmRealistMatchesBruteForce) {
+  const auto [base_seed, query_size] = GetParam();
+  const uint64_t seed = psi::testing::TestSeed(base_seed, query_size);
+  PSI_LOG_TEST_SEED(seed);
+
+  const graph::Graph g = psi::testing::MakeRandomGraph(220, 700, 3, seed);
+  const graph::QueryGraph q =
+      psi::testing::ExtractQuery(g, query_size, seed * 7919 + 3);
+  if (q.num_nodes() != query_size) GTEST_SKIP() << "extraction failed";
+  match::BasicEngine basic(g);
+  const auto truth = basic.ProjectPivot(q, match::MatchingEngine::Options());
+  ASSERT_TRUE(truth.complete);
+
+  const auto warm_sweep = [&](const std::string& context) {
+    SCOPED_TRACE(context);
+    core::SmartPsiConfig config;
+    config.min_candidates_for_ml = 4;
+    config.seed = seed;
+    core::SmartPsiEngine smart(g, config);
+    const core::PsiQueryResult cold = smart.Evaluate(q);
+    ASSERT_TRUE(cold.complete);
+    const core::PsiQueryResult warm = smart.Evaluate(q);
+    ASSERT_TRUE(warm.complete);
+    EXPECT_EQ(warm.valid_nodes, truth.pivot_matches) << "smart-warm";
+  };
+  warm_sweep("bare");
+  {
+    util::ScopedFaultSpec chaos(psi::testing::MakeChaosSchedule());
+    warm_sweep("chaos");
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     RandomGraphs, DifferentialTest,
     ::testing::Combine(::testing::Values(11, 23, 37, 41, 53),

@@ -46,7 +46,7 @@ TEST(PredictionCacheTest, ConcurrentInsertLookup) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&cache, t] {
       for (uint64_t i = 0; i < 500; ++i) {
-        cache.Insert(t * 1000 + i, {i % 2 == 0, static_cast<uint32_t>(i % 4)});
+        cache.Insert(t * 1000 + i, {i % 2 == 0, static_cast<uint16_t>(i % 4)});
         cache.Lookup(i);
       }
     });
@@ -105,6 +105,58 @@ TEST(PredictionCacheTest, CountersConsistentUnderConcurrency) {
   EXPECT_EQ(counters.hits, kThreads * kOps);
   EXPECT_EQ(counters.misses, kThreads * kOps);
   EXPECT_EQ(counters.inserts, kThreads * kOps);
+}
+
+// Keys below 2^60 all land in shard 0 (the shard index is the top 4 bits),
+// so consecutive small keys fill one shard.
+constexpr size_t kShardBound =
+    PredictionCache::kMaxEntries / PredictionCache::kShards;
+
+TEST(PredictionCacheTest, FullShardStaysWithinItsBound) {
+  PredictionCache cache;
+  constexpr uint64_t kInserts = 3 * kShardBound;
+  for (uint64_t key = 0; key < kInserts; ++key) {
+    cache.Insert(key, {.valid = key % 2 == 0});
+    ASSERT_LE(cache.size(), kShardBound) << key;
+  }
+  const auto counters = cache.counters();
+  EXPECT_GT(counters.evictions, 0u);
+  // Every key was distinct, so each insert is either held or evicted.
+  EXPECT_EQ(cache.size() + counters.evictions, kInserts);
+  EXPECT_LE(cache.size(), PredictionCache::kMaxEntries);
+}
+
+TEST(PredictionCacheTest, FullShardStartsOverAndKeepsServing) {
+  PredictionCache cache;
+  for (uint64_t key = 0; key < kShardBound; ++key) {
+    cache.Insert(key, {.valid = true});
+  }
+  ASSERT_EQ(cache.size(), kShardBound);
+  ASSERT_EQ(cache.counters().evictions, 0u);
+  // One more key finds the shard full at its cap: it is emptied first.
+  cache.Insert(kShardBound, {.valid = false, .plan_index = 3, .seconds = 0.5f});
+  EXPECT_EQ(cache.counters().evictions, kShardBound);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_FALSE(cache.Lookup(0).has_value());
+  const auto entry = cache.Lookup(kShardBound);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_FALSE(entry->valid);
+  EXPECT_EQ(entry->plan_index, 3u);
+  EXPECT_EQ(entry->seconds, 0.5f);
+}
+
+TEST(PredictionCacheTest, ClearAfterGrowthStartsOver) {
+  PredictionCache cache;
+  for (uint64_t key = 0; key < 5000; ++key) cache.Insert(key, {.valid = true});
+  ASSERT_EQ(cache.size(), 5000u);
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.Lookup(42).has_value());
+  cache.Insert(42, {.valid = false, .plan_index = 1});
+  const auto entry = cache.Lookup(42);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_FALSE(entry->valid);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST(RaceHarness, PredictionCacheGetPutClearStorm) {
           (static_cast<uint64_t>(i) % kKeySpace) * 0x9e3779b97f4a7c15ULL;
       if (i % 3 == 0) {
         cache.Insert(key, {.valid = (t + i) % 2 == 0,
-                           .plan_index = static_cast<uint32_t>(t)});
+                           .plan_index = static_cast<uint16_t>(t)});
       } else {
         (void)cache.Lookup(key);
       }
@@ -75,6 +75,40 @@ TEST(RaceHarness, PredictionCacheGetPutClearStorm) {
   EXPECT_EQ(counters.inserts,
             static_cast<uint64_t>(kThreads) * ((kOpsPerThread + 2) / 3));
   EXPECT_LE(cache.size(), kKeySpace);
+}
+
+// Concurrent inserts of more distinct keys than the cache may hold, beside
+// lookups: every shard crosses its bound and is emptied, and the entry
+// count never exceeds kMaxEntries at any poll.
+TEST(RaceHarness, PredictionCacheStormAcrossTheBound) {
+  core::PredictionCache cache;
+  constexpr int kThreads = 4;
+  constexpr uint64_t kKeysPerThread =
+      core::PredictionCache::kMaxEntries / kThreads + 20000;
+  std::atomic<bool> within_bound{true};
+
+  RunThreads(kThreads, [&](int t) {
+    for (uint64_t i = 0; i < kKeysPerThread; ++i) {
+      // The odd multiplier is a bijection, so keys are distinct across
+      // threads and spread over every shard.
+      const uint64_t key =
+          (static_cast<uint64_t>(t) * kKeysPerThread + i) *
+          0x9e3779b97f4a7c15ULL;
+      cache.Insert(key, {.valid = i % 2 == 0});
+      if (i % 4 == 0) (void)cache.Lookup(key);
+      if (i % 1024 == 0 &&
+          cache.size() > core::PredictionCache::kMaxEntries) {
+        within_bound.store(false);
+      }
+    }
+  });
+
+  EXPECT_TRUE(within_bound.load());
+  EXPECT_LE(cache.size(), core::PredictionCache::kMaxEntries);
+  const core::PredictionCache::Counters counters = cache.counters();
+  EXPECT_GT(counters.evictions, 0u);
+  EXPECT_EQ(cache.size() + counters.evictions,
+            static_cast<uint64_t>(kThreads) * kKeysPerThread);
 }
 
 // --- ThreadPool ------------------------------------------------------------

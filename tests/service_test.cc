@@ -25,6 +25,13 @@ ServiceOptions SmallOptions(size_t workers) {
   return options;
 }
 
+// A failed status comparison names the statuses (gtest finds PrintTo by
+// argument-dependent lookup) instead of dumping the enum's bytes.
+TEST(PsiServiceTest, RequestStatusPrintsItsName) {
+  EXPECT_EQ(::testing::PrintToString(RequestStatus::kTimeout), "timeout");
+  EXPECT_EQ(::testing::PrintToString(RequestStatus::kNotFound), "not_found");
+}
+
 TEST(PsiServiceTest, Figure1QueryMatchesPaperAnswer) {
   const graph::Graph g = testing::MakeFigure1Graph();
   PsiService service(g, SmallOptions(2));

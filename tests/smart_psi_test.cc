@@ -1,10 +1,14 @@
 #include "core/smart_psi.h"
 
+#include <algorithm>
+#include <cmath>
 #include <ostream>
 #include <tuple>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 
+#include "core/query_context.h"
 #include "graph/query_extractor.h"
 #include "match/engine.h"
 #include "signature/builders.h"
@@ -266,6 +270,85 @@ TEST(SmartPsiTest, CacheHitsAccumulateAcrossQueries) {
   EXPECT_EQ(first.valid_nodes, second.valid_nodes);
   // After the first run every remaining candidate's signature is cached.
   EXPECT_GT(second.cache_hits, 0u);
+}
+
+// Cache-first: once a query's candidates are all cached, repeating it
+// fits no model and predicts nothing; every candidate runs its cached
+// decision and the answer stays exact.
+TEST(SmartPsiTest, RepeatedQueryFitsNoModel) {
+  const graph::Graph g = psi::testing::MakeRandomGraph(600, 2000, 2, 73);
+  SmartPsiConfig config;
+  config.min_candidates_for_ml = 8;
+  SmartPsiEngine engine(g, config);
+  graph::QueryExtractor extractor(g);
+  util::Rng rng(74);
+  const graph::QueryGraph q = extractor.Extract(3, rng);
+  ASSERT_EQ(q.num_nodes(), 3u);
+  match::BasicEngine basic(g);
+  const auto truth = basic.ProjectPivot(q, match::MatchingEngine::Options());
+  ASSERT_TRUE(truth.complete);
+
+  const PsiQueryResult first = engine.Evaluate(q);
+  ASSERT_TRUE(first.complete);
+  ASSERT_GT(first.num_training_nodes, 0u);
+  const PsiQueryResult second = engine.Evaluate(q);
+  EXPECT_TRUE(second.complete);
+  EXPECT_EQ(second.num_training_nodes, 0u);
+  EXPECT_EQ(second.train_seconds, 0.0);
+  EXPECT_EQ(second.alpha_predictions, 0u);
+  EXPECT_EQ(second.cache_hits, second.num_candidates);
+  EXPECT_EQ(second.valid_nodes, truth.pivot_matches);
+}
+
+// A half-warm query samples its training nodes from the cache misses only.
+TEST(SmartPsiTest, HalfWarmQueryTrainsOnlyOnMisses) {
+  const graph::Graph g = psi::testing::MakeRandomGraph(600, 2000, 2, 73);
+  SmartPsiConfig config;
+  config.min_candidates_for_ml = 8;
+  SmartPsiEngine engine(g, config);
+  graph::QueryExtractor extractor(g);
+  util::Rng rng(74);
+  const graph::QueryGraph q = extractor.Extract(3, rng);
+  ASSERT_EQ(q.num_nodes(), 3u);
+  match::BasicEngine basic(g);
+  const auto truth = basic.ProjectPivot(q, match::MatchingEngine::Options());
+  ASSERT_TRUE(truth.complete);
+
+  // Warm every other candidate with its true decision, keyed exactly as a
+  // standalone engine keys it (row hash, no salt, epoch 0).
+  PredictionCache cache;
+  engine.UseSharedCache(&cache);
+  const signature::SignatureMatrix& sigs = engine.graph_signatures();
+  const std::vector<graph::NodeId> candidates =
+      PrepareQuery(g, sigs, q).candidates;
+  std::unordered_set<uint64_t> warm_keys;
+  for (size_t i = 0; i < candidates.size(); i += 2) {
+    const graph::NodeId u = candidates[i];
+    const bool valid = std::binary_search(truth.pivot_matches.begin(),
+                                          truth.pivot_matches.end(), u);
+    cache.Insert(sigs.RowHash(u), {.valid = valid, .seconds = 1e-3f});
+    warm_keys.insert(sigs.RowHash(u));
+  }
+  // Signature twins of a warmed candidate hit too.
+  size_t misses = 0;
+  for (const graph::NodeId u : candidates) {
+    misses += warm_keys.count(sigs.RowHash(u)) == 0 ? 1 : 0;
+  }
+  ASSERT_GE(misses, config.min_candidates_for_ml);
+  const auto sample_of = [&](size_t n) {
+    return static_cast<size_t>(
+        std::ceil(config.train_fraction * static_cast<double>(n)));
+  };
+  // Sampling from every candidate would take strictly more nodes.
+  ASSERT_LT(sample_of(misses), sample_of(candidates.size()));
+
+  const PsiQueryResult result = engine.Evaluate(q);
+  EXPECT_TRUE(result.complete);
+  EXPECT_GT(result.num_training_nodes, 0u);
+  EXPECT_LE(result.num_training_nodes, sample_of(misses));
+  EXPECT_GE(result.cache_hits, candidates.size() - misses);
+  EXPECT_EQ(result.cache_mismatches, 0u);
+  EXPECT_EQ(result.valid_nodes, truth.pivot_matches);
 }
 
 TEST(SmartPsiTest, ExpiredDeadlineIncomplete) {

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/prediction_cache.h"
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "service/service.h"
@@ -89,7 +90,8 @@ void Usage() {
       "                        snapshot serving). Verifies exact settlement,\n"
       "                        that every response reports a published\n"
       "                        snapshot version, zero cross-snapshot cache\n"
-      "                        hits (epoch_drops == 0), pins draining to\n"
+      "                        hits (epoch_drops == 0), a prediction cache\n"
+      "                        within its entry bound, pins draining to\n"
       "                        zero, and that every retired generation's\n"
       "                        memory is actually released. Exits nonzero on\n"
       "                        any violation\n"
@@ -480,9 +482,9 @@ int SwapStormRun(const graph::Graph& g,
     swapping.store(false, std::memory_order_release);
   });
 
-  // Invariant poller: the metrics contract and the cross-snapshot cache
-  // tripwire must hold in *every* snapshot taken mid-swap, not just at the
-  // end of the run.
+  // Invariant poller: the metrics contract, the cross-snapshot cache
+  // tripwire and the cache's entry bound must hold in *every* snapshot taken
+  // mid-swap, not just at the end of the run.
   std::atomic<bool> poll{true};
   std::atomic<bool> invariant_violated{false};
   std::thread poller([&] {
@@ -490,11 +492,13 @@ int SwapStormRun(const graph::Graph& g,
       const service::ServiceStats stats = psi_service.Stats();
       const auto& m = stats.metrics;
       if (m.latency.count > m.Settled() || m.Settled() > m.admitted ||
-          stats.cache.epoch_drops != 0) {
+          stats.cache.epoch_drops != 0 ||
+          stats.cache_entries > core::PredictionCache::kMaxEntries) {
         std::cerr << "swap-storm invariant violated mid-run: latency.count="
                   << m.latency.count << " settled=" << m.Settled()
                   << " admitted=" << m.admitted
-                  << " epoch_drops=" << stats.cache.epoch_drops << "\n";
+                  << " epoch_drops=" << stats.cache.epoch_drops
+                  << " cache_entries=" << stats.cache_entries << "\n";
         invariant_violated.store(true, std::memory_order_release);
         return;
       }
@@ -565,8 +569,10 @@ int SwapStormRun(const graph::Graph& g,
             << " injected publish failures) ---\n"
             << "wall: " << wall_seconds << " s\n"
             << m.ToString() << "\n"
-            << "cache: hits=" << stats.cache.hits
+            << "cache: entries=" << stats.cache_entries
+            << " hits=" << stats.cache.hits
             << " misses=" << stats.cache.misses
+            << " evictions=" << stats.cache.evictions
             << " epoch_drops=" << stats.cache.epoch_drops << "\n"
             << "response versions: " << response_versions.size()
             << " distinct across " << admitted << " admitted\n";
@@ -583,7 +589,8 @@ int SwapStormRun(const graph::Graph& g,
     }
   };
   check(!invariant_violated.load(std::memory_order_acquire),
-        "metrics + epoch_drops invariants held in every mid-run poll");
+        "metrics, epoch_drops and cache-bound invariants held in every "
+        "mid-run poll");
   check(m.Settled() == admitted, "every admitted request settled exactly once");
   check(zero_version_responses == 0,
         "every response reported a snapshot version");
@@ -596,6 +603,9 @@ int SwapStormRun(const graph::Graph& g,
         "every response version matches a published generation");
   check(stats.cache.epoch_drops == 0,
         "zero cross-snapshot cache hits (epoch_drops == 0)");
+  check(stats.cache_entries <= core::PredictionCache::kMaxEntries,
+        "prediction cache within its entry bound "
+        "(cache_entries <= PredictionCache::kMaxEntries)");
   check(m.not_found == 0, "failed publishes never unserved the name");
   check(stats.metrics.snapshot_publishes == published_versions.size(),
         "publish counter matches successful publishes");
@@ -635,7 +645,8 @@ void PrintReport(const char* title, const RunReport& report) {
             << m.ToString() << "\n"
             << "cache: entries=" << report.stats.cache_entries
             << " hits=" << report.stats.cache.hits
-            << " misses=" << report.stats.cache.misses << " (hit rate "
+            << " misses=" << report.stats.cache.misses
+            << " evictions=" << report.stats.cache.evictions << " (hit rate "
             << report.stats.cache.HitRate() << ")\n";
 }
 

@@ -267,6 +267,7 @@ int ServeLoop(service::PsiService& psi_service, std::istream& in, bool quiet,
             << " hits=" << stats.cache.hits
             << " misses=" << stats.cache.misses
             << " inserts=" << stats.cache.inserts
+            << " evictions=" << stats.cache.evictions
             << " epoch_drops=" << stats.cache.epoch_drops << "\n";
   for (const auto& e : stats.snapshots) {
     std::cerr << "snapshot: " << (e.current ? "current" : "retired") << " "
