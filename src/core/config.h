@@ -59,12 +59,13 @@ struct SmartPsiConfig {
   bool enable_cache = true;
   /// Key cache entries by (query fingerprint, node signature) and derive
   /// the plan pool deterministically from the query instead of the engine's
-  /// evolving RNG state. Required when a cache is shared across queries of
-  /// different shapes (the service layer): a node's confirmed type and best
-  /// plan are only meaningful relative to one query, and plan indices only
-  /// relative to one plan pool. Off by default — the single-engine batch
-  /// behaviour keys by node signature alone.
-  bool query_keyed_cache = false;
+  /// evolving RNG state. A node's confirmed type and best plan are only
+  /// meaningful relative to one query, and plan indices only relative to
+  /// one plan pool, so a cache hit then means the same thing standalone and
+  /// in the service (which always sets it). Off keys by node signature
+  /// alone: a later query with the same pivot label is served decisions
+  /// confirmed for an earlier one.
+  bool query_keyed_cache = true;
   /// Enable the 3-state detection-and-recovery executor (paper §4.3);
   /// disabled, mispredictions simply run to completion.
   bool enable_preemption = true;

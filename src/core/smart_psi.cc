@@ -109,21 +109,6 @@ SmartPsiEngine::SmartPsiEngine(const graph::Graph& g,
   graph_sigs_ = std::move(graph_sigs);
 }
 
-SmartPsiEngine::SmartPsiEngine(const graph::Graph& g,
-                               const signature::SignatureMatrix* shared_sigs,
-                               SmartPsiConfig config)
-    : graph_(&g), config_(config), sigs_view_(shared_sigs), rng_(config.seed) {
-  assert(shared_sigs != nullptr);
-  assert(shared_sigs->num_rows() == g.num_nodes());
-  assert(shared_sigs->num_labels() >= g.num_labels());
-  if (config_.num_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
-  }
-  config_.signature_method = shared_sigs->method();
-  config_.signature_depth = shared_sigs->depth();
-  config_.signature_decay = shared_sigs->decay();
-}
-
 void SmartPsiEngine::Rebind(const graph::Graph& g,
                             const signature::SignatureMatrix* sigs) {
   assert(sigs != nullptr);

@@ -65,15 +65,6 @@ class SmartPsiEngine {
   SmartPsiEngine(const graph::Graph& g, signature::SignatureMatrix graph_sigs,
                  SmartPsiConfig config = SmartPsiConfig());
 
-  /// Shares caller-owned precomputed signatures without copying them — the
-  /// constructor a query service uses to fan one matrix out to many
-  /// per-worker engines. `shared_sigs` must outlive the engine and satisfy
-  /// the same shape requirements as the adopting constructor; the config's
-  /// signature method/depth/decay are overridden from the matrix metadata.
-  SmartPsiEngine(const graph::Graph& g,
-                 const signature::SignatureMatrix* shared_sigs,
-                 SmartPsiConfig config = SmartPsiConfig());
-
   /// Evaluates one pivoted query. `deadline` bounds the whole call; on
   /// expiry the result is marked incomplete. `stop` cancels cooperatively
   /// (service shutdown, caller abandonment) — the result is then also
@@ -87,9 +78,9 @@ class SmartPsiEngine {
   /// pair (the steady-state fast path: one pointer comparison). Otherwise
   /// drops graph-derived memos (the equivalence partition) and overrides
   /// the config's signature metadata from the matrix, exactly like the
-  /// shared-signature constructor. Both `g` and `sigs` must outlive the
-  /// binding — the service guarantees this by holding a snapshot pin for
-  /// the whole request. Only call between Evaluate() calls.
+  /// adopting constructor. Both `g` and `sigs` must outlive the binding —
+  /// the service guarantees this by holding a snapshot pin for the whole
+  /// request. Only call between Evaluate() calls.
   void Rebind(const graph::Graph& g, const signature::SignatureMatrix* sigs);
 
   /// True once the engine has a graph + signatures (construction-time or

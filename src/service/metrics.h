@@ -81,9 +81,11 @@ struct MetricsSnapshot {
   uint64_t cache_bypass_entries = 0;
   uint64_t cache_bypass_exits = 0;
 
-  // Batched execution (DESIGN.md §17). A batch is admitted as one unit;
-  // its member queries still settle through the terminal counters above,
-  // so Settled() accounting is unchanged by batching.
+  // Batched execution (DESIGN.md §17), counting SubmitBatch traffic only
+  // (a Submit is a batch of one inside the service, but not batch traffic).
+  // A batch is admitted as one unit; its member queries still settle
+  // through the terminal counters above, so Settled() accounting is
+  // unchanged by batching.
   uint64_t batch_submitted = 0;  // batches admitted as a unit
   uint64_t batch_rejected = 0;   // whole batches shed at admission
   uint64_t batch_queries = 0;    // member queries settled via a batch
@@ -132,15 +134,21 @@ struct MetricsSnapshot {
 /// publishes every earlier increment along with the value read.
 class MetricsRegistry {
  public:
-  void RecordRejected() { rejected_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordAdmitted() { admitted_.fetch_add(1, std::memory_order_relaxed); }
+  void RecordRejected(uint64_t count = 1) {
+    rejected_.fetch_add(count, std::memory_order_relaxed);
+  }
+  void RecordAdmitted(uint64_t count = 1) {
+    admitted_.fetch_add(count, std::memory_order_relaxed);
+  }
 
   /// Revokes a provisional RecordAdmitted() whose enqueue was subsequently
   /// shed. Counting admission first and revoking on failure (rather than
   /// counting after a successful enqueue) is what keeps Settled() from
   /// overtaking `admitted` when a worker finishes the request before the
   /// submitter's next instruction runs.
-  void UndoAdmitted() { admitted_.fetch_sub(1, std::memory_order_relaxed); }
+  void UndoAdmitted(uint64_t count = 1) {
+    admitted_.fetch_sub(count, std::memory_order_relaxed);
+  }
 
   /// Records that a request was admitted after at least one shed-and-retry
   /// cycle. Call after the successful (re-)admission so retries can never
@@ -171,17 +179,14 @@ class MetricsRegistry {
     batch_rejected_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Records a member query settled through the batch path. `context_hit`
-  /// marks reuse of a shared batch-context entry; `degraded` marks a
-  /// query that abandoned the shared context (service.batch fault).
-  void RecordBatchQuery(bool context_hit, bool degraded) {
-    batch_queries_.fetch_add(1, std::memory_order_relaxed);
-    if (context_hit) {
-      batch_context_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (degraded) {
-      batch_degraded_.fetch_add(1, std::memory_order_relaxed);
-    }
+  /// Records the member queries of one settled SubmitBatch. Of those
+  /// `queries`, `context_hits` reused a shared batch-context entry and
+  /// `degraded` abandoned the shared context (service.batch fault).
+  void RecordBatchQueries(uint64_t queries, uint64_t context_hits,
+                          uint64_t degraded) {
+    batch_queries_.fetch_add(queries, std::memory_order_relaxed);
+    batch_context_hits_.fetch_add(context_hits, std::memory_order_relaxed);
+    batch_degraded_.fetch_add(degraded, std::memory_order_relaxed);
   }
 
   /// Records a terminal response (status bucket + engine counters +

@@ -39,33 +39,6 @@ PsiService::PsiService(const graph::Graph& g, ServiceOptions options)
   StartWorkers();
 }
 
-PsiService::PsiService(const graph::Graph& g,
-                       signature::SignatureMatrix graph_sigs,
-                       ServiceOptions options)
-    : options_(options) {
-  assert(graph_sigs.num_rows() == g.num_nodes());
-  options_.num_workers = std::max<size_t>(1, options_.num_workers);
-  pool_ = std::make_unique<util::ThreadPool>(options_.num_workers);
-  owned_catalog_ = std::make_unique<GraphCatalog>();
-  catalog_ = owned_catalog_.get();
-  SnapshotTimings timings;
-  if (options_.prewarm_row_hashes && graph_sigs.num_rows() > 0) {
-    util::WallTimer prewarm_timer;
-    pool_->ParallelFor(graph_sigs.num_rows(),
-                       [&graph_sigs](size_t begin, size_t end) {
-                         for (size_t i = begin; i < end; ++i) {
-                           graph_sigs.RowHash(i);
-                         }
-                       });
-    timings.prewarm_seconds = prewarm_timer.Seconds();
-  }
-  // Same graceful-failure stance as the building constructor above.
-  auto published = catalog_->PublishPrebuilt(
-      options_.default_graph, g.Clone(), std::move(graph_sigs), timings);
-  (void)published;
-  StartWorkers();
-}
-
 PsiService::PsiService(GraphCatalog* catalog, ServiceOptions options)
     : options_(options), catalog_(catalog) {
   assert(catalog != nullptr);
@@ -125,43 +98,40 @@ void PsiService::ReturnEngine(core::SmartPsiEngine* engine) {
   free_engines_.push_back(engine);
 }
 
-std::optional<std::future<QueryResponse>> PsiService::Submit(
-    QueryRequest request) {
+bool PsiService::Admit(BatchRequest request, BatchDone done) {
+  const size_t num_queries = request.queries.size();
   if (!accepting_.load(std::memory_order_relaxed)) {
-    metrics_.RecordRejected();
-    return std::nullopt;
-  }
-  if (request.id == 0) {
-    request.id = next_auto_id_.fetch_add(1, std::memory_order_relaxed);
+    metrics_.RecordRejected(num_queries);
+    return false;
   }
   // The admission timer starts now so the recorded latency includes queue
   // wait — the delay a caller actually experiences.
   util::WallTimer admission_timer;
-  // Snapshot resolution happens at admission, not execution: the request
-  // pins whatever is current *now* and keeps that snapshot for its whole
-  // lifetime, so a swap that lands while it queues cannot change what it
-  // runs against. An empty pin (unknown name) is still admitted and
-  // settles kNotFound, keeping Settled() == admitted exact.
+  // Snapshot resolution happens at admission, not execution: the batch
+  // pins whatever is current *now* and keeps that one snapshot for its
+  // whole lifetime, so a swap that lands while it queues cannot change
+  // what any member runs against — the soundness precondition for sharing
+  // prepared state between members. An empty pin (unknown name) is still
+  // admitted and settles kNotFound, keeping Settled() == admitted exact.
   auto pin = std::make_shared<SnapshotPin>(catalog_->Pin(
       request.graph.empty() ? options_.default_graph : request.graph));
-  auto promise = std::make_shared<std::promise<QueryResponse>>();
-  std::future<QueryResponse> future = promise->get_future();
   // The request lives in shared state (not the task closure) so a shed
   // TrySubmit — which destroys the closure it was handed — leaves it
   // intact for the next retry attempt. The pin rides the same way (it is
   // move-only, and std::function closures must be copyable).
-  auto shared_request = std::make_shared<QueryRequest>(std::move(request));
+  auto shared_request = std::make_shared<BatchRequest>(std::move(request));
 
   const size_t max_retries =
       options_.degradation.enabled ? options_.degradation.max_shed_retries : 0;
   double backoff_ms = options_.degradation.retry_backoff_ms;
   for (size_t attempt = 0;; ++attempt) {
-    // Count the admission BEFORE the task becomes runnable: once TrySubmit
-    // enqueues it, a worker may record the request's outcome immediately,
-    // and a concurrent Stats() must never observe Settled() > admitted. A
-    // shed submission revokes the provisional count (admitted may
-    // transiently read one high, never low).
-    metrics_.RecordAdmitted();
+    // Count the admission BEFORE the task becomes runnable, one per member
+    // query (each settles through RecordOutcome): once TrySubmit enqueues
+    // it, a worker may record outcomes immediately, and a concurrent
+    // Stats() must never observe Settled() > admitted. A shed submission
+    // revokes the provisional count (admitted may transiently read high,
+    // never low).
+    metrics_.RecordAdmitted(num_queries);
     // Chaos hook: pretend the queue was at its bound — exercises the shed
     // path (and the retry policy above it) without real overload.
     const bool injected_shed =
@@ -169,25 +139,26 @@ std::optional<std::future<QueryResponse>> PsiService::Submit(
     const bool admitted =
         !injected_shed &&
         pool_->TrySubmit(
-            [this, shared_request, pin, promise, admission_timer]() mutable {
-              // The Run statement is its own full expression, so the pin
-              // parameter (and with it the pin gauge) drops before the
-              // promise is fulfilled: a caller observing its future never
-              // sees its own request still pinned.
-              QueryResponse response = Run(std::move(*shared_request),
-                                           std::move(*pin), admission_timer);
-              promise->set_value(std::move(response));
+            [this, shared_request, pin, done, admission_timer]() mutable {
+              // The RunBatch statement is its own full expression, so the
+              // pin parameter (and with it the pin gauge) drops before
+              // `done` fulfills a promise: a caller observing its future
+              // never sees its own request still pinned.
+              BatchResponse response =
+                  RunBatch(std::move(*shared_request), std::move(*pin),
+                           admission_timer);
+              done(std::move(response));
             },
             options_.max_queue_depth);
     if (admitted) {
       if (attempt > 0) metrics_.RecordRetriedAdmission();
-      return future;
+      return true;
     }
-    metrics_.UndoAdmitted();
+    metrics_.UndoAdmitted(num_queries);
     if (attempt >= max_retries ||
         !accepting_.load(std::memory_order_relaxed)) {
-      metrics_.RecordRejected();
-      return std::nullopt;
+      metrics_.RecordRejected(num_queries);
+      return false;
     }
     // Bounded exponential backoff before the next attempt. Blocking the
     // caller is the point: retry-with-backoff converts a shed into
@@ -196,6 +167,26 @@ std::optional<std::future<QueryResponse>> PsiService::Submit(
         std::chrono::duration<double, std::milli>(backoff_ms));
     backoff_ms *= 2.0;
   }
+}
+
+std::optional<std::future<QueryResponse>> PsiService::Submit(
+    QueryRequest request) {
+  if (request.id == 0) {
+    request.id = next_auto_id_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // A query is a batch of one: same admission, same runner.
+  BatchRequest batch;
+  batch.id = request.id;
+  batch.graph = std::move(request.graph);
+  batch.queries.push_back(std::move(request));
+  auto promise = std::make_shared<std::promise<QueryResponse>>();
+  std::future<QueryResponse> future = promise->get_future();
+  if (!Admit(std::move(batch), [promise](BatchResponse response) {
+        promise->set_value(std::move(response.responses[0]));
+      })) {
+    return std::nullopt;
+  }
+  return future;
 }
 
 QueryResponse PsiService::Execute(QueryRequest request) {
@@ -212,67 +203,29 @@ QueryResponse PsiService::Execute(QueryRequest request) {
 
 std::optional<std::future<BatchResponse>> PsiService::SubmitBatch(
     BatchRequest request) {
-  const size_t num_queries = request.queries.size();
-  if (!accepting_.load(std::memory_order_relaxed)) {
-    metrics_.RecordBatchRejected();
-    for (size_t i = 0; i < num_queries; ++i) metrics_.RecordRejected();
-    return std::nullopt;
-  }
   if (request.id == 0) {
     request.id = next_auto_id_.fetch_add(1, std::memory_order_relaxed);
   }
-  for (size_t i = 0; i < num_queries; ++i) {
+  for (size_t i = 0; i < request.queries.size(); ++i) {
     if (request.queries[i].id == 0) {
       request.queries[i].id = request.id * 1000 + i;
     }
   }
-  util::WallTimer admission_timer;
-  // One pin for the whole batch, taken at admission: every member query
-  // sees the same snapshot even across a concurrent hot swap — the
-  // soundness precondition for sharing prepared state between members.
-  auto pin = std::make_shared<SnapshotPin>(catalog_->Pin(
-      request.graph.empty() ? options_.default_graph : request.graph));
   auto promise = std::make_shared<std::promise<BatchResponse>>();
   std::future<BatchResponse> future = promise->get_future();
-  auto shared_request = std::make_shared<BatchRequest>(std::move(request));
-
-  const size_t max_retries =
-      options_.degradation.enabled ? options_.degradation.max_shed_retries : 0;
-  double backoff_ms = options_.degradation.retry_backoff_ms;
-  for (size_t attempt = 0;; ++attempt) {
-    // Admission accounting is per member query (each settles through
-    // RecordOutcome like a standalone request), counted BEFORE the batch
-    // becomes runnable — the same Settled() <= admitted ordering Submit
-    // keeps. A shed revokes all provisional counts.
-    for (size_t i = 0; i < num_queries; ++i) metrics_.RecordAdmitted();
-    const bool injected_shed =
-        PSI_INJECT_FAULT(util::faults::kServiceAdmissionShed);
-    const bool admitted =
-        !injected_shed &&
-        pool_->TrySubmit(
-            [this, shared_request, pin, promise, admission_timer]() mutable {
-              BatchResponse response =
-                  RunBatch(std::move(*shared_request), std::move(*pin),
-                           admission_timer);
-              promise->set_value(std::move(response));
-            },
-            options_.max_queue_depth);
-    if (admitted) {
-      metrics_.RecordBatchSubmitted();
-      if (attempt > 0) metrics_.RecordRetriedAdmission();
-      return future;
-    }
-    for (size_t i = 0; i < num_queries; ++i) metrics_.UndoAdmitted();
-    if (attempt >= max_retries ||
-        !accepting_.load(std::memory_order_relaxed)) {
-      metrics_.RecordBatchRejected();
-      for (size_t i = 0; i < num_queries; ++i) metrics_.RecordRejected();
-      return std::nullopt;
-    }
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(backoff_ms));
-    backoff_ms *= 2.0;
+  // The batch_* counters are SubmitBatch's own: a Submit is a batch of one
+  // internally, but not batch traffic.
+  if (!Admit(std::move(request), [this, promise](BatchResponse response) {
+        metrics_.RecordBatchQueries(response.responses.size(),
+                                    response.context_hits,
+                                    response.degraded_queries);
+        promise->set_value(std::move(response));
+      })) {
+    metrics_.RecordBatchRejected();
+    return std::nullopt;
   }
+  metrics_.RecordBatchSubmitted();
+  return future;
 }
 
 BatchResponse PsiService::ExecuteBatch(BatchRequest request) {
@@ -297,6 +250,8 @@ BatchResponse PsiService::ExecuteBatch(BatchRequest request) {
 
 BatchResponse PsiService::RunBatch(BatchRequest request, SnapshotPin pin,
                                    util::WallTimer admission_timer) {
+  // Chaos hook: a worker descheduled between dequeue and execution (the
+  // slow-worker scenario — queue wait inflates, deadlines burn down).
   PSI_FAULT_STALL(util::faults::kServiceWorkerStall);
 
   const size_t num_queries = request.queries.size();
@@ -306,9 +261,9 @@ BatchResponse PsiService::RunBatch(BatchRequest request, SnapshotPin pin,
   response.responses.resize(num_queries);
 
   // Shared per-batch state: one evaluation context over the pinned
-  // snapshot, one scratch pool every member leases its arenas from.
+  // snapshot, built on the first pure member (a kSmart query never needs
+  // it), and one scratch pool every pure member leases its arenas from.
   std::optional<core::BatchEvalContext> context;
-  if (pin) context.emplace(pin->graph(), pin->signatures());
   match::SearchScratchPool scratch;
 
   // Preparation runs on the batch thread (BatchEvalContext is not
@@ -317,7 +272,6 @@ BatchResponse PsiService::RunBatch(BatchRequest request, SnapshotPin pin,
   // kSmart members go through their checked-out engine as usual.
   std::vector<BatchSlot> slots(num_queries);
   std::vector<size_t> pure_members;
-  std::vector<size_t> other_members;
   for (size_t i = 0; i < num_queries; ++i) {
     QueryRequest& q = request.queries[i];
     // The batch pinned one snapshot for everyone; per-member graph names
@@ -325,10 +279,7 @@ BatchResponse PsiService::RunBatch(BatchRequest request, SnapshotPin pin,
     q.graph.clear();
     if (q.deadline_seconds <= 0.0) q.deadline_seconds = request.deadline_seconds;
     const bool well_formed = q.query.num_nodes() > 0 && q.query.has_pivot();
-    if (!pin || !well_formed || q.method == Method::kSmart) {
-      other_members.push_back(i);
-      continue;
-    }
+    if (!pin || !well_formed || q.method == Method::kSmart) continue;
     pure_members.push_back(i);
     slots[i].scratch = &scratch;
     // Chaos hook: this member abandons the shared-context fast path and is
@@ -338,6 +289,7 @@ BatchResponse PsiService::RunBatch(BatchRequest request, SnapshotPin pin,
       slots[i].fault_degraded = true;
       continue;
     }
+    if (!context.has_value()) context.emplace(pin->graph(), pin->signatures());
     const core::BatchEvalContext::Prepared prepared =
         context->Prepare(q.query);
     slots[i].prepared = prepared.context;
@@ -358,42 +310,32 @@ BatchResponse PsiService::RunBatch(BatchRequest request, SnapshotPin pin,
         pure_members.size(), lanes, nullptr, [&](size_t item, size_t) {
           const size_t i = pure_members[item];
           response.responses[i] = RunOne(std::move(request.queries[i]), pin,
-                                         admission_timer, &slots[i]);
+                                         admission_timer, slots[i]);
         });
   } else {
     for (const size_t i : pure_members) {
-      response.responses[i] =
-          RunOne(std::move(request.queries[i]), pin, admission_timer,
-                 &slots[i]);
+      response.responses[i] = RunOne(std::move(request.queries[i]), pin,
+                                     admission_timer, slots[i]);
     }
   }
-  for (const size_t i : other_members) {
+  // The rest — kSmart, malformed and unpinned members — hold no scratch.
+  for (size_t i = 0; i < num_queries; ++i) {
+    if (slots[i].scratch != nullptr) continue;
     response.responses[i] = RunOne(std::move(request.queries[i]), pin,
-                                   admission_timer, &slots[i]);
+                                   admission_timer, slots[i]);
   }
 
-  for (size_t i = 0; i < num_queries; ++i) {
-    metrics_.RecordBatchQuery(slots[i].context_hit, slots[i].fault_degraded);
-    response.context_hits += slots[i].context_hit ? 1 : 0;
-    response.degraded_queries += slots[i].fault_degraded ? 1 : 0;
+  for (const BatchSlot& slot : slots) {
+    response.context_hits += slot.context_hit ? 1 : 0;
+    response.degraded_queries += slot.fault_degraded ? 1 : 0;
   }
   response.latency_seconds = admission_timer.Seconds();
   return response;
 }
 
-QueryResponse PsiService::Run(QueryRequest request, SnapshotPin pin,
-                              util::WallTimer admission_timer) {
-  // Chaos hook: a worker descheduled between dequeue and execution (the
-  // slow-worker scenario — queue wait inflates, deadlines burn down).
-  PSI_FAULT_STALL(util::faults::kServiceWorkerStall);
-  // `pin` is this function's parameter, so it drops when Run returns —
-  // before the caller fulfills the promise (see Submit's closure comment).
-  return RunOne(std::move(request), pin, admission_timer, nullptr);
-}
-
 QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
                                  util::WallTimer admission_timer,
-                                 const BatchSlot* slot) {
+                                 const BatchSlot& slot) {
   QueryResponse response;
   response.id = request.id;
   response.snapshot_version = pin ? pin->version() : 0;
@@ -463,18 +405,20 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
                           : core::PureStrategy::kPessimistic;
       pure.deadline = deadline;
       pure.stop = stop;
-      pure.search_threads = slot != nullptr && slot->search_threads_override > 0
-                                ? slot->search_threads_override
+      pure.search_threads = slot.search_threads_override > 0
+                                ? slot.search_threads_override
                                 : options_.search_threads;
-      if (slot != nullptr && !slot->fault_degraded) {
-        // Batch fast path: evaluate against the shared prepared context and
-        // lease scratch from the batch-wide pool. Bit-identical to the
-        // standalone preparation (DESIGN.md §17). A member whose
-        // service.batch fault fired skips this and re-derives everything —
-        // same answer, standalone cost.
-        pure.prepared = slot->prepared;
-        pure.prepared_pivot_requirement = slot->pivot_requirement;
-        pure.scratch_pool = slot->scratch;
+      if (!slot.fault_degraded) {
+        // Shared fast path: evaluate against the batch's prepared context
+        // and lease scratch from its pool. Bit-identical to the standalone
+        // preparation (DESIGN.md §17). The pointers are null for members
+        // the batch did not prepare (a kSmart query served pessimistically
+        // in degraded mode), and a member whose service.batch fault fired
+        // skips this — both re-derive everything: same answer, standalone
+        // cost.
+        pure.prepared = slot.prepared;
+        pure.prepared_pivot_requirement = slot.pivot_requirement;
+        pure.scratch_pool = slot.scratch;
       }
       core::PureDriverResult result = core::EvaluatePure(
           pin->graph(), pin->signatures(), request.query, pure);
@@ -504,6 +448,7 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
   metrics_.RecordOutcome(response, method_recoveries, plan_fallbacks);
   return response;
 }
+
 
 bool PsiService::DegradedModeActive() const {
   if (!options_.degradation.enabled) return false;

@@ -2,6 +2,7 @@
 #define SMARTPSI_SERVICE_SERVICE_H_
 
 #include <atomic>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -16,7 +17,7 @@
 #include "service/catalog.h"
 #include "service/metrics.h"
 #include "service/request.h"
-#include "signature/signature_matrix.h"
+#include "signature/sparse_requirement.h"
 #include "util/mutex.h"
 #include "util/stop_token.h"
 #include "util/thread_annotations.h"
@@ -88,7 +89,7 @@ struct ServiceOptions {
   DegradationOptions degradation;
 
   /// Catalog name requests with an empty `QueryRequest::graph` resolve to.
-  /// The graph-reference constructors publish their graph under this name.
+  /// The graph-reference constructor publishes its graph under this name.
   std::string default_graph = "default";
 
   /// Per-worker engine tuning. num_threads is forced to `search_threads`
@@ -155,11 +156,6 @@ class PsiService {
   /// construction returns.
   PsiService(const graph::Graph& g, ServiceOptions options = ServiceOptions());
 
-  /// As above but adopting a precomputed matrix (e.g. loaded from a
-  /// signature file) instead of building one.
-  PsiService(const graph::Graph& g, signature::SignatureMatrix graph_sigs,
-             ServiceOptions options = ServiceOptions());
-
   /// Serves a caller-owned catalog (which may be shared with an admin
   /// surface doing live load/swap/retire). The catalog must outlive the
   /// service; it need not contain options.default_graph yet — requests
@@ -178,7 +174,9 @@ class PsiService {
   /// std::nullopt when the request is shed (queue at bound, or service
   /// shutting down). A request with id 0 gets a service-assigned id; the
   /// assigned id is only visible in the response, so callers that need the
-  /// id up front should set their own.
+  /// id up front should set their own. Internally a query is a batch of
+  /// one: it shares SubmitBatch's admission and runner, but not its batch_*
+  /// counters, which count SubmitBatch traffic only.
   std::optional<std::future<QueryResponse>> Submit(QueryRequest request);
 
   /// Synchronous convenience wrapper: admits and blocks for the response.
@@ -219,7 +217,7 @@ class PsiService {
   /// evaluation (possibly) fans out. `prepared`/`pivot_requirement` point
   /// into the batch's BatchEvalContext and are null for kSmart members,
   /// malformed members, and members the service.batch fault degraded to
-  /// the standalone path.
+  /// the standalone path. `scratch` is set for pure members only.
   struct BatchSlot {
     const core::QueryContext* prepared = nullptr;
     const signature::SparseRequirement* pivot_requirement = nullptr;
@@ -233,16 +231,22 @@ class PsiService {
     bool fault_degraded = false;
   };
 
+  /// Receives an admitted batch's settled response on its worker, after
+  /// the batch's snapshot pin has dropped.
+  using BatchDone = std::function<void(BatchResponse)>;
+
   void StartWorkers();
-  QueryResponse Run(QueryRequest request, SnapshotPin pin,
-                    util::WallTimer admission_timer);
-  /// Shared evaluation core of Run and RunBatch. `slot` is null outside a
-  /// batch.
-  QueryResponse RunOne(QueryRequest request, const SnapshotPin& pin,
-                       util::WallTimer admission_timer,
-                       const BatchSlot* slot);
+  /// The one admission routine behind Submit and SubmitBatch: pins the
+  /// snapshot, counts one admission per member before enqueueing, and
+  /// applies shedding and the bounded retry-with-backoff policy. Returns
+  /// false when the batch is shed; `done` then never runs.
+  bool Admit(BatchRequest request, BatchDone done);
+  /// The only worker entry: evaluates every member against one pin.
   BatchResponse RunBatch(BatchRequest request, SnapshotPin pin,
                          util::WallTimer admission_timer);
+  /// The only per-query evaluator; records the member's outcome.
+  QueryResponse RunOne(QueryRequest request, const SnapshotPin& pin,
+                       util::WallTimer admission_timer, const BatchSlot& slot);
 
   core::SmartPsiEngine* CheckoutEngine() PSI_EXCLUDES(engines_mutex_);
   void ReturnEngine(core::SmartPsiEngine* engine) PSI_EXCLUDES(engines_mutex_);
@@ -257,7 +261,7 @@ class PsiService {
 
   // psi-check: allow(lock-guard) -- immutable after construction
   ServiceOptions options_;
-  /// Set for the convenience constructors; the catalog-pointer constructor
+  /// Set for the convenience constructor; the catalog-pointer constructor
   /// leaves it null and serves the caller's catalog.
   // psi-check: allow(lock-guard) -- set once in the constructor, never reseated
   std::unique_ptr<GraphCatalog> owned_catalog_;

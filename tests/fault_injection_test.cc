@@ -308,6 +308,42 @@ TEST_F(FaultInjectionTest, SubmitRetriesAfterInjectedShed) {
   EXPECT_GE(stats.faults_injected, 1u);
 }
 
+// The batch side of the same retry: one shed, one re-admission of the
+// whole batch, and every member settled exactly once.
+TEST_F(FaultInjectionTest, SubmitBatchRetriesAfterInjectedShed) {
+  const graph::Graph g = psi::testing::MakeFigure1Graph();
+  service::PsiService service(g, DegradedServiceOptions());
+
+  ScopedFaultSpec chaos("service.admission.shed=nth:1");
+  service::BatchRequest batch;
+  for (const service::Method method :
+       {service::Method::kSmart, service::Method::kOptimistic,
+        service::Method::kPessimistic}) {
+    service::QueryRequest member = SmartRequest(psi::testing::MakeFigure1Query());
+    member.method = method;
+    batch.queries.push_back(std::move(member));
+  }
+  const service::BatchResponse response =
+      service.ExecuteBatch(std::move(batch));
+  ASSERT_EQ(response.responses.size(), 3u);
+  for (const service::QueryResponse& member : response.responses) {
+    EXPECT_EQ(member.status, service::RequestStatus::kOk) << member.id;
+    EXPECT_EQ(member.valid_nodes, (std::vector<graph::NodeId>{0, 5}));
+  }
+
+  const service::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.metrics.retries, 1u);
+  EXPECT_EQ(stats.metrics.batch_submitted, 1u);
+  EXPECT_EQ(stats.metrics.batch_rejected, 0u);
+  EXPECT_EQ(stats.metrics.batch_queries, 3u);
+  EXPECT_EQ(stats.metrics.rejected, 0u);
+  EXPECT_EQ(stats.metrics.admitted, 3u);
+  EXPECT_EQ(stats.metrics.completed, 3u);
+  EXPECT_EQ(stats.metrics.Settled(), stats.metrics.admitted);
+  EXPECT_EQ(stats.metrics.latency.count, 3u);
+  EXPECT_GE(stats.faults_injected, 1u);
+}
+
 TEST_F(FaultInjectionTest, ShedFailsFastWhenDegradationDisabled) {
   const graph::Graph g = psi::testing::MakeFigure1Graph();
   service::ServiceOptions options;

@@ -233,16 +233,15 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
   }
 }
 
-// Batch-path recorders (DESIGN.md §17): one increment per batch unit, one
-// per member query, with context hits and degradations as subsets of
-// batch_queries.
+// Batch-path recorders (DESIGN.md §17): one increment per batch unit, and
+// per settled batch its member queries, with context hits and degradations
+// as subsets of batch_queries.
 TEST(MetricsRegistryTest, BatchRecordersAccumulate) {
   MetricsRegistry metrics;
   metrics.RecordBatchSubmitted();
   metrics.RecordBatchRejected();
-  metrics.RecordBatchQuery(/*context_hit=*/true, /*degraded=*/false);
-  metrics.RecordBatchQuery(/*context_hit=*/false, /*degraded=*/true);
-  metrics.RecordBatchQuery(/*context_hit=*/false, /*degraded=*/false);
+  metrics.RecordBatchQueries(/*queries=*/3, /*context_hits=*/1,
+                             /*degraded=*/1);
   const MetricsSnapshot s = metrics.Snapshot();
   EXPECT_EQ(s.batch_submitted, 1u);
   EXPECT_EQ(s.batch_rejected, 1u);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pure_drivers.h"
 #include "core/smart_psi.h"
 #include "graph/query_extractor.h"
 #include "service/request.h"
@@ -478,6 +479,8 @@ TEST(PsiServiceTest, CacheIsSaltedPerSnapshotGeneration) {
       << "the new generation must warm its own cache entries";
 }
 
+// A caller-built signature matrix published through the catalog is served
+// as is: no startup build, and the paper's Figure-1 answer.
 TEST(PsiServiceTest, AdoptsPrecomputedSignatures) {
   const graph::Graph g = testing::MakeFigure1Graph();
   ServiceOptions options = SmallOptions(2);
@@ -486,13 +489,85 @@ TEST(PsiServiceTest, AdoptsPrecomputedSignatures) {
   core::SmartPsiEngine reference(g, config);
   signature::SignatureMatrix sigs = reference.graph_signatures();
 
-  PsiService service(g, std::move(sigs), options);
+  GraphCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .PublishPrebuilt(options.default_graph, g.Clone(),
+                                   std::move(sigs))
+                  .ok());
+  PsiService service(&catalog, options);
   EXPECT_EQ(service.Stats().signature_build_seconds, 0.0);
   QueryRequest request;
   request.query = testing::MakeFigure1Query();
   const QueryResponse response = service.Execute(std::move(request));
   EXPECT_EQ(response.status, RequestStatus::kOk);
   EXPECT_EQ(response.valid_nodes, (std::vector<graph::NodeId>{0, 5}));
+}
+
+// A Submit is a batch of one inside the service, but the batch_* counters
+// count SubmitBatch traffic only — admitted, settled or shed.
+TEST(PsiServiceTest, PlainSubmitTrafficLeavesBatchCountersAtZero) {
+  const graph::Graph g = testing::MakeFigure1Graph();
+  PsiService service(g, SmallOptions(2));
+  for (const Method method :
+       {Method::kSmart, Method::kOptimistic, Method::kPessimistic}) {
+    QueryRequest request;
+    request.query = testing::MakeFigure1Query();
+    request.method = method;
+    auto future = service.Submit(request);
+    ASSERT_TRUE(future.has_value());
+    EXPECT_EQ(future->get().status, RequestStatus::kOk);
+    EXPECT_EQ(service.Execute(request).status, RequestStatus::kOk);
+  }
+  service.Shutdown();
+  QueryRequest shed;
+  shed.query = testing::MakeFigure1Query();
+  EXPECT_EQ(service.Execute(shed).status, RequestStatus::kRejected);
+
+  const MetricsSnapshot m = service.Stats().metrics;
+  EXPECT_EQ(m.admitted, 6u);
+  EXPECT_EQ(m.completed, 6u);
+  EXPECT_EQ(m.rejected, 1u);
+  EXPECT_EQ(m.batch_submitted, 0u);
+  EXPECT_EQ(m.batch_rejected, 0u);
+  EXPECT_EQ(m.batch_queries, 0u);
+  EXPECT_EQ(m.batch_context_hits, 0u);
+  EXPECT_EQ(m.batch_degraded, 0u);
+}
+
+// A pure-method Submit runs through the batch runner's shared prepared
+// context; its answer must be the bytes core::EvaluatePure computes from
+// scratch on the same snapshot.
+TEST(PsiServiceTest, PureSubmitMatchesEvaluatePure) {
+  const graph::Graph g = testing::MakeRandomGraph(300, 900, 3, /*seed=*/17);
+  util::Rng rng(19);
+  WorkloadSpec spec;
+  spec.count = 8;
+  spec.query_size = 4;
+  const std::vector<QueryRequest> requests = ExtractWorkload(g, spec, rng);
+  ASSERT_FALSE(requests.empty());
+
+  PsiService service(g, SmallOptions(2));
+  const auto snapshot = service.catalog().Resolve(service.options().default_graph);
+  ASSERT_NE(snapshot, nullptr);
+  size_t nonempty = 0;
+  for (const Method method : {Method::kOptimistic, Method::kPessimistic}) {
+    core::PureDriverOptions pure;
+    pure.strategy = method == Method::kOptimistic
+                        ? core::PureStrategy::kOptimistic
+                        : core::PureStrategy::kPessimistic;
+    for (QueryRequest request : requests) {
+      request.method = method;
+      const core::PureDriverResult expected = core::EvaluatePure(
+          snapshot->graph(), snapshot->signatures(), request.query, pure);
+      ASSERT_TRUE(expected.complete);
+      const QueryResponse response = service.Execute(request);
+      EXPECT_EQ(response.status, RequestStatus::kOk) << MethodName(method);
+      EXPECT_EQ(response.valid_nodes, expected.valid_nodes)
+          << MethodName(method) << " request " << request.id;
+      nonempty += expected.valid_nodes.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(nonempty, 0u);
 }
 
 }  // namespace

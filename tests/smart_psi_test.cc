@@ -315,7 +315,8 @@ TEST(SmartPsiTest, HalfWarmQueryTrainsOnlyOnMisses) {
   ASSERT_TRUE(truth.complete);
 
   // Warm every other candidate with its true decision, keyed exactly as a
-  // standalone engine keys it (row hash, no salt, epoch 0).
+  // standalone engine keys it (row hash salted by the query fingerprint,
+  // epoch 0).
   PredictionCache cache;
   engine.UseSharedCache(&cache);
   const signature::SignatureMatrix& sigs = engine.graph_signatures();
@@ -326,7 +327,8 @@ TEST(SmartPsiTest, HalfWarmQueryTrainsOnlyOnMisses) {
     const graph::NodeId u = candidates[i];
     const bool valid = std::binary_search(truth.pivot_matches.begin(),
                                           truth.pivot_matches.end(), u);
-    cache.Insert(sigs.RowHash(u), {.valid = valid, .seconds = 1e-3f});
+    cache.Insert(sigs.RowHash(u) ^ q.Fingerprint(),
+                 {.valid = valid, .seconds = 1e-3f});
     warm_keys.insert(sigs.RowHash(u));
   }
   // Signature twins of a warmed candidate hit too.
@@ -349,6 +351,46 @@ TEST(SmartPsiTest, HalfWarmQueryTrainsOnlyOnMisses) {
   EXPECT_GE(result.cache_hits, candidates.size() - misses);
   EXPECT_EQ(result.cache_mismatches, 0u);
   EXPECT_EQ(result.valid_nodes, truth.pivot_matches);
+}
+
+// A standalone engine keys its private cache by query as well as by node
+// signature, as the service does: decisions confirmed for one query are
+// never served as hits to a different query with the same pivot label.
+TEST(SmartPsiTest, StandaloneCacheHitsDoNotCrossQueries) {
+  const graph::Graph g = psi::testing::MakeRandomGraph(600, 2000, 2, 73);
+  using psi::testing::kA;
+  using psi::testing::kB;
+  // The first query admits every label-A node; the second, a subset.
+  const graph::QueryGraph first = psi::testing::MakeSingleNodeQuery(kA);
+  const graph::QueryGraph second =
+      psi::testing::MakePathQuery({kA, kB, kA, kB, kA});
+  SmartPsiConfig config;
+  const SmartPsiEngine sizer(g, config);
+  const size_t first_candidates =
+      PrepareQuery(g, sizer.graph_signatures(), first).candidates.size();
+  const size_t second_candidates =
+      PrepareQuery(g, sizer.graph_signatures(), second).candidates.size();
+  ASSERT_GT(second_candidates, 0u);
+  ASSERT_GT(first_candidates, second_candidates);
+  // The first query fits models and caches its confirmed decisions; the
+  // second has too few candidates to fit any, so it re-looks nothing up
+  // mid-query and every hit it counts would come from the first query.
+  config.min_candidates_for_ml = second_candidates + 1;
+  SmartPsiEngine engine(g, config);
+
+  const PsiQueryResult warm = engine.Evaluate(first);
+  ASSERT_TRUE(warm.complete);
+  ASSERT_GT(warm.num_training_nodes, 0u);
+  const PsiQueryResult other = engine.Evaluate(second);
+  EXPECT_TRUE(other.complete);
+  EXPECT_EQ(other.num_candidates, second_candidates);
+  EXPECT_EQ(other.cache_hits, 0u);
+
+  match::BasicEngine basic(g);
+  const auto truth =
+      basic.ProjectPivot(second, match::MatchingEngine::Options());
+  ASSERT_TRUE(truth.complete);
+  EXPECT_EQ(other.valid_nodes, truth.pivot_matches);
 }
 
 TEST(SmartPsiTest, ExpiredDeadlineIncomplete) {

@@ -9,10 +9,15 @@
 // Open-loop means arrivals do not wait for completions: when the offered
 // rate exceeds service capacity the admission queue fills and requests are
 // shed (status=rejected) rather than buffered into unbounded latency.
+//
+// Every mode runs the same offer loop under the same invariant poller and
+// exits 1 unless each admitted request settled exactly once and every
+// Stats() snapshot kept the metrics invariants.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -97,15 +102,194 @@ void Usage() {
       "                        any violation\n"
       "  --swaps N             publishes the swapper attempts (default 24)\n"
       "  --batch N             group the workload into BatchRequests of N\n"
-      "                        queries and offer them through SubmitBatch at\n"
-      "                        saturation (one admission unit, one pinned\n"
-      "                        snapshot and one shared evaluation context per\n"
-      "                        batch). Combines with --baseline (which then\n"
-      "                        re-runs the same workload through sequential\n"
-      "                        Submit for a batching-speedup figure); not\n"
-      "                        with --chaos, --stress or --swap-storm\n"
+      "                        queries and offer them through SubmitBatch\n"
+      "                        (one admission unit, one pinned snapshot and\n"
+      "                        one shared evaluation context per batch).\n"
+      "                        Combines with every mode; with --baseline the\n"
+      "                        same workload is re-run through per-request\n"
+      "                        Submit for a batching-speedup figure\n"
       "  --search-threads N    work-stealing workers per query evaluation\n"
       "                        (default 1 = sequential)\n";
+}
+
+/// How one offer presents the workload to the service.
+struct OfferSpec {
+  /// Queries per admission unit: 1 offers each through Submit, N > 1 cuts
+  /// the workload into BatchRequests of N offered through SubmitBatch.
+  size_t unit = 1;
+  /// Open-loop arrival rate in requests/s (a unit arrives when its first
+  /// query is due); <= 0 offers as fast as admission allows.
+  double qps = 0.0;
+  /// Re-offer a shed unit after a short pause until it is admitted
+  /// (saturation with backpressure). Off, a shed unit stays shed.
+  bool retry_shed = false;
+  /// Shut the service down just before offering the unit holding this
+  /// request index, with earlier units still queued and executing.
+  size_t shutdown_at = SIZE_MAX;
+};
+
+/// What the service answered, summed over one or more offers.
+struct Tally {
+  size_t admitted = 0;  // queries admitted
+  size_t shed = 0;      // queries shed for good
+  size_t settled = 0;   // responses received
+  size_t served_degraded = 0;
+  size_t batches = 0;
+  uint64_t context_hits = 0;
+  uint64_t batch_degraded = 0;
+  std::map<std::string, uint64_t> outcomes;
+  std::set<uint64_t> versions;
+
+  void Settle(const service::QueryResponse& response) {
+    ++settled;
+    ++outcomes[service::RequestStatusName(response.status)];
+    if (response.served_degraded) ++served_degraded;
+    versions.insert(response.snapshot_version);
+  }
+};
+
+/// The one offer loop every mode runs: offers `requests` unit by unit as
+/// `spec` says, then waits for every admitted unit and tallies each
+/// member's response.
+void Offer(service::PsiService& psi_service,
+           const std::vector<service::QueryRequest>& requests,
+           const OfferSpec& spec, Tally& tally) {
+  const size_t unit = std::max<size_t>(1, spec.unit);
+  std::vector<std::future<service::QueryResponse>> singles;
+  std::vector<std::future<service::BatchResponse>> batches;
+  const auto start = std::chrono::steady_clock::now();
+  for (size_t begin = 0; begin < requests.size(); begin += unit) {
+    const size_t end = std::min(requests.size(), begin + unit);
+    if (begin <= spec.shutdown_at && spec.shutdown_at < end) {
+      psi_service.Shutdown();
+    }
+    if (spec.qps > 0.0) {
+      std::this_thread::sleep_until(
+          start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                      std::chrono::duration<double>(
+                          static_cast<double>(begin) / spec.qps)));
+    }
+    for (;;) {
+      bool admitted = false;
+      if (unit == 1) {
+        auto future = psi_service.Submit(requests[begin]);
+        admitted = future.has_value();
+        if (admitted) singles.push_back(std::move(*future));
+      } else {
+        service::BatchRequest batch;
+        batch.id = begin / unit + 1;
+        batch.queries.assign(requests.begin() + static_cast<ptrdiff_t>(begin),
+                             requests.begin() + static_cast<ptrdiff_t>(end));
+        auto future = psi_service.SubmitBatch(std::move(batch));
+        admitted = future.has_value();
+        if (admitted) batches.push_back(std::move(*future));
+      }
+      if (admitted) {
+        tally.admitted += end - begin;
+        break;
+      }
+      if (!spec.retry_shed) {
+        tally.shed += end - begin;
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  for (auto& future : singles) tally.Settle(future.get());
+  for (auto& future : batches) {
+    const service::BatchResponse response = future.get();
+    ++tally.batches;
+    tally.context_hits += response.context_hits;
+    tally.batch_degraded += response.degraded_queries;
+    for (const service::QueryResponse& member : response.responses) {
+      tally.Settle(member);
+    }
+  }
+}
+
+/// The invariants every Stats() snapshot must keep, mid-run or final.
+/// Returns the first one broken, with the numbers, or "" if all hold.
+std::string BrokenInvariant(const service::ServiceStats& stats) {
+  const service::MetricsSnapshot& m = stats.metrics;
+  std::string broken;
+  if (m.latency.count > m.Settled() || m.Settled() > m.admitted) {
+    broken = "latency.count <= Settled() <= admitted";
+  } else if (m.retries > m.admitted) {
+    broken = "retries <= admitted";
+  } else if (stats.cache.epoch_drops != 0) {
+    broken = "epoch_drops == 0 (no cross-snapshot cache hit)";
+  } else if (stats.cache_entries > core::PredictionCache::kMaxEntries) {
+    broken = "cache_entries <= PredictionCache::kMaxEntries";
+  } else {
+    return broken;
+  }
+  return broken + " (latency.count=" + std::to_string(m.latency.count) +
+         " settled=" + std::to_string(m.Settled()) +
+         " admitted=" + std::to_string(m.admitted) +
+         " retries=" + std::to_string(m.retries) +
+         " epoch_drops=" + std::to_string(stats.cache.epoch_drops) +
+         " cache_entries=" + std::to_string(stats.cache_entries) + ")";
+}
+
+/// The one invariant poller: hammers Stats() on its own thread from
+/// construction until Stop(), so the invariants are checked in snapshots
+/// taken mid-run, not only at the end.
+class InvariantPoller {
+ public:
+  explicit InvariantPoller(const service::PsiService& psi_service)
+      : thread_([this, &psi_service] {
+          while (poll_.load(std::memory_order_acquire)) {
+            const std::string broken = BrokenInvariant(psi_service.Stats());
+            if (!broken.empty()) {
+              std::cerr << "invariant violated mid-run: " << broken << "\n";
+              held_.store(false, std::memory_order_release);
+              return;
+            }
+            std::this_thread::yield();
+          }
+        }) {}
+  ~InvariantPoller() { Stop(); }
+  InvariantPoller(const InvariantPoller&) = delete;
+  InvariantPoller& operator=(const InvariantPoller&) = delete;
+
+  /// Stops polling; true iff every snapshot kept the invariants.
+  bool Stop() {
+    poll_.store(false, std::memory_order_release);
+    if (thread_.joinable()) thread_.join();
+    return held_.load(std::memory_order_acquire);
+  }
+
+ private:
+  std::atomic<bool> poll_{true};
+  std::atomic<bool> held_{true};
+  std::thread thread_;  // last: starts once the flags exist
+};
+
+/// Failed verification checks; the process exits nonzero iff any failed.
+struct Checks {
+  int failures = 0;
+  void operator()(bool ok, const std::string& what) {
+    if (!ok) {
+      std::cerr << "CHECK FAILED: " << what << "\n";
+      ++failures;
+    }
+  }
+  int ExitCode() const { return failures == 0 ? 0 : 1; }
+};
+
+/// The settlement check every mode ends with, once all its responses are
+/// in: the poller saw no broken invariant, the final snapshot keeps them
+/// too, and each admitted query settled exactly once — one response each,
+/// counted once by the service.
+void CheckSettlement(InvariantPoller& poller, const Tally& tally,
+                     const service::ServiceStats& stats, Checks& check) {
+  check(poller.Stop(), "invariants held in every mid-run snapshot");
+  const std::string broken = BrokenInvariant(stats);
+  check(broken.empty(), "final snapshot: " + broken);
+  check(tally.settled == tally.admitted,
+        "one response per admitted request");
+  check(stats.metrics.Settled() == tally.admitted,
+        "every admitted request settled exactly once");
 }
 
 struct RunReport {
@@ -120,151 +304,57 @@ struct RunReport {
   }
 };
 
-/// Offers `requests` to `psi_service` and waits for every settled
-/// response. qps <= 0 runs saturation mode: shed submissions are retried
-/// after a short pause, measuring peak sustainable throughput. qps > 0
-/// runs open-loop: arrivals stick to the schedule and shed requests stay
-/// shed.
-RunReport DriveLoad(service::PsiService& psi_service,
-                    const std::vector<service::QueryRequest>& requests,
-                    double qps) {
-  std::vector<std::future<service::QueryResponse>> futures;
-  futures.reserve(requests.size());
-
-  const auto start = std::chrono::steady_clock::now();
-  util::WallTimer wall;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (qps > 0.0) {
-      const auto arrival =
-          start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(static_cast<double>(i) / qps));
-      std::this_thread::sleep_until(arrival);
-      auto future = psi_service.Submit(requests[i]);
-      if (future.has_value()) futures.push_back(std::move(*future));
-    } else {
-      for (;;) {
-        auto future = psi_service.Submit(requests[i]);
-        if (future.has_value()) {
-          futures.push_back(std::move(*future));
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    }
-  }
-  for (auto& future : futures) future.get();
-
-  RunReport report;
-  report.wall_seconds = wall.Seconds();
-  report.stats = psi_service.Stats();
-  return report;
-}
-
+/// Plain run: one offer against a fresh service, checked for settlement.
 RunReport OfferLoad(const graph::Graph& g,
                     const std::vector<service::QueryRequest>& requests,
-                    const service::ServiceOptions& options, double qps) {
+                    const service::ServiceOptions& options,
+                    const OfferSpec& spec, Checks& check) {
   service::PsiService psi_service(g, options);
-  return DriveLoad(psi_service, requests, qps);
-}
-
-/// Batched offering: the workload is cut into BatchRequests of `batch_size`
-/// queries, each submitted as one admission unit at saturation (a shed
-/// batch is re-offered whole after a short pause — SubmitBatch never admits
-/// a batch partially). The per-query responses settle through the ordinary
-/// metrics, so RunReport::Throughput stays comparable with DriveLoad runs.
-RunReport BatchedOfferLoad(const graph::Graph& g,
-                           const std::vector<service::QueryRequest>& requests,
-                           const service::ServiceOptions& options,
-                           size_t batch_size) {
-  service::PsiService psi_service(g, options);
-  std::vector<std::future<service::BatchResponse>> futures;
-  futures.reserve(requests.size() / batch_size + 1);
-
+  InvariantPoller poller(psi_service);
+  Tally tally;
   util::WallTimer wall;
-  uint64_t batch_id = 0;
-  for (size_t begin = 0; begin < requests.size(); begin += batch_size) {
-    const size_t end = std::min(requests.size(), begin + batch_size);
-    service::BatchRequest batch;
-    batch.id = ++batch_id;
-    batch.queries.assign(requests.begin() + static_cast<ptrdiff_t>(begin),
-                         requests.begin() + static_cast<ptrdiff_t>(end));
-    for (;;) {
-      auto future = psi_service.SubmitBatch(batch);
-      if (future.has_value()) {
-        futures.push_back(std::move(*future));
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
-  uint64_t context_hits = 0;
-  uint64_t degraded = 0;
-  for (auto& future : futures) {
-    const service::BatchResponse response = future.get();
-    context_hits += response.context_hits;
-    degraded += response.degraded_queries;
-  }
-
+  Offer(psi_service, requests, spec, tally);
   RunReport report;
   report.wall_seconds = wall.Seconds();
   report.stats = psi_service.Stats();
-  std::cerr << "Batched: " << futures.size() << " batches of <= "
-            << batch_size << ", context hits " << context_hits
-            << ", degraded " << degraded << "\n";
+  CheckSettlement(poller, tally, report.stats, check);
+  if (spec.unit > 1) {
+    std::cerr << "Batched: " << tally.batches << " batches of <= " << spec.unit
+              << ", context hits " << tally.context_hits << ", degraded "
+              << tally.batch_degraded << "\n";
+  }
   return report;
 }
 
-/// One stress wave: saturate the admission queue (no retry — shed stays
-/// shed), then shut the service down while requests are still queued and
-/// executing, with a poller hammering Stats() throughout. Returns settled
-/// status counts; aborts the process if a snapshot ever violates the
-/// metrics consistency contract (latency.count <= Settled() <= admitted).
-std::map<std::string, uint64_t> StressWave(
-    const graph::Graph& g, const std::vector<service::QueryRequest>& requests,
-    const service::ServiceOptions& options) {
-  service::PsiService psi_service(g, options);
-
-  std::atomic<bool> poll{true};
-  std::thread poller([&] {
-    while (poll.load(std::memory_order_acquire)) {
-      const service::ServiceStats stats = psi_service.Stats();
-      const auto& m = stats.metrics;
-      if (m.latency.count > m.Settled() || m.Settled() > m.admitted) {
-        std::cerr << "metrics snapshot invariant violated: latency.count="
-                  << m.latency.count << " settled=" << m.Settled()
-                  << " admitted=" << m.admitted << "\n";
-        std::abort();
-      }
-    }
-  });
-
-  std::vector<std::future<service::QueryResponse>> futures;
-  futures.reserve(requests.size());
-  size_t shed = 0;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    // Shut down with the tail of the workload still in flight: roughly the
-    // last quarter of submissions races Shutdown() and gets cancelled,
-    // shed, or finishes under the wire.
-    if (i == requests.size() - requests.size() / 4) {
-      psi_service.Shutdown();
-    }
-    auto future = psi_service.Submit(requests[i]);
-    if (future.has_value()) {
-      futures.push_back(std::move(*future));
-    } else {
-      ++shed;
-    }
+/// Cancellation storm: each wave offers the workload to a fresh service
+/// and shuts it down with roughly the last quarter still to offer, so
+/// Shutdown() races queued and executing requests. Returns the exit code.
+int StressRun(const graph::Graph& g,
+              const std::vector<service::QueryRequest>& requests,
+              const service::ServiceOptions& options, OfferSpec spec,
+              size_t waves, const service::WorkloadSpec& workload) {
+  spec.shutdown_at = requests.size() - requests.size() / 4;
+  Checks check;
+  std::map<std::string, uint64_t> totals;
+  util::WallTimer wall;
+  for (size_t wave = 0; wave < waves; ++wave) {
+    service::PsiService psi_service(g, options);
+    InvariantPoller poller(psi_service);
+    Tally tally;
+    Offer(psi_service, requests, spec, tally);
+    psi_service.Shutdown();
+    CheckSettlement(poller, tally, psi_service.Stats(), check);
+    totals["rejected"] += tally.shed;
+    for (const auto& [status, count] : tally.outcomes) totals[status] += count;
   }
-  psi_service.Shutdown();
-
-  std::map<std::string, uint64_t> outcomes;
-  outcomes["rejected"] = shed;
-  for (auto& future : futures) {
-    ++outcomes[service::RequestStatusName(future.get().status)];
+  std::cout << "--- stress (" << waves << " waves, " << requests.size()
+            << " requests each, deadlines " << workload.deadline_ms_min << ".."
+            << workload.deadline_ms_max << " ms) ---\nwall: " << wall.Seconds()
+            << " s\n";
+  for (const auto& [status, count] : totals) {
+    std::cout << status << ": " << count << "\n";
   }
-  poll.store(false, std::memory_order_release);
-  poller.join();
-  return outcomes;
+  return check.ExitCode();
 }
 
 /// The default --chaos cocktail: every fault site armed with deterministic
@@ -280,12 +370,13 @@ constexpr char kDefaultChaosSpec[] =
     "smart.preempt.expire=every:5,"
     "threadpool.task.start=prob:0.02:11@1";
 
-/// Chaos run: saturation offering against a degradation-enabled service
-/// with the injector armed, an invariant-checking stats poller alongside,
-/// and end-to-end verification afterwards. Returns the process exit code.
+/// Chaos run: the workload offered against a degradation-enabled service
+/// with the injector already armed (shed units stay shed — the service's
+/// own retry policy is what is under test), then end-to-end verification.
+/// Returns the exit code.
 int ChaosRun(const graph::Graph& g,
              const std::vector<service::QueryRequest>& requests,
-             service::ServiceOptions options, const std::string& spec,
+             service::ServiceOptions options, const OfferSpec& spec,
              bool default_cocktail) {
   // Small windows and cooldowns so the policies visibly cycle within a
   // modest request count.
@@ -300,64 +391,21 @@ int ChaosRun(const graph::Graph& g,
   options.degradation.cache_bypass_cooldown = 16;
 
   util::FaultInjector& injector = util::FaultInjector::Global();
-  const util::Status armed = injector.ArmFromSpec(spec);
-  if (!armed.ok()) {
-    std::cerr << "bad --faults spec: " << armed.ToString() << "\n";
-    return 2;
-  }
-
   service::PsiService psi_service(g, options);
+  InvariantPoller poller(psi_service);
 
-  std::atomic<bool> poll{true};
-  std::atomic<bool> invariant_violated{false};
-  std::thread poller([&] {
-    while (poll.load(std::memory_order_acquire)) {
-      const service::ServiceStats stats = psi_service.Stats();
-      const auto& m = stats.metrics;
-      if (m.latency.count > m.Settled() || m.Settled() > m.admitted ||
-          m.retries > m.admitted) {
-        std::cerr << "metrics invariant violated: latency.count="
-                  << m.latency.count << " settled=" << m.Settled()
-                  << " admitted=" << m.admitted << " retries=" << m.retries
-                  << "\n";
-        invariant_violated.store(true, std::memory_order_release);
-        return;
-      }
-    }
-  });
-
-  // Saturation offering, in rounds. One round normally completes the whole
-  // degradation cycle, but on slow machines (TSan CI) most submissions shed
-  // and too few requests settle to burn through the cooldowns — so with the
+  // Offered in rounds. One round normally completes the whole degradation
+  // cycle, but on slow machines (TSan CI) most submissions shed and too
+  // few requests settle to burn through the cooldowns — so with the
   // default cocktail the same workload is re-offered (bounded) until
   // degraded-mode entry + exit and a shed retry have all been observed.
   constexpr int kMaxRounds = 6;
-  size_t shed = 0;
-  size_t total_admitted = 0;
-  size_t degraded_served = 0;
-  std::map<std::string, uint64_t> outcomes;
+  Tally tally;
   int rounds = 0;
   util::WallTimer wall;
   for (int round = 0; round < kMaxRounds; ++round) {
     ++rounds;
-    std::vector<std::future<service::QueryResponse>> futures;
-    futures.reserve(requests.size());
-    for (const service::QueryRequest& request : requests) {
-      // Submit itself already retries shed admissions (degradation
-      // policy), so a nullopt here means retries were exhausted.
-      auto future = psi_service.Submit(request);
-      if (future.has_value()) {
-        futures.push_back(std::move(*future));
-      } else {
-        ++shed;
-      }
-    }
-    total_admitted += futures.size();
-    for (auto& future : futures) {
-      const service::QueryResponse response = future.get();
-      ++outcomes[service::RequestStatusName(response.status)];
-      if (response.served_degraded) ++degraded_served;
-    }
+    Offer(psi_service, requests, spec, tally);
     if (!default_cocktail || injector.TotalFires() == 0) break;
     const service::MetricsSnapshot m = psi_service.Stats().metrics;
     if (m.degraded_entries > 0 && m.degraded_exits > 0 && m.retries > 0) {
@@ -366,8 +414,8 @@ int ChaosRun(const graph::Graph& g,
   }
   const double wall_seconds = wall.Seconds();
   const service::ServiceStats stats = psi_service.Stats();
-  poll.store(false, std::memory_order_release);
-  poller.join();
+  Checks check;
+  CheckSettlement(poller, tally, stats, check);
   const auto site_stats = injector.AllStats();
   const uint64_t fires = injector.TotalFires();
   injector.DisarmAll();
@@ -376,8 +424,9 @@ int ChaosRun(const graph::Graph& g,
   const auto& m = stats.metrics;
   std::cout << "--- chaos (" << requests.size() << " requests, " << rounds
             << (rounds == 1 ? " round" : " rounds") << ") ---\n"
-            << "wall: " << wall_seconds << " s, shed after retries: " << shed
-            << ", served degraded: " << degraded_served << "\n"
+            << "wall: " << wall_seconds << " s, shed after retries: "
+            << tally.shed << ", served degraded: " << tally.served_degraded
+            << "\n"
             << m.ToString() << "\n"
             << "gauges: degraded_mode=" << stats.degraded_mode
             << " cache_bypass=" << stats.cache_bypass
@@ -386,28 +435,15 @@ int ChaosRun(const graph::Graph& g,
     std::cout << "fault " << site << ": hits=" << s.hits
               << " fires=" << s.fires << "\n";
   }
-  for (const auto& [status, count] : outcomes) {
+  for (const auto& [status, count] : tally.outcomes) {
     std::cout << status << ": " << count << "\n";
   }
 
   // --- Verification -------------------------------------------------------
-  int failures = 0;
-  auto check = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::cerr << "CHAOS CHECK FAILED: " << what << "\n";
-      ++failures;
-    }
-  };
-  check(!invariant_violated.load(std::memory_order_acquire),
-        "metrics snapshot invariants held in every poll");
-  check(m.retries <= m.admitted, "retries <= admitted");
-  check(m.Settled() <= m.admitted, "Settled() <= admitted");
-  check(m.Settled() == total_admitted,
-        "every admitted request settled exactly once");
   if (fires > 0 && default_cocktail) {
     // The default cocktail is engineered to drive every degradation policy
     // through at least one cycle; a user-supplied --faults schedule need
-    // not, so for those only the universal invariants above are binding.
+    // not, so for those only the settlement checks are binding.
     check(m.degraded_entries > 0, "degraded mode was entered");
     check(m.degraded_exits > 0, "degraded mode was exited");
     check(m.retries > 0, "shed retries were exercised");
@@ -415,27 +451,21 @@ int ChaosRun(const graph::Graph& g,
     std::cout << "(no faults fired — PSI_ENABLE_FAULT_INJECTION=OFF build; "
                  "degradation checks skipped)\n";
   }
-  if (failures == 0) std::cout << "chaos run OK\n";
-  return failures == 0 ? 0 : 1;
+  if (check.failures == 0) std::cout << "chaos run OK\n";
+  return check.ExitCode();
 }
 
 /// Hot-swap storm: a swapper thread republishes the served graph while the
-/// main thread offers the workload at saturation (shed submissions retried,
-/// so every request is eventually admitted). The catalog.publish fault site
-/// is armed by default, so a fraction of publishes abort after the build —
-/// the previous snapshot must keep serving through those. Verifies the
-/// tentpole invariants end-to-end and returns the process exit code.
+/// workload is offered in rounds until the swapper is done. The injector
+/// is already armed, by default with catalog.publish, so a fraction of
+/// publishes abort after the build — the previous snapshot must keep
+/// serving through those. Verifies the catalog contract end to end and
+/// returns the exit code.
 int SwapStormRun(const graph::Graph& g,
                  const std::vector<service::QueryRequest>& requests,
-                 const service::ServiceOptions& options,
-                 const std::string& spec, size_t swaps_target) {
+                 const service::ServiceOptions& options, const OfferSpec& spec,
+                 size_t swaps_target) {
   util::FaultInjector& injector = util::FaultInjector::Global();
-  const util::Status armed = injector.ArmFromSpec(spec);
-  if (!armed.ok()) {
-    std::cerr << "bad --faults spec: " << armed.ToString() << "\n";
-    return 2;
-  }
-
   service::GraphCatalog catalog;
   service::SnapshotBuildOptions build;
   build.signature_method = options.engine.signature_method;
@@ -463,6 +493,7 @@ int SwapStormRun(const graph::Graph& g,
   }
 
   service::PsiService psi_service(&catalog, options);
+  InvariantPoller poller(psi_service);
 
   std::atomic<bool> swapping{true};
   uint64_t swap_failures = 0;
@@ -482,36 +513,9 @@ int SwapStormRun(const graph::Graph& g,
     swapping.store(false, std::memory_order_release);
   });
 
-  // Invariant poller: the metrics contract, the cross-snapshot cache
-  // tripwire and the cache's entry bound must hold in *every* snapshot taken
-  // mid-swap, not just at the end of the run.
-  std::atomic<bool> poll{true};
-  std::atomic<bool> invariant_violated{false};
-  std::thread poller([&] {
-    while (poll.load(std::memory_order_acquire)) {
-      const service::ServiceStats stats = psi_service.Stats();
-      const auto& m = stats.metrics;
-      if (m.latency.count > m.Settled() || m.Settled() > m.admitted ||
-          stats.cache.epoch_drops != 0 ||
-          stats.cache_entries > core::PredictionCache::kMaxEntries) {
-        std::cerr << "swap-storm invariant violated mid-run: latency.count="
-                  << m.latency.count << " settled=" << m.Settled()
-                  << " admitted=" << m.admitted
-                  << " epoch_drops=" << stats.cache.epoch_drops
-                  << " cache_entries=" << stats.cache_entries << "\n";
-        invariant_violated.store(true, std::memory_order_release);
-        return;
-      }
-    }
-  });
-
-  // Saturation offering, re-offering the workload until the swapper is
-  // done so the service is under load for every single swap. Each round
-  // drains before re-offering to bound the in-flight future count.
-  std::map<std::string, uint64_t> outcomes;
-  std::set<uint64_t> response_versions;
-  size_t admitted = 0;
-  size_t zero_version_responses = 0;
+  // Re-offer the workload until the swapper is done so the service is
+  // under load for every single swap. Each round drains before the next.
+  Tally tally;
   size_t rounds = 0;
   util::WallTimer wall;
   for (;;) {
@@ -520,25 +524,7 @@ int SwapStormRun(const graph::Graph& g,
     // run is guaranteed to span at least two versions (given one swap).
     const bool swapper_done = !swapping.load(std::memory_order_acquire);
     ++rounds;
-    std::vector<std::future<service::QueryResponse>> futures;
-    futures.reserve(requests.size());
-    for (const service::QueryRequest& request : requests) {
-      for (;;) {
-        auto future = psi_service.Submit(request);
-        if (future.has_value()) {
-          futures.push_back(std::move(*future));
-          ++admitted;
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
-    }
-    for (auto& future : futures) {
-      const service::QueryResponse response = future.get();
-      ++outcomes[service::RequestStatusName(response.status)];
-      if (response.snapshot_version == 0) ++zero_version_responses;
-      response_versions.insert(response.snapshot_version);
-    }
+    Offer(psi_service, requests, spec, tally);
     if (swapper_done) break;
   }
   swapper.join();
@@ -549,8 +535,8 @@ int SwapStormRun(const graph::Graph& g,
   const double wall_seconds = wall.Seconds();
 
   const service::ServiceStats stats = psi_service.Stats();
-  poll.store(false, std::memory_order_release);
-  poller.join();
+  Checks check;
+  CheckSettlement(poller, tally, stats, check);
   const uint64_t fires = injector.TotalFires();
   const auto publish_site_stats =
       injector.Stats(util::faults::kCatalogPublish);
@@ -574,38 +560,22 @@ int SwapStormRun(const graph::Graph& g,
             << " misses=" << stats.cache.misses
             << " evictions=" << stats.cache.evictions
             << " epoch_drops=" << stats.cache.epoch_drops << "\n"
-            << "response versions: " << response_versions.size()
-            << " distinct across " << admitted << " admitted\n";
-  for (const auto& [status, count] : outcomes) {
+            << "response versions: " << tally.versions.size()
+            << " distinct across " << tally.admitted << " admitted\n";
+  for (const auto& [status, count] : tally.outcomes) {
     std::cout << status << ": " << count << "\n";
   }
 
   // --- Verification -------------------------------------------------------
-  int failures = 0;
-  auto check = [&](bool ok, const char* what) {
-    if (!ok) {
-      std::cerr << "SWAP-STORM CHECK FAILED: " << what << "\n";
-      ++failures;
-    }
-  };
-  check(!invariant_violated.load(std::memory_order_acquire),
-        "metrics, epoch_drops and cache-bound invariants held in every "
-        "mid-run poll");
-  check(m.Settled() == admitted, "every admitted request settled exactly once");
-  check(zero_version_responses == 0,
+  check(tally.versions.count(0) == 0,
         "every response reported a snapshot version");
-  check(std::all_of(response_versions.begin(), response_versions.end(),
+  check(std::all_of(tally.versions.begin(), tally.versions.end(),
                     [&](uint64_t v) {
                       return std::find(published_versions.begin(),
                                        published_versions.end(),
                                        v) != published_versions.end();
                     }),
         "every response version matches a published generation");
-  check(stats.cache.epoch_drops == 0,
-        "zero cross-snapshot cache hits (epoch_drops == 0)");
-  check(stats.cache_entries <= core::PredictionCache::kMaxEntries,
-        "prediction cache within its entry bound "
-        "(cache_entries <= PredictionCache::kMaxEntries)");
   check(m.not_found == 0, "failed publishes never unserved the name");
   check(stats.metrics.snapshot_publishes == published_versions.size(),
         "publish counter matches successful publishes");
@@ -614,7 +584,7 @@ int SwapStormRun(const graph::Graph& g,
   check(stats.metrics.snapshot_publish_failures == publish_site_stats.fires,
         "publish-failure counter matches injected aborts");
   if (swapped_versions.size() > 1) {
-    check(response_versions.size() > 1,
+    check(tally.versions.size() > 1,
           "load actually spanned more than one generation");
   }
   // Memory release: with the service quiesced and the name retired, every
@@ -633,8 +603,8 @@ int SwapStormRun(const graph::Graph& g,
     std::cout << "(no faults fired — PSI_ENABLE_FAULT_INJECTION=OFF build; "
                  "publish-failure checks skipped)\n";
   }
-  if (failures == 0) std::cout << "swap-storm OK\n";
-  return failures == 0 ? 0 : 1;
+  if (check.failures == 0) std::cout << "swap-storm OK\n";
+  return check.ExitCode();
 }
 
 void PrintReport(const char* title, const RunReport& report) {
@@ -772,83 +742,77 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const double qps = std::atof(get("--qps", "0").c_str());
-
-  // --- Batched dispatch ---------------------------------------------------
+  const bool chaos = args.Has("--chaos");
+  OfferSpec offer;
+  offer.qps = std::atof(get("--qps", "0").c_str());
+  // Saturation re-offers shed units; the chaos run leaves them shed (the
+  // service's own retry policy is under test there), as does the stress
+  // run, whose shutdown sheds for good.
+  offer.retry_shed = offer.qps <= 0.0 && !chaos && !stress;
   if (args.Has("--batch")) {
-    const size_t batch_size =
-        std::strtoull(get("--batch", "0").c_str(), nullptr, 10);
-    if (batch_size == 0) {
+    offer.unit = std::strtoull(get("--batch", "0").c_str(), nullptr, 10);
+    if (offer.unit == 0) {
       std::cerr << "psi_loadgen: --batch wants a positive batch size\n";
       return 2;
     }
-    if (args.Has("--chaos") || stress || args.Has("--swap-storm")) {
-      std::cerr << "psi_loadgen: --batch offers plain batched load and does "
-                   "not combine with --chaos/--stress/--swap-storm\n";
-      return 2;
-    }
-    const RunReport batched = BatchedOfferLoad(g, requests, options,
-                                               batch_size);
-    const std::string title =
-        "batched concurrent (batch " + std::to_string(batch_size) + ")";
-    PrintReport(title.c_str(), batched);
-    if (args.Has("--baseline")) {
-      const RunReport sequential = OfferLoad(g, requests, options, /*qps=*/0.0);
-      PrintReport("sequential Submit baseline", sequential);
-      if (sequential.Throughput() > 0.0) {
-        std::cout << "batching speedup at batch " << batch_size << ": "
-                  << batched.Throughput() / sequential.Throughput() << "x\n";
-      }
-    }
-    return 0;
   }
 
-  if (args.Has("--chaos")) {
-    return ChaosRun(g, requests, options, get("--faults", kDefaultChaosSpec),
+  const bool swap_storm = args.Has("--swap-storm");
+  if (chaos || swap_storm) {
+    const util::Status armed = util::FaultInjector::Global().ArmFromSpec(
+        get("--faults", chaos ? kDefaultChaosSpec : "catalog.publish=every:3"));
+    if (!armed.ok()) {
+      std::cerr << "bad --faults spec: " << armed.ToString() << "\n";
+      return 2;
+    }
+  }
+
+  if (chaos) {
+    return ChaosRun(g, requests, options, offer,
                     /*default_cocktail=*/!args.Has("--faults"));
   }
 
-  if (args.Has("--swap-storm")) {
+  if (swap_storm) {
     const size_t swaps = std::max<size_t>(
         1, std::strtoull(get("--swaps", "24").c_str(), nullptr, 10));
-    return SwapStormRun(g, requests, options,
-                        get("--faults", "catalog.publish=every:3"), swaps);
+    return SwapStormRun(g, requests, options, offer, swaps);
   }
 
   if (stress) {
     const size_t waves =
         std::max<size_t>(1, std::strtoull(get("--waves", "4").c_str(),
                                           nullptr, 10));
-    std::map<std::string, uint64_t> totals;
-    util::WallTimer wall;
-    for (size_t wave = 0; wave < waves; ++wave) {
-      for (const auto& [status, count] : StressWave(g, requests, options)) {
-        totals[status] += count;
-      }
-    }
-    std::cout << "--- stress (" << waves << " waves, "
-              << requests.size() << " requests each, deadlines "
-              << spec.deadline_ms_min << ".." << spec.deadline_ms_max
-              << " ms) ---\nwall: " << wall.Seconds() << " s\n";
-    for (const auto& [status, count] : totals) {
-      std::cout << status << ": " << count << "\n";
-    }
-    return 0;
+    return StressRun(g, requests, options, offer, waves, spec);
   }
 
-  const RunReport concurrent = OfferLoad(g, requests, options, qps);
-  PrintReport("concurrent", concurrent);
+  Checks check;
+  const std::string title =
+      offer.unit > 1 ? "batched concurrent (batch " +
+                           std::to_string(offer.unit) + ")"
+                     : std::string("concurrent");
+  const RunReport concurrent = OfferLoad(g, requests, options, offer, check);
+  PrintReport(title.c_str(), concurrent);
 
   if (args.Has("--baseline")) {
-    service::ServiceOptions serial = options;
-    serial.num_workers = 1;
-    const RunReport baseline = OfferLoad(g, requests, serial, /*qps=*/0.0);
-    PrintReport("serial baseline (1 worker)", baseline);
+    // Batched runs compare against per-request Submit on the same workers;
+    // per-request runs against a single worker. Both saturate.
+    OfferSpec saturate;
+    saturate.retry_shed = true;
+    service::ServiceOptions baseline_options = options;
+    if (offer.unit == 1) baseline_options.num_workers = 1;
+    const RunReport baseline =
+        OfferLoad(g, requests, baseline_options, saturate, check);
+    PrintReport(offer.unit > 1 ? "sequential Submit baseline"
+                               : "serial baseline (1 worker)",
+                baseline);
     if (baseline.Throughput() > 0.0) {
-      std::cout << "speedup at " << options.num_workers
-                << " workers: " << concurrent.Throughput() / baseline.Throughput()
-                << "x\n";
+      if (offer.unit > 1) {
+        std::cout << "batching speedup at batch " << offer.unit << ": ";
+      } else {
+        std::cout << "speedup at " << options.num_workers << " workers: ";
+      }
+      std::cout << concurrent.Throughput() / baseline.Throughput() << "x\n";
     }
   }
-  return 0;
+  return check.ExitCode();
 }
