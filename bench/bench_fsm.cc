@@ -46,8 +46,8 @@ int main() {
       "FSM support counting: enumeration vs PSI vs served batches",
       "Abdelhamid et al., EDBT'19, Figure 12 regime + DESIGN.md §17",
       "served = one SubmitBatch of per-pivot pessimistic probes per\n"
-      "candidate pattern (exact MNI, no early stop), service workers = the\n"
-      "same worker count the in-process methods get.");
+      "candidate pattern, each stopped at min_support valid nodes; service\n"
+      "workers = the same worker count the in-process methods get.");
 
   struct Case {
     graph::Dataset dataset;
@@ -109,9 +109,9 @@ int main() {
       batches = service.Stats().metrics.batch_submitted;
       context_hits = service.Stats().metrics.batch_context_hits;
 
-      // Complete runs must agree on the frequent set (supports may differ:
-      // enumeration/PSI report capped lower bounds, served exact MNI). A
-      // censored run's set is truncated, so it is excluded from the check.
+      // Complete runs must agree on the frequent set (PSI and served report
+      // equal supports; enumeration's are lower bounds). A censored run's
+      // set is truncated, so it is excluded from the check.
       bool agree = true;
       if (by_psi.complete && by_served.complete) {
         agree = by_psi.frequent.size() == by_served.frequent.size();

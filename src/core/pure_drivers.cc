@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/query_context.h"
@@ -47,11 +48,11 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
     return result;
   }
   const signature::SignatureMatrix& query_sigs = prepared->query_sigs;
-  // Own the candidate list: a shared batch context is immutable and the
-  // pessimistic prefilter edits in place.
-  std::vector<graph::NodeId> candidates =
-      options.prepared != nullptr ? prepared->candidates
-                                  : std::move(local.candidates);
+  // The loops read the prepared list; only the pessimistic bulk prefilter
+  // below edits a list, and it edits its own copy (a shared batch context
+  // is immutable).
+  std::span<const graph::NodeId> candidates = prepared->candidates;
+  std::vector<graph::NodeId> filtered;
 
   const match::Plan plan = match::MakeHeuristicPlan(q, g, q.pivot());
 
@@ -60,23 +61,28 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
   eval_options.deadline = options.deadline;
   eval_options.stop = options.stop;
 
-  if (options.strategy == PureStrategy::kPessimistic) {
-    // The pessimist checks every pivot candidate's signature anyway (no
-    // early exit at the driver level), so run the whole list through the
-    // bulk kernel once instead of one scalar check per EvaluateNode call.
+  // Without a limit the pessimist checks every pivot candidate's signature
+  // anyway, so run the whole list through the bulk kernel once instead of
+  // one scalar check per EvaluateNode call. Under a limit the loop stops
+  // early, and EvaluateNode checks only the candidates it reaches.
+  const size_t limit = options.max_valid_nodes;
+  if (options.strategy == PureStrategy::kPessimistic && limit == 0) {
+    filtered = options.prepared != nullptr ? prepared->candidates
+                                           : std::move(local.candidates);
     if (options.prepared != nullptr &&
         options.prepared_pivot_requirement != nullptr) {
       // The batch context pre-built the level-0 requirement row; this is
       // the same kernel call FilterPivotCandidates would make after a
       // throwaway BindQuery, so the kept set is byte-identical.
-      result.stats.signature_checks += candidates.size();
+      result.stats.signature_checks += filtered.size();
       result.stats.pruned_by_signature += signature::FilterCandidates(
-          graph_sigs, *options.prepared_pivot_requirement, candidates);
+          graph_sigs, *options.prepared_pivot_requirement, filtered);
     } else {
       match::PsiEvaluator prefilter(g, graph_sigs);
       prefilter.BindQuery(q, query_sigs, plan);
-      prefilter.FilterPivotCandidates(candidates, &result.stats);
+      prefilter.FilterPivotCandidates(filtered, &result.stats);
     }
+    candidates = filtered;
     eval_options.pivot_prefiltered = true;
     if (candidates.empty()) {
       result.seconds = timer.Seconds();
@@ -104,6 +110,7 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
           EvaluateOne(evaluator, u, options, eval_options, &result.stats);
       if (outcome == match::Outcome::kValid) {
         result.valid_nodes.push_back(u);
+        if (limit > 0 && result.valid_nodes.size() >= limit) break;
       } else if (outcome == match::Outcome::kTimeout ||
                  outcome == match::Outcome::kStopped) {
         result.complete = false;
@@ -118,7 +125,9 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
   // Work-stealing parallel loop: each worker owns a full evaluation stack
   // (evaluator + scratch + stats) and appends to a private
   // valid list; the final sorted merge makes the answer independent of
-  // which worker ran which candidate.
+  // which worker ran which candidate. Under a limit the workers share one
+  // valid count and skip every remaining candidate once it reaches k;
+  // which k nodes they found then depends on the schedule.
   struct Worker {
     std::unique_ptr<match::SearchScratchPool::Lease> lease;
     std::unique_ptr<match::PsiEvaluator> evaluator;
@@ -137,11 +146,15 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
     w.eval_options = eval_options;
   }
   std::atomic<bool> halted{false};
+  std::atomic<size_t> found{0};
 
   const uint64_t steals = match::RunWorkStealing(
       candidates.size(), num_workers, nullptr,
       [&](size_t item, size_t worker_index) {
         Worker& w = workers[worker_index];
+        if (limit > 0 && found.load(std::memory_order_relaxed) >= limit) {
+          return;
+        }
         if (halted.load(std::memory_order_relaxed)) {
           w.complete = false;
           return;
@@ -156,6 +169,7 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
             EvaluateOne(*w.evaluator, u, options, w.eval_options, &w.stats);
         if (outcome == match::Outcome::kValid) {
           w.valid.push_back(u);
+          found.fetch_add(1, std::memory_order_relaxed);
         } else if (outcome == match::Outcome::kTimeout ||
                    outcome == match::Outcome::kStopped) {
           w.complete = false;
@@ -171,6 +185,12 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
   }
   result.stats.work_steals += steals;
   std::sort(result.valid_nodes.begin(), result.valid_nodes.end());
+  if (limit > 0 && result.valid_nodes.size() >= limit) {
+    // k verified valid nodes answer the limited query, even if a worker
+    // still in flight was interrupted afterwards.
+    result.valid_nodes.resize(limit);
+    result.complete = true;
+  }
   result.seconds = timer.Seconds();
   return result;
 }

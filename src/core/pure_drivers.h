@@ -25,7 +25,9 @@ enum class PureStrategy {
 };
 
 struct PureDriverResult {
-  std::vector<graph::NodeId> valid_nodes;  // sorted
+  /// Sorted. With a limit k (PureDriverOptions::max_valid_nodes) a
+  /// complete result holds min(k, |answer|) valid nodes.
+  std::vector<graph::NodeId> valid_nodes;
   /// False if the deadline/stop interrupted evaluation (valid_nodes is a
   /// subset of the true answer).
   bool complete = true;
@@ -43,6 +45,13 @@ struct PureDriverOptions {
   /// evaluator, scratch and stats; a complete parallel run returns
   /// valid_nodes bit-identical to the sequential run.
   size_t search_threads = 1;
+  /// Stop condition: 0 evaluates every candidate; k > 0 stops as soon as k
+  /// valid nodes are known (the FSM support probe only needs to learn
+  /// whether a pattern node reaches k images, paper §5.5). The sequential
+  /// loop returns the k smallest valid nodes; the work-stealing loop halts
+  /// every worker once their shared count reaches k and returns the k
+  /// smallest it found.
+  size_t max_valid_nodes = 0;
   /// Optional shared batch preparation (DESIGN.md §17): when non-null,
   /// PrepareQuery is skipped and the driver evaluates against this
   /// immutable context — equal by construction to what PrepareQuery would

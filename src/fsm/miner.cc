@@ -99,9 +99,9 @@ FsmResult FsmMiner::Mine(util::Deadline deadline) {
               deadline.IsInfinite()
                   ? 0.0
                   : std::max(1e-6, deadline.RemainingSeconds());
-          futures.push_back(SubmitSupportBatch(*config_.service, batch[i],
-                                               remaining,
-                                               config_.service_graph));
+          futures.push_back(SubmitSupportBatch(
+              *config_.service, batch[i], config_.min_support, remaining,
+              config_.service_graph));
         }
         for (size_t i = begin; i < end; ++i) {
           auto& future = futures[i - begin];

@@ -45,7 +45,8 @@ struct FsmConfig {
 
 struct MinedPattern {
   graph::QueryGraph pattern;
-  /// Lower-bound MNI support (>= min_support).
+  /// kPsi and served: exactly min_support (every probe stops there).
+  /// kEnumeration: a lower bound on the MNI, >= min_support.
   uint64_t support = 0;
 };
 

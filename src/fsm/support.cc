@@ -4,11 +4,11 @@
 #include <unordered_set>
 #include <vector>
 
-#include "match/candidates.h"
+#include "core/batch_context.h"
+#include "core/pure_drivers.h"
 #include "match/plan.h"
-#include "match/psi_evaluator.h"
+#include "match/search_scratch.h"
 #include "match/subgraph_enumerator.h"
-#include "signature/builders.h"
 
 namespace psi::fsm {
 
@@ -82,57 +82,52 @@ SupportResult EvaluateByPsi(const graph::Graph& g,
                             const signature::SignatureMatrix& graph_sigs,
                             const graph::QueryGraph& pattern,
                             uint64_t min_support, util::Deadline deadline) {
-  SupportResult result;
-  graph::QueryGraph pivoted = pattern;  // local copy to move the pivot
-
-  // Pattern signatures do not depend on the pivot: build once.
-  for (graph::NodeId v = 0; v < pattern.num_nodes(); ++v) {
-    if (pattern.label(v) >= g.num_labels() ||
-        g.label_frequency(pattern.label(v)) == 0) {
-      result.support = 0;
-      result.frequent = min_support == 0;
-      return result;
-    }
-  }
-  const signature::SignatureMatrix pattern_sigs = signature::BuildSignatures(
-      pivoted, graph_sigs.method(), graph_sigs.depth(),
-      graph_sigs.num_labels());
-
-  match::PsiEvaluator evaluator(g, graph_sigs);
-  match::PsiEvaluator::Options options;
-  options.mode = match::PsiMode::kPessimistic;
+  // The served batch's work, in process: one context shares the pattern's
+  // signatures and candidate lists across its pivots, one scratch pool the
+  // search arenas.
+  core::BatchEvalContext context(g, graph_sigs);
+  match::SearchScratchPool scratch;
+  core::PureDriverOptions options;
+  options.strategy = core::PureStrategy::kPessimistic;
   options.deadline = deadline;
+  options.max_valid_nodes = min_support;
+  options.scratch_pool = &scratch;
 
-  uint64_t mni = UINT64_MAX;
+  graph::QueryGraph pivoted = pattern;  // local copy to move the pivot
+  std::vector<uint64_t> counts;
+  counts.reserve(pattern.num_nodes());
   for (graph::NodeId v = 0; v < pattern.num_nodes(); ++v) {
     pivoted.set_pivot(v);
-    const match::Plan plan = match::MakeHeuristicPlan(pivoted, g, v);
-    evaluator.BindQuery(pivoted, pattern_sigs, plan);
-    const auto candidates = match::ExtractPivotCandidates(g, pivoted);
-    uint64_t count = 0;
-    for (const graph::NodeId u : candidates) {
-      const match::Outcome outcome = evaluator.EvaluateNode(u, options);
-      if (outcome == match::Outcome::kValid) {
-        ++count;
-        // This pattern node reached the threshold; MNI is decided by the
-        // weakest node, so move on.
-        if (count >= min_support) break;
-      } else if (outcome != match::Outcome::kInvalid) {
-        result.complete = false;
-        result.support = std::min<uint64_t>(mni, count);
-        return result;
-      }
+    const core::BatchEvalContext::Prepared prepared = context.Prepare(pivoted);
+    options.prepared = prepared.context;
+    options.prepared_pivot_requirement = prepared.pivot_requirement;
+    const core::PureDriverResult probe =
+        core::EvaluatePure(g, graph_sigs, pivoted, options);
+    if (!probe.complete) {
+      SupportResult result;
+      result.complete = false;
+      return result;
     }
-    mni = std::min<uint64_t>(mni, count);
-    if (mni < min_support) break;  // anti-monotone: pattern is infrequent
+    counts.push_back(probe.valid_nodes.size());
+    if (counts.back() < min_support) break;  // anti-monotone: infrequent
   }
-  if (mni == UINT64_MAX) mni = 0;
-  result.support = mni;
-  result.frequent = mni >= min_support;
-  return result;
+  return ReduceSupport(counts, min_support);
 }
 
 }  // namespace
+
+SupportResult ReduceSupport(std::span<const uint64_t> counts,
+                            uint64_t min_support) {
+  uint64_t mni = UINT64_MAX;
+  for (const uint64_t count : counts) {
+    mni = std::min(mni, count);
+    if (count < min_support) break;  // the in-process path stops here too
+  }
+  SupportResult result;
+  result.support = mni == UINT64_MAX ? 0 : mni;
+  result.frequent = result.support >= min_support;
+  return result;
+}
 
 SupportResult EvaluateSupport(const graph::Graph& g,
                               const signature::SignatureMatrix* graph_sigs,
@@ -148,7 +143,8 @@ SupportResult EvaluateSupport(const graph::Graph& g,
 
 std::optional<std::future<service::BatchResponse>> SubmitSupportBatch(
     service::PsiService& service, const graph::QueryGraph& pattern,
-    double deadline_seconds, const std::string& graph_name) {
+    uint64_t min_support, double deadline_seconds,
+    const std::string& graph_name) {
   if (pattern.num_nodes() == 0) return std::nullopt;
   service::BatchRequest batch;
   batch.graph = graph_name;
@@ -159,6 +155,7 @@ std::optional<std::future<service::BatchResponse>> SubmitSupportBatch(
     probe.query = pattern;
     probe.query.set_pivot(v);
     probe.method = service::Method::kPessimistic;
+    probe.max_valid_nodes = min_support;
     batch.queries.push_back(std::move(probe));
   }
   // Per-pivot probes of one pattern share their pivot-independent
@@ -176,18 +173,16 @@ SupportResult ReduceServedSupport(const service::BatchResponse& response,
     result.complete = false;
     return result;
   }
-  uint64_t mni = UINT64_MAX;
+  std::vector<uint64_t> counts;
+  counts.reserve(num_pattern_nodes);
   for (const service::QueryResponse& probe : response.responses) {
     if (!probe.ok()) {
       result.complete = false;
       return result;
     }
-    mni = std::min<uint64_t>(mni, probe.valid_nodes.size());
+    counts.push_back(probe.valid_nodes.size());
   }
-  if (mni == UINT64_MAX) mni = 0;
-  result.support = mni;
-  result.frequent = mni >= min_support;
-  return result;
+  return ReduceSupport(counts, min_support);
 }
 
 SupportResult EvaluateSupportServed(service::PsiService& service,
@@ -196,8 +191,8 @@ SupportResult EvaluateSupportServed(service::PsiService& service,
                                     double deadline_seconds,
                                     const std::string& graph_name) {
   if (pattern.num_nodes() == 0) return SupportResult{};
-  auto future =
-      SubmitSupportBatch(service, pattern, deadline_seconds, graph_name);
+  auto future = SubmitSupportBatch(service, pattern, min_support,
+                                   deadline_seconds, graph_name);
   if (!future.has_value()) {
     SupportResult result;
     result.complete = false;

@@ -7,27 +7,33 @@
 namespace psi::graph {
 
 NodeId QueryGraph::AddNode(Label label) {
-  assert(labels_.size() < kMaxNodes);
-  labels_.push_back(label);
-  adjacency_.emplace_back();
-  adj_bits_.push_back(0);
-  return static_cast<NodeId>(labels_.size() - 1);
+  assert(num_nodes() < kMaxNodes);
+  if (nodes_.empty()) nodes_.emplace_back();  // the sentinel
+  // The old sentinel becomes the new node (its begin is already
+  // nbrs_.size()); a fresh sentinel follows it.
+  const NodeId v = static_cast<NodeId>(nodes_.size() - 1);
+  nodes_.back().label = label;
+  nodes_.push_back(Node{0, static_cast<uint32_t>(nbrs_.size()), 0});
+  return v;
+}
+
+void QueryGraph::AppendNeighbor(NodeId v, NodeId nbr, Label label) {
+  nbrs_.insert(nbrs_.begin() + nodes_[v + 1].begin, {nbr, label});
+  for (size_t w = v + 1; w < nodes_.size(); ++w) ++nodes_[w].begin;
+  nodes_[v].bits |= 1ULL << nbr;
 }
 
 bool QueryGraph::AddEdge(NodeId u, NodeId v, Label label) {
-  assert(u < labels_.size() && v < labels_.size());
+  assert(u < num_nodes() && v < num_nodes());
   if (u == v || HasEdge(u, v)) return false;
-  adjacency_[u].emplace_back(v, label);
-  adjacency_[v].emplace_back(u, label);
-  adj_bits_[u] |= 1ULL << v;
-  adj_bits_[v] |= 1ULL << u;
-  ++num_edges_;
+  AppendNeighbor(u, v, label);
+  AppendNeighbor(v, u, label);
   return true;
 }
 
 Label QueryGraph::EdgeLabel(NodeId u, NodeId v) const {
   assert(HasEdge(u, v));
-  for (const auto& [nbr, label] : adjacency_[u]) {
+  for (const auto& [nbr, label] : neighbors(u)) {
     if (nbr == v) return label;
   }
   assert(false && "edge missing despite bitset");
@@ -35,26 +41,26 @@ Label QueryGraph::EdgeLabel(NodeId u, NodeId v) const {
 }
 
 bool QueryGraph::IsConnected() const {
-  if (labels_.empty()) return true;
+  const size_t n = num_nodes();
+  if (n == 0) return true;
   uint64_t visited = 1ULL;  // node 0
   uint64_t frontier = 1ULL;
   while (frontier != 0) {
     uint64_t next = 0;
-    for (size_t v = 0; v < labels_.size(); ++v) {
-      if ((frontier >> v) & 1ULL) next |= adj_bits_[v];
+    for (size_t v = 0; v < n; ++v) {
+      if ((frontier >> v) & 1ULL) next |= nodes_[v].bits;
     }
     frontier = next & ~visited;
     visited |= next;
   }
-  const uint64_t all =
-      labels_.size() == 64 ? ~0ULL : (1ULL << labels_.size()) - 1;
+  const uint64_t all = n == 64 ? ~0ULL : (1ULL << n) - 1;
   return (visited & all) == all;
 }
 
 size_t QueryGraph::max_label_plus_one() const {
   size_t result = 0;
-  for (const Label l : labels_) {
-    result = std::max(result, static_cast<size_t>(l) + 1);
+  for (size_t v = 0; v < num_nodes(); ++v) {
+    result = std::max(result, static_cast<size_t>(nodes_[v].label) + 1);
   }
   return result;
 }
@@ -67,10 +73,11 @@ uint64_t QueryGraph::Fingerprint() const {
     h *= 0xbf58476d1ce4e5b9ULL;
     h ^= h >> 27;
   };
-  absorb(labels_.size());
-  for (const Label l : labels_) absorb(l);
-  for (size_t v = 0; v < labels_.size(); ++v) {
-    for (const auto& [nbr, label] : adjacency_[v]) {
+  const size_t n = num_nodes();
+  absorb(n);
+  for (size_t v = 0; v < n; ++v) absorb(nodes_[v].label);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const auto& [nbr, label] : neighbors(v)) {
       if (v < nbr) {
         absorb((static_cast<uint64_t>(v) << 32) | nbr);
         absorb(label);
@@ -90,12 +97,13 @@ std::string QueryGraph::ToString() const {
     oss << "no pivot";
   }
   oss << ")";
-  for (size_t v = 0; v < labels_.size(); ++v) {
-    oss << " " << v << ":" << labels_[v];
+  const size_t n = num_nodes();
+  for (size_t v = 0; v < n; ++v) {
+    oss << " " << v << ":" << nodes_[v].label;
   }
   oss << " ;";
-  for (size_t v = 0; v < labels_.size(); ++v) {
-    for (const auto& [nbr, label] : adjacency_[v]) {
+  for (NodeId v = 0; v < n; ++v) {
+    for (const auto& [nbr, label] : neighbors(v)) {
       if (v < nbr) oss << " " << v << "-" << nbr << ":" << label;
     }
   }

@@ -2,7 +2,9 @@
 #define SMARTPSI_GRAPH_QUERY_GRAPH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -15,6 +17,11 @@ namespace psi::graph {
 /// bitsets, giving O(1) edge tests inside the matching hot loops. A query
 /// additionally carries a pivot node (paper Definition 2.1); patterns in the
 /// FSM module reuse the structure with the pivot unset.
+///
+/// Storage is flat (DESIGN.md §5): one node array (label, offset of the
+/// node's first neighbour, neighbour bitset) ending in a sentinel, and one
+/// neighbour array grouped by node. A graph is two heap blocks whatever its
+/// size, which keeps a mined pattern set of thousands of patterns small.
 class QueryGraph {
  public:
   static constexpr size_t kMaxNodes = 64;
@@ -28,28 +35,31 @@ class QueryGraph {
   /// (returns false).
   bool AddEdge(NodeId u, NodeId v, Label label = kDefaultEdgeLabel);
 
-  size_t num_nodes() const { return labels_.size(); }
-  size_t num_edges() const { return num_edges_; }
+  size_t num_nodes() const { return nodes_.empty() ? 0 : nodes_.size() - 1; }
+  size_t num_edges() const { return nbrs_.size() / 2; }
 
-  Label label(NodeId v) const { return labels_[v]; }
-  void set_label(NodeId v, Label label) { labels_[v] = label; }
+  Label label(NodeId v) const { return nodes_[v].label; }
+  void set_label(NodeId v, Label label) { nodes_[v].label = label; }
 
-  size_t degree(NodeId v) const { return adjacency_[v].size(); }
+  size_t degree(NodeId v) const {
+    return nodes_[v + 1].begin - nodes_[v].begin;
+  }
 
   /// Neighbors of `v` as (neighbor, edge label) pairs, insertion order.
-  const std::vector<std::pair<NodeId, Label>>& neighbors(NodeId v) const {
-    return adjacency_[v];
+  /// Valid until the next AddNode/AddEdge.
+  std::span<const std::pair<NodeId, Label>> neighbors(NodeId v) const {
+    return {nbrs_.data() + nodes_[v].begin, degree(v)};
   }
 
   bool HasEdge(NodeId u, NodeId v) const {
-    return (adj_bits_[u] >> v) & 1ULL;
+    return (nodes_[u].bits >> v) & 1ULL;
   }
 
   /// Label of edge (u, v); asserts the edge exists.
   Label EdgeLabel(NodeId u, NodeId v) const;
 
   /// Bitset of neighbors of `v` (bit i set iff edge (v, i) exists).
-  uint64_t neighbor_bits(NodeId v) const { return adj_bits_[v]; }
+  uint64_t neighbor_bits(NodeId v) const { return nodes_[v].bits; }
 
   void set_pivot(NodeId v) { pivot_ = v; }
   NodeId pivot() const { return pivot_; }
@@ -72,10 +82,20 @@ class QueryGraph {
   uint64_t Fingerprint() const;
 
  private:
-  size_t num_edges_ = 0;
-  std::vector<Label> labels_;
-  std::vector<std::vector<std::pair<NodeId, Label>>> adjacency_;
-  std::vector<uint64_t> adj_bits_;
+  struct Node {
+    Label label = 0;
+    /// Offset of the node's first neighbour in nbrs_; the next node's (or
+    /// the sentinel's) begin ends the group.
+    uint32_t begin = 0;
+    uint64_t bits = 0;
+  };
+
+  /// Appends (nbr, label) to the end of `v`'s neighbour group.
+  void AppendNeighbor(NodeId v, NodeId nbr, Label label);
+
+  /// num_nodes() nodes plus a sentinel; empty for the empty graph.
+  std::vector<Node> nodes_;
+  std::vector<std::pair<NodeId, Label>> nbrs_;
   NodeId pivot_ = kInvalidNode;
 };
 

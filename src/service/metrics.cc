@@ -165,6 +165,8 @@ std::string MetricsSnapshot::ToString() const {
       << "catalog: publishes=" << snapshot_publishes
       << " swaps=" << snapshot_swaps << " retires=" << snapshot_retires
       << " publish_failures=" << snapshot_publish_failures << "\n"
+      << "cache: cache_entries=" << cache_entries
+      << " cache_evictions=" << cache_evictions << "\n"
       << "latency (" << latency.count
       << " samples): mean=" << util::FormatDuration(latency.mean)
       << " p50=" << util::FormatDuration(latency.p50)

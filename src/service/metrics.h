@@ -106,6 +106,13 @@ struct MetricsSnapshot {
   uint64_t snapshot_retires = 0;
   uint64_t snapshot_publish_failures = 0;  // catalog.publish fault aborts
 
+  // Shared prediction cache (DESIGN.md §12.3). Also folded in by
+  // PsiService::Stats() from the cache itself: live entries (a gauge,
+  // bounded by PredictionCache::kMaxEntries) and entries dropped when a
+  // full shard was emptied (monotonic).
+  uint64_t cache_entries = 0;
+  uint64_t cache_evictions = 0;
+
   LatencyReservoir::Summary latency;
 
   /// Terminal events recorded so far (== admitted once the queue drains).

@@ -36,6 +36,12 @@ struct QueryRequest {
 
   Method method = Method::kSmart;
 
+  /// Stop condition: 0 asks for the whole answer; k > 0 stops evaluation
+  /// as soon as k valid nodes are known (an FSM support probe only needs to
+  /// learn whether a pattern node reaches the threshold). Pure methods
+  /// only: a kSmart request that sets a limit is answered kInvalid.
+  size_t max_valid_nodes = 0;
+
   /// Catalog name of the data graph to run against; empty selects the
   /// service's default graph. Resolution happens at admission: the request
   /// pins whatever snapshot is current then and keeps it for its whole
@@ -54,7 +60,8 @@ enum class RequestStatus {
   kCancelled,
   /// Shed at admission because the queue was at its bound; never executed.
   kRejected,
-  /// Malformed request (empty query or missing pivot).
+  /// Malformed request (empty query, missing pivot, or a kSmart request
+  /// with max_valid_nodes set).
   kInvalid,
   /// The requested graph name resolved to no catalog snapshot (unknown or
   /// retired); never evaluated.
@@ -68,7 +75,9 @@ struct QueryResponse {
   RequestStatus status = RequestStatus::kOk;
 
   /// Distinct data nodes binding to the pivot, sorted ascending. Complete
-  /// iff status == kOk.
+  /// iff status == kOk. Under a limit k (QueryRequest::max_valid_nodes),
+  /// kOk means a sorted subset of the exact answer of size
+  /// min(k, |answer|); which subset may depend on the search schedule.
   std::vector<graph::NodeId> valid_nodes;
 
   size_t num_candidates = 0;

@@ -151,6 +151,10 @@ bool PsiService::Admit(BatchRequest request, BatchDone done) {
             },
             options_.max_queue_depth);
     if (admitted) {
+      // Chaos hook: the submitter descheduled right after its enqueue, so
+      // the worker can settle the batch before Admit returns. The count
+      // above already covers it: no snapshot shows Settled() > admitted.
+      PSI_FAULT_STALL(util::faults::kServiceAdmissionEnqueued);
       if (attempt > 0) metrics_.RecordRetriedAdmission();
       return true;
     }
@@ -344,7 +348,10 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
   bool smart_evaluated = false;
   util::WallTimer exec_timer;
 
-  if (request.query.num_nodes() == 0 || !request.query.has_pivot()) {
+  // The Realist has no stop point, so a limit on a kSmart request is a
+  // promise the service cannot keep.
+  if (request.query.num_nodes() == 0 || !request.query.has_pivot() ||
+      (request.method == Method::kSmart && request.max_valid_nodes > 0)) {
     response.status = RequestStatus::kInvalid;
   } else if (!pin) {
     response.status = RequestStatus::kNotFound;
@@ -408,6 +415,7 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
       pure.search_threads = slot.search_threads_override > 0
                                 ? slot.search_threads_override
                                 : options_.search_threads;
+      pure.max_valid_nodes = request.max_valid_nodes;
       if (!slot.fault_degraded) {
         // Shared fast path: evaluate against the batch's prepared context
         // and lease scratch from its pool. Bit-identical to the standalone
@@ -561,7 +569,9 @@ ServiceStats PsiService::Stats() const {
   stats.metrics.snapshot_publish_failures = catalog_counters.publish_failures;
   stats.snapshots = catalog_->List();
   stats.cache = shared_cache_.counters();
-  stats.cache_entries = shared_cache_.size();
+  stats.metrics.cache_entries = shared_cache_.size();
+  stats.metrics.cache_evictions = stats.cache.evictions;
+  stats.cache_entries = stats.metrics.cache_entries;
   stats.queue_depth = pool_->queue_depth();
   stats.num_workers = options_.num_workers;
   stats.signature_build_seconds = signature_build_seconds_;

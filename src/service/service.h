@@ -109,6 +109,9 @@ struct ServiceOptions {
 struct ServiceStats {
   MetricsSnapshot metrics;
   core::PredictionCache::Counters cache;
+  /// Copy of metrics.cache_entries, the gauge tools and tests read.
+  /// perfbench/perfbench.cc reads it here; drop it once the benchmark
+  /// reads metrics.cache_entries.
   size_t cache_entries = 0;
   size_t queue_depth = 0;
   size_t num_workers = 0;

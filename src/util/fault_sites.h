@@ -19,6 +19,8 @@
 namespace psi::util::faults {
 
 inline constexpr char kServiceAdmissionShed[] = "service.admission.shed";
+inline constexpr char kServiceAdmissionEnqueued[] =
+    "service.admission.enqueued";
 inline constexpr char kServiceWorkerStall[] = "service.worker.stall";
 inline constexpr char kCacheLookupMiss[] = "cache.lookup.miss";
 inline constexpr char kCacheLookupPoison[] = "cache.lookup.poison";

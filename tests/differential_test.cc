@@ -7,6 +7,7 @@
 // injection-OFF builds the chaos pass degenerates to a repeat run, which
 // keeps the suite meaningful in both configurations.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -199,6 +200,76 @@ TEST_P(DifferentialTest, ParallelSearchIsBitIdenticalToSequential) {
           << "threads=" << threads << " repeat=" << repeat;
     }
   }
+}
+
+// The stop condition (PureDriverOptions::max_valid_nodes, the FSM support
+// probe's limit): a complete answer under a limit k is a sorted,
+// duplicate-free subset of the oracle of size min(k, |oracle|), and the
+// sequential loop returns the k smallest. Every k around |oracle| is
+// tried, so a limit that stops one node early or one node late fails.
+void ExpectLimitedAnswersMatchOracle(const graph::Graph& g,
+                                     const signature::SignatureMatrix& gs,
+                                     const graph::QueryGraph& q,
+                                     const std::vector<graph::NodeId>& oracle,
+                                     const std::string& context) {
+  SCOPED_TRACE(context);
+  const size_t n = oracle.size();
+  std::vector<size_t> limits = {1, 2, 3, n / 2, n, n + 1};
+  if (n > 0) limits.push_back(n - 1);
+  std::sort(limits.begin(), limits.end());
+  limits.erase(std::unique(limits.begin(), limits.end()), limits.end());
+  if (limits.front() == 0) limits.erase(limits.begin());  // 0 = no limit
+  for (const core::PureStrategy strategy :
+       {core::PureStrategy::kOptimistic, core::PureStrategy::kPessimistic}) {
+    for (const size_t threads : {1u, 2u, 4u}) {
+      for (const size_t k : limits) {
+        SCOPED_TRACE(::testing::Message()
+                     << (strategy == core::PureStrategy::kOptimistic
+                             ? "optimistic"
+                             : "pessimistic")
+                     << " threads=" << threads << " k=" << k
+                     << " |oracle|=" << n);
+        core::PureDriverOptions pure;
+        pure.strategy = strategy;
+        pure.search_threads = threads;
+        pure.max_valid_nodes = k;
+        const core::PureDriverResult result =
+            core::EvaluatePure(g, gs, q, pure);
+        ASSERT_TRUE(result.complete);
+        const std::vector<graph::NodeId>& got = result.valid_nodes;
+        EXPECT_EQ(got.size(), std::min(k, n));
+        EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+        EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
+        EXPECT_TRUE(std::includes(oracle.begin(), oracle.end(), got.begin(),
+                                  got.end()));
+        if (threads == 1) {
+          const std::vector<graph::NodeId> smallest(
+              oracle.begin(), oracle.begin() + std::min(k, n));
+          EXPECT_EQ(got, smallest);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(DifferentialTest, LimitedAnswersAreOracleSubsetsWithAndWithoutFaults) {
+  const auto [base_seed, query_size] = GetParam();
+  const uint64_t seed = psi::testing::TestSeed(base_seed, query_size * 31);
+  PSI_LOG_TEST_SEED(seed);
+
+  const graph::Graph g = psi::testing::MakeRandomGraph(220, 700, 3, seed);
+  const graph::QueryGraph q =
+      psi::testing::ExtractQuery(g, query_size, seed * 7919 + 3);
+  if (q.num_nodes() != query_size) GTEST_SKIP() << "extraction failed";
+  const auto gs = signature::BuildSignatures(
+      g, signature::Method::kMatrix, 2, g.num_labels());
+  match::BasicEngine basic(g);
+  const auto truth = basic.ProjectPivot(q, match::MatchingEngine::Options());
+  ASSERT_TRUE(truth.complete);
+
+  ExpectLimitedAnswersMatchOracle(g, gs, q, truth.pivot_matches, "bare");
+  util::ScopedFaultSpec chaos(psi::testing::MakeChaosSchedule());
+  ExpectLimitedAnswersMatchOracle(g, gs, q, truth.pivot_matches, "chaos");
 }
 
 // Compact quantized signatures (DESIGN.md §16.1) are an acceleration

@@ -10,7 +10,10 @@
 #include "util/fault_injection.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -444,6 +447,43 @@ TEST_F(FaultInjectionTest, WorkerStallDelaysEvaluationNotTheAnswer) {
   const auto stats =
       FaultInjector::Global().Stats(util::faults::kServiceWorkerStall);
   EXPECT_GE(stats.fires, 1u);
+}
+
+// Admission is counted before the batch becomes runnable (DESIGN.md §17.1).
+// With the submitter stalled right after its enqueue, the worker settles
+// the query while the submitter sleeps, and no Stats() snapshot taken
+// meanwhile may show Settled() > admitted.
+TEST_F(FaultInjectionTest, AdmissionIsCountedBeforeTheEnqueue) {
+  const graph::Graph g = psi::testing::MakeFigure1Graph();
+  service::ServiceOptions options;
+  options.num_workers = 1;
+  service::PsiService service(g, options);
+  ScopedFaultSpec chaos("service.admission.enqueued=always@150");
+
+  std::atomic<bool> returned{false};
+  std::thread submitter([&] {
+    service::QueryRequest request;
+    request.query = psi::testing::MakeFigure1Query();
+    request.method = service::Method::kPessimistic;
+    EXPECT_TRUE(service.Execute(std::move(request)).ok());
+    returned.store(true, std::memory_order_release);
+  });
+  bool settled_during_stall = false;
+  while (!returned.load(std::memory_order_acquire)) {
+    const service::MetricsSnapshot m = service.Stats().metrics;
+    EXPECT_LE(m.Settled(), m.admitted);
+    if (m.Settled() == 1) settled_during_stall = true;
+    if (HasFailure()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  submitter.join();
+  // The stall must actually have let the worker settle first, or this
+  // test checked nothing.
+  EXPECT_TRUE(settled_during_stall);
+  EXPECT_GE(FaultInjector::Global()
+                .Stats(util::faults::kServiceAdmissionEnqueued)
+                .fires,
+            1u);
 }
 
 // A request's deadline runs from admission (service/request.h), so a worker

@@ -78,13 +78,21 @@ TEST_P(FsmMethodEquivalenceTest, ServedMinerMatchesInProcessMethods) {
   const fsm::FsmResult by_served = fsm::FsmMiner(g, served_config).Mine();
   ASSERT_TRUE(by_served.complete);
 
-  // The frequent flag must agree pattern-for-pattern. Raw supports need
-  // not: enumeration and kPsi report early-stop-capped lower bounds while
-  // the served path counts exact MNI, which can exceed the cap.
+  // The frequent flag must agree pattern-for-pattern. kPsi and served
+  // support go through one reduction over probes that stop at min_support,
+  // so their supports are equal too (exactly min_support); enumeration's
+  // are lower bounds that only have to reach it.
   EXPECT_EQ(FrequentCodes(by_enum), FrequentCodes(by_psi));
   EXPECT_EQ(FrequentCodes(by_psi), FrequentCodes(by_served));
   EXPECT_EQ(by_enum.candidates_evaluated, by_served.candidates_evaluated);
-  for (const fsm::MinedPattern& m : by_served.frequent) {
+  ASSERT_EQ(by_psi.frequent.size(), by_served.frequent.size());
+  for (size_t i = 0; i < by_served.frequent.size(); ++i) {
+    EXPECT_EQ(fsm::CanonicalCode(by_served.frequent[i].pattern),
+              fsm::CanonicalCode(by_psi.frequent[i].pattern));
+    EXPECT_EQ(by_served.frequent[i].support, by_psi.frequent[i].support);
+    EXPECT_EQ(by_served.frequent[i].support, base.min_support);
+  }
+  for (const fsm::MinedPattern& m : by_enum.frequent) {
     EXPECT_GE(m.support, base.min_support);
   }
 }
@@ -132,7 +140,7 @@ TEST_F(FsmServiceTest, ServedMinerIsDeterministicAcrossThreadCounts) {
 
   std::optional<fsm::FsmResult> reference;
   // num_threads parallelizes canonicalization; num_workers the service's
-  // evaluation. The mined list (patterns, order, exact-MNI supports) must
+  // evaluation. The mined list (patterns, order, supports) must
   // not depend on either.
   for (const auto [threads, workers] :
        {std::pair<size_t, size_t>{1, 1}, {4, 1}, {1, 3}, {4, 3}}) {
@@ -414,11 +422,68 @@ TEST_F(FsmServiceTest, ShutDownServiceRejectsBatchWhole) {
   EXPECT_EQ(m.batch_submitted, 0u);
 }
 
+// Every member of one SubmitBatch carries its own limit: the same query at
+// different limits, next to unlimited members, each settles with
+// min(k, |answer|) of its full answer — the k smallest, since a batch of
+// several pure members runs each member sequentially.
+TEST_F(FsmServiceTest, BatchMemberLimitsActIndependently) {
+  const uint64_t seed = psi::testing::TestSeed(151);
+  PSI_LOG_TEST_SEED(seed);
+  const graph::Graph g = psi::testing::MakeRandomGraph(180, 560, 3, seed);
+  for (const size_t search_threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("search_threads=" + std::to_string(search_threads));
+    service::ServiceOptions options;
+    options.num_workers = 2;
+    options.search_threads = search_threads;
+    service::PsiService service(g, options);
+
+    std::vector<service::QueryRequest> requests;
+    std::vector<std::vector<graph::NodeId>> full;
+    for (uint64_t i = 0; i < 3; ++i) {
+      const graph::QueryGraph q =
+          psi::testing::ExtractQuery(g, 3, seed * 13 + i);
+      if (q.num_nodes() != 3) continue;
+      service::QueryRequest request;
+      request.query = q;
+      request.method = i % 2 == 0 ? service::Method::kPessimistic
+                                  : service::Method::kOptimistic;
+      const service::QueryResponse whole = service.Execute(request);
+      ASSERT_TRUE(whole.ok());
+      const size_t n = whole.valid_nodes.size();
+      for (const size_t k : {size_t{0}, size_t{1}, n / 2 + 1, n, n + 1,
+                             size_t{0}}) {
+        request.max_valid_nodes = k;
+        requests.push_back(request);
+        full.push_back(whole.valid_nodes);
+      }
+    }
+    ASSERT_GE(requests.size(), 12u);
+
+    service::BatchRequest batch;
+    batch.queries = requests;
+    auto future = service.SubmitBatch(batch);
+    ASSERT_TRUE(future.has_value());
+    const service::BatchResponse response = future->get();
+    ASSERT_EQ(response.responses.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      const size_t k = requests[i].max_valid_nodes;
+      SCOPED_TRACE("member " + std::to_string(i) + " k=" + std::to_string(k));
+      const service::QueryResponse& member = response.responses[i];
+      ASSERT_EQ(member.status, service::RequestStatus::kOk);
+      const size_t expected =
+          k == 0 ? full[i].size() : std::min(k, full[i].size());
+      EXPECT_EQ(member.valid_nodes,
+                std::vector<graph::NodeId>(full[i].begin(),
+                                           full[i].begin() + expected));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Served support primitives.
 // ---------------------------------------------------------------------------
 
-TEST_F(FsmServiceTest, EvaluateSupportServedMatchesInProcessVerdicts) {
+TEST_F(FsmServiceTest, EvaluateSupportServedMatchesInProcessSupports) {
   const uint64_t seed = psi::testing::TestSeed(127);
   PSI_LOG_TEST_SEED(seed);
   const graph::Graph g = psi::testing::MakeRandomGraph(120, 360, 3, seed);
@@ -440,8 +505,12 @@ TEST_F(FsmServiceTest, EvaluateSupportServedMatchesInProcessVerdicts) {
       ASSERT_TRUE(in_process.complete);
       ASSERT_TRUE(served.complete);
       EXPECT_EQ(served.frequent, in_process.frequent);
-      // Served support is the exact MNI; kPsi's is a capped lower bound.
-      EXPECT_GE(served.support, in_process.support);
+      // One reduction over the same limited probes: equal supports, and a
+      // frequent pattern's is the threshold itself.
+      EXPECT_EQ(served.support, in_process.support);
+      if (served.frequent) {
+        EXPECT_EQ(served.support, min_support);
+      }
     }
   }
 }

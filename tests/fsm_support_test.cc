@@ -1,5 +1,7 @@
 #include "fsm/support.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "signature/builders.h"
@@ -101,6 +103,50 @@ TEST_F(SupportTest, MethodsAgreeOnRandomPatterns) {
       EXPECT_EQ(enumeration.frequent, psi.frequent)
           << p.ToString() << " threshold " << threshold;
     }
+  }
+}
+
+// The one reduction both kPsi and served support go through: the minimum
+// of the per-pivot counts up to the first one below the threshold.
+TEST(ReduceSupportTest, FirstShortPivotDecides) {
+  const std::vector<uint64_t> all_reach = {4, 4, 4};
+  SupportResult r = ReduceSupport(all_reach, 4);
+  EXPECT_TRUE(r.frequent);
+  EXPECT_EQ(r.support, 4u);
+  EXPECT_TRUE(r.complete);
+
+  // Pattern-node order decides which short count is reported: the
+  // in-process path stops probing at the first one.
+  const std::vector<uint64_t> short_twice = {4, 3, 1};
+  r = ReduceSupport(short_twice, 4);
+  EXPECT_FALSE(r.frequent);
+  EXPECT_EQ(r.support, 3u);
+  r = ReduceSupport(std::vector<uint64_t>{4, 3}, 4);
+  EXPECT_EQ(r.support, 3u);
+
+  // One short of the threshold is infrequent; reaching it is frequent.
+  EXPECT_FALSE(ReduceSupport(std::vector<uint64_t>{5, 4}, 5).frequent);
+  EXPECT_TRUE(ReduceSupport(std::vector<uint64_t>{5, 5}, 5).frequent);
+
+  r = ReduceSupport(std::vector<uint64_t>{0, 7}, 0);
+  EXPECT_TRUE(r.frequent);
+  EXPECT_EQ(r.support, 0u);
+
+  // The reduction does not cap: counts from unlimited probes give the
+  // exact MNI, so a probe that ignored its limit shows in the support.
+  r = ReduceSupport(std::vector<uint64_t>{9, 7}, 5);
+  EXPECT_TRUE(r.frequent);
+  EXPECT_EQ(r.support, 7u);
+}
+
+// kPsi probes stop at min_support valid nodes, so a frequent pattern's
+// support is exactly the threshold, whatever its MNI.
+TEST_F(SupportTest, PsiSupportOfFrequentPatternIsTheThreshold) {
+  const graph::QueryGraph p = EdgePattern(psi::testing::kA, psi::testing::kB);
+  for (const uint64_t threshold : {uint64_t{1}, uint64_t{2}}) {
+    const SupportResult r = Eval(p, threshold, SupportMethod::kPsi);
+    EXPECT_TRUE(r.frequent);
+    EXPECT_EQ(r.support, threshold);
   }
 }
 

@@ -209,6 +209,8 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
   s.batch_queries = 26;
   s.batch_context_hits = 27;
   s.batch_degraded = 28;
+  s.cache_entries = 29;
+  s.cache_evictions = 30;
 
   const std::string text = s.ToString();
   const std::vector<std::string> expected = {
@@ -226,6 +228,7 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
       "publish_failures=23", "batch_submitted=24",
       "batch_rejected=25", "batch_queries=26",
       "batch_context_hits=27", "batch_degraded=28",
+      "cache_entries=29", "cache_evictions=30",
   };
   for (const std::string& label : expected) {
     EXPECT_NE(text.find(label), std::string::npos)

@@ -46,6 +46,38 @@ TEST(PsiServiceTest, Figure1QueryMatchesPaperAnswer) {
   EXPECT_GE(response.latency_seconds, response.exec_seconds);
 }
 
+// The Realist has no stop point: a kSmart request with a limit is refused
+// as kInvalid, alone or as a batch member, while a pure member of the same
+// batch honours its limit.
+TEST(PsiServiceTest, SmartRequestWithLimitIsInvalid) {
+  const graph::Graph g = testing::MakeFigure1Graph();
+  PsiService service(g, SmallOptions(2));
+  QueryRequest smart;
+  smart.query = testing::MakeFigure1Query();
+  smart.method = Method::kSmart;
+  smart.max_valid_nodes = 1;
+  const QueryResponse alone = service.Execute(smart);
+  EXPECT_EQ(alone.status, RequestStatus::kInvalid);
+  EXPECT_TRUE(alone.valid_nodes.empty());
+
+  QueryRequest pure = smart;
+  pure.method = Method::kPessimistic;
+  BatchRequest batch;
+  batch.queries = {smart, pure};
+  const BatchResponse response = service.ExecuteBatch(std::move(batch));
+  ASSERT_EQ(response.responses.size(), 2u);
+  EXPECT_EQ(response.responses[0].status, RequestStatus::kInvalid);
+  EXPECT_EQ(response.responses[1].status, RequestStatus::kOk);
+  EXPECT_EQ(response.responses[1].valid_nodes,
+            (std::vector<graph::NodeId>{0}));
+
+  // Without the limit the same kSmart request is answered in full.
+  smart.max_valid_nodes = 0;
+  EXPECT_EQ(service.Execute(smart).valid_nodes,
+            (std::vector<graph::NodeId>{0, 5}));
+  EXPECT_EQ(service.Stats().metrics.invalid, 2u);
+}
+
 TEST(PsiServiceTest, PureMethodsAgreeWithSmart) {
   const graph::Graph g = testing::MakeFigure1Graph();
   PsiService service(g, SmallOptions(2));
@@ -289,7 +321,12 @@ TEST(PsiServiceTest, SharedCacheSeesRepeatTraffic) {
     }
   }
   const ServiceStats stats = service.Stats();
-  EXPECT_GT(stats.cache_entries, 0u);
+  EXPECT_GT(stats.metrics.cache_entries, 0u);
+  EXPECT_LE(stats.metrics.cache_entries, stats.cache.inserts);
+  EXPECT_EQ(stats.cache_entries, stats.metrics.cache_entries);
+  // Far below the bound: nothing was evicted, and the gauge says so.
+  EXPECT_EQ(stats.metrics.cache_evictions, 0u);
+  EXPECT_EQ(stats.metrics.cache_evictions, stats.cache.evictions);
   EXPECT_GT(stats.cache.inserts, 0u);
   // Rounds 2 and 3 re-run identical queries against a warm cache.
   EXPECT_GT(stats.cache.hits, 0u);

@@ -218,7 +218,7 @@ std::string BrokenInvariant(const service::ServiceStats& stats) {
     broken = "retries <= admitted";
   } else if (stats.cache.epoch_drops != 0) {
     broken = "epoch_drops == 0 (no cross-snapshot cache hit)";
-  } else if (stats.cache_entries > core::PredictionCache::kMaxEntries) {
+  } else if (m.cache_entries > core::PredictionCache::kMaxEntries) {
     broken = "cache_entries <= PredictionCache::kMaxEntries";
   } else {
     return broken;
@@ -228,7 +228,7 @@ std::string BrokenInvariant(const service::ServiceStats& stats) {
          " admitted=" + std::to_string(m.admitted) +
          " retries=" + std::to_string(m.retries) +
          " epoch_drops=" + std::to_string(stats.cache.epoch_drops) +
-         " cache_entries=" + std::to_string(stats.cache_entries) + ")";
+         " cache_entries=" + std::to_string(m.cache_entries) + ")";
 }
 
 /// The one invariant poller: hammers Stats() on its own thread from
@@ -555,10 +555,8 @@ int SwapStormRun(const graph::Graph& g,
             << " injected publish failures) ---\n"
             << "wall: " << wall_seconds << " s\n"
             << m.ToString() << "\n"
-            << "cache: entries=" << stats.cache_entries
-            << " hits=" << stats.cache.hits
+            << "cache lookups: hits=" << stats.cache.hits
             << " misses=" << stats.cache.misses
-            << " evictions=" << stats.cache.evictions
             << " epoch_drops=" << stats.cache.epoch_drops << "\n"
             << "response versions: " << tally.versions.size()
             << " distinct across " << tally.admitted << " admitted\n";
@@ -613,10 +611,8 @@ void PrintReport(const char* title, const RunReport& report) {
             << "wall: " << report.wall_seconds << " s, throughput: "
             << report.Throughput() << " q/s\n"
             << m.ToString() << "\n"
-            << "cache: entries=" << report.stats.cache_entries
-            << " hits=" << report.stats.cache.hits
-            << " misses=" << report.stats.cache.misses
-            << " evictions=" << report.stats.cache.evictions << " (hit rate "
+            << "cache lookups: hits=" << report.stats.cache.hits
+            << " misses=" << report.stats.cache.misses << " (hit rate "
             << report.stats.cache.HitRate() << ")\n";
 }
 

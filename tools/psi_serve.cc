@@ -263,11 +263,9 @@ int ServeLoop(service::PsiService& psi_service, std::istream& in, bool quiet,
   // --- Stats --------------------------------------------------------------
   const service::ServiceStats stats = psi_service.Stats();
   std::cerr << stats.metrics.ToString() << "\n";
-  std::cerr << "cache: entries=" << stats.cache_entries
-            << " hits=" << stats.cache.hits
+  std::cerr << "cache lookups: hits=" << stats.cache.hits
             << " misses=" << stats.cache.misses
             << " inserts=" << stats.cache.inserts
-            << " evictions=" << stats.cache.evictions
             << " epoch_drops=" << stats.cache.epoch_drops << "\n";
   for (const auto& e : stats.snapshots) {
     std::cerr << "snapshot: " << (e.current ? "current" : "retired") << " "
