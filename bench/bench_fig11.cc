@@ -38,7 +38,8 @@ int main() {
     core::SmartPsiConfig config;
     config.min_candidates_for_ml = 8;  // keep the ML path on small graphs
     // At stand-in scale, 10% of a few hundred candidates is a tiny training
-    // set; a larger fraction restores the paper's training regime.
+    // set, so the ceiling is raised; the training budget
+    // (SmartPsiEngine::kTrainingShare) still stops most samples below it.
     config.train_fraction = 0.25;
     config.forest_trees = 32;
     core::SmartPsiEngine engine(g, config);

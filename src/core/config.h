@@ -11,7 +11,8 @@ namespace psi::core {
 
 /// Tuning knobs for the SmartPSI engine (paper §4.2–4.3). Defaults follow
 /// the paper where it states values (10% training sample capped at 1000
-/// nodes, super-optimistic candidate cap 10, MaxTime = 2 × AvgT).
+/// nodes, here a ceiling; super-optimistic candidate cap 10, MaxTime =
+/// 2 × AvgT).
 struct SmartPsiConfig {
   // --- Signatures -------------------------------------------------------
   /// Builder for graph and query signatures (must match; engine-enforced).
@@ -23,8 +24,9 @@ struct SmartPsiConfig {
   float signature_decay = signature::SignatureMatrix::kDefaultDecay;
 
   // --- Training (Models α and β) ----------------------------------------
-  /// Fraction of the cache-missing candidates evaluated to build training
-  /// data.
+  /// Ceiling on the fraction of the cache-missing candidates evaluated to
+  /// build training data: training stops earlier once it has spent
+  /// SmartPsiEngine::kTrainingShare of the query's estimated work.
   double train_fraction = 0.1;
   /// Hard cap on training nodes (paper §5.2 uses 1000).
   size_t max_train_nodes = 1000;

@@ -34,12 +34,6 @@ struct PsiQueryResult {
   // --- type the evaluation itself establishes) ---------------------------
   size_t alpha_predictions = 0;
   size_t alpha_correct = 0;
-  double AlphaAccuracy() const {
-    return alpha_predictions == 0
-               ? 0.0
-               : static_cast<double>(alpha_correct) /
-                     static_cast<double>(alpha_predictions);
-  }
 
   // --- Preemptive recovery (paper §4.3) -----------------------------------
   /// Evaluations that hit the first timeout and switched method (state 2).

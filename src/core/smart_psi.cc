@@ -213,7 +213,9 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
   // ---------------------------------------------------------------------
   // Phase 1 — training sample drawn from the misses: ground-truth labels
   // for Model α, best plans and per-plan average times for Model β /
-  // MaxTime (paper §4.2). Empty when no model is fitted.
+  // MaxTime (paper §4.2). Empty when no model is fitted. The draw is a
+  // ceiling: training stops once it has spent its share of the query's
+  // estimated work (kTrainingShare), and phase 2 evaluates the rest.
   // ---------------------------------------------------------------------
   util::WallTimer train_timer;
   std::vector<size_t> train_indices;
@@ -230,7 +232,6 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
   // the bulk pivot-signature sweep refutes.
   std::vector<uint8_t> settled(candidates.size(), 0);
   for (const size_t i : train_indices) settled[i] = 1;
-  result.num_training_nodes = train_indices.size();
 
   const size_t num_features = sigs().num_labels();
   ml::Dataset alpha_data(num_features);
@@ -243,12 +244,34 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
   match::SearchScratchPool::Lease trainer_scratch(&scratch_pool_);
   PsiEvaluator trainer(*graph_, sigs(), trainer_scratch.get());
   bool training_aborted = false;
-  for (const size_t idx : train_indices) {
+  // Training's budget in search steps (see kTrainingShare): every plan run
+  // of phase 1 so far against the best plans' steps per trained node.
+  const auto steps_of = [](const match::SearchStats& s) {
+    return static_cast<double>(s.recursive_calls + s.candidates_examined);
+  };
+  const double steps_before_training = steps_of(result.search);
+  double best_steps_sum = 0.0;
+  size_t trained = 0;
+  for (; trained < train_indices.size(); ++trained) {
+    const double train_steps =
+        steps_of(result.search) - steps_before_training;
+    if (trained >= kMinTrainingNodes &&
+        train_steps * static_cast<double>(trained) >=
+            kTrainingShare * best_steps_sum *
+                static_cast<double>(misses.size())) {
+      // Over budget: the untried rest of the sample goes to phase 2.
+      for (size_t k = trained; k < train_indices.size(); ++k) {
+        settled[train_indices[k]] = 0;
+      }
+      break;
+    }
+    const size_t idx = train_indices[trained];
     const graph::NodeId u = candidates[idx];
     bool decided = false;
     bool node_valid = false;
     int32_t best_plan = 0;
     double best_time = 0.0;
+    double best_steps = 0.0;
 
     // Escalating per-plan time limits (paper §4.2.2): try every plan under
     // a small budget; if none finishes, grow the budget and retry.
@@ -262,17 +285,20 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
         const double budget =
             decided ? std::min(limit, best_time) : limit;
         util::WallTimer plan_timer;
+        const double steps_before = steps_of(result.search);
         const Outcome outcome = RunMethod(
             trainer, u, /*optimistic=*/false, config_.super_optimistic_limit,
             MinDeadline(util::Deadline::After(budget), deadline), stop,
             &result.search);
         const double seconds = plan_timer.Seconds();
+        const double steps = steps_of(result.search) - steps_before;
         if (outcome == Outcome::kValid || outcome == Outcome::kInvalid) {
           plan_times[p].Add(seconds);
           all_times.Add(seconds);
           if (!decided || seconds < best_time) {
             best_plan = static_cast<int32_t>(p);
             best_time = seconds;
+            best_steps = steps;
           }
           node_valid = outcome == Outcome::kValid;
           decided = true;
@@ -285,10 +311,12 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
       // No plan finished under any limit: heuristic plan, no plan budget.
       trainer.BindQuery(q, ctx.query_sigs, plan_pool[0]);
       util::WallTimer plan_timer;
+      const double steps_before = steps_of(result.search);
       const Outcome outcome =
           RunMethod(trainer, u, /*optimistic=*/false,
                     config_.super_optimistic_limit, deadline, stop,
                     &result.search);
+      best_steps = steps_of(result.search) - steps_before;
       if (outcome == Outcome::kValid || outcome == Outcome::kInvalid) {
         best_time = plan_timer.Seconds();
         plan_times[0].Add(best_time);
@@ -304,6 +332,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
       }
     }
 
+    best_steps_sum += best_steps;
     const auto row = sigs().row(u);
     alpha_data.AddExample(row, node_valid ? 1 : 0);
     beta_data.AddExample(row, best_plan);
@@ -314,6 +343,8 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
                              static_cast<float>(best_time), cache_epoch_});
     }
   }
+
+  result.num_training_nodes = trained;
 
   Classifier alpha(config_.classifier);
   Classifier beta(config_.classifier);

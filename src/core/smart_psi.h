@@ -26,9 +26,12 @@ namespace psi::core {
 ///   1. extracts the candidate pivot bindings and looks every one of them up
 ///      in the signature-keyed prediction cache (cache-first),
 ///   2. if the cache misses number at least min_candidates_for_ml, evaluates
-///      a small random sample of the misses (10%, capped) with the
-///      pessimistic method to label training data, timing a pool of
-///      execution plans per node under escalating time limits, and
+///      a small random sample of the misses with the pessimistic method to
+///      label training data, timing a pool of execution plans per node
+///      under escalating time limits. The sample draw (10%, capped) is a
+///      ceiling: training stops early once it has cost kTrainingShare of
+///      the query's estimated work, and the untried nodes go to step 4,
+///      and
 ///   3. trains Model α (valid/invalid Random Forest) and Model β
 ///      (best-plan Random Forest) on the neighborhood-signature features;
 ///      with fewer misses it fits no model and evaluates the misses
@@ -48,6 +51,22 @@ namespace psi::core {
 /// (the engine's internal pool already parallelizes within a query).
 class SmartPsiEngine {
  public:
+  /// Training budget, in search steps (recursive calls + candidates
+  /// examined, so the rule does not depend on the host's speed): phase 1
+  /// stops before its next node once its steps reach kTrainingShare × (mean
+  /// best-plan steps per trained node) × cache misses, i.e. this share of
+  /// what evaluating every miss with its best plan would cost. Chosen by a
+  /// perfbench sweep over {0.1, 0.15, 0.2} against the parent (EXPERIMENTS.md,
+  /// "Budgeted Realist training"; 4-vCPU VM, Release, 34 s runs): at 0.15
+  /// serve-cold-swap p50 fell 13–45 % (median 34 %, 3 runs) while serve-hot
+  /// p99's median rose 9 % (4 runs). 0.1 cut serve-cold-swap p50 as far
+  /// (31–36 %) but raised serve-hot p99 13–35 % (median 24 %), because
+  /// fewer raced plans reach the cache; 0.2 cut p50 by only 18–21 %.
+  static constexpr double kTrainingShare = 0.15;
+  /// Nodes trained before the budget is first checked (fewer when the
+  /// sample draw itself is smaller): the models never fit on less.
+  static constexpr size_t kMinTrainingNodes = 4;
+
   /// Builds graph signatures eagerly; `g` must outlive the engine.
   explicit SmartPsiEngine(const graph::Graph& g,
                           SmartPsiConfig config = SmartPsiConfig());
@@ -114,9 +133,6 @@ class SmartPsiEngine {
   void UseSharedCache(PredictionCache* cache) {
     active_cache_ = cache != nullptr ? cache : &cache_;
   }
-
-  /// Drops all cached predictions (e.g., between unrelated query batches).
-  void ClearCache() { active_cache_->Clear(); }
 
   /// Toggles prediction-cache consultation at runtime — the service's
   /// cache-bypass degradation switch (DESIGN.md §11). Only call while no

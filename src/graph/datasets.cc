@@ -40,10 +40,8 @@ std::vector<Dataset> AllDatasets() {
           Dataset::kYouTube, Dataset::kTwitter, Dataset::kWeibo};
 }
 
-Graph MakeDataset(Dataset d, double scale, uint64_t seed) {
-  assert(scale > 0.0 && scale <= 1.0);
+DatasetSize ScaledDatasetSize(Dataset d, double scale) {
   const DatasetSpec& spec = GetDatasetSpec(d);
-
   const size_t nodes = std::max<size_t>(
       16, static_cast<size_t>(static_cast<double>(spec.nodes) * scale));
   size_t edges = std::max<size_t>(
@@ -52,6 +50,13 @@ Graph MakeDataset(Dataset d, double scale, uint64_t seed) {
   const double max_edges =
       static_cast<double>(nodes) * static_cast<double>(nodes - 1) / 4.0;
   edges = std::min(edges, static_cast<size_t>(max_edges));
+  return {nodes, edges};
+}
+
+Graph MakeDataset(Dataset d, double scale, uint64_t seed) {
+  assert(scale > 0.0 && scale <= 1.0);
+  const DatasetSpec& spec = GetDatasetSpec(d);
+  const auto [nodes, edges] = ScaledDatasetSize(d, scale);
 
   LabelConfig labels;
   labels.num_labels = spec.labels;

@@ -51,6 +51,14 @@ const DatasetSpec& GetDatasetSpec(Dataset d);
 /// All six datasets in paper order.
 std::vector<Dataset> AllDatasets();
 
+/// Node and edge counts of the stand-in MakeDataset(d, scale, ·) generates,
+/// known before anything is built.
+struct DatasetSize {
+  size_t nodes;
+  size_t edges;
+};
+DatasetSize ScaledDatasetSize(Dataset d, double scale);
+
 /// Generates the stand-in for `d`, scaled by `scale` in (0, 1]: node and
 /// edge counts are multiplied by `scale` (label count is kept). Pass 1.0 for
 /// the published size. Deterministic in `seed`.

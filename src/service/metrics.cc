@@ -7,6 +7,15 @@
 
 namespace psi::service {
 
+namespace {
+
+/// Whole microseconds of a duration, for the integer time counters.
+uint64_t Micros(double seconds) {
+  return seconds <= 0.0 ? 0 : static_cast<uint64_t>(seconds * 1e6 + 0.5);
+}
+
+}  // namespace
+
 LatencyReservoir::LatencyReservoir(size_t capacity)
     : slots_(std::max<size_t>(1, capacity)) {
   for (auto& slot : slots_) slot.store(0.0, std::memory_order_relaxed);
@@ -63,7 +72,8 @@ LatencyReservoir::Summary LatencyReservoir::Summarize() const {
 
 void MetricsRegistry::RecordOutcome(const QueryResponse& response,
                                     uint64_t method_recoveries,
-                                    uint64_t plan_fallbacks) {
+                                    uint64_t plan_fallbacks,
+                                    bool smart_evaluated) {
   // Terminal-status increments use release so a Snapshot() that acquires
   // one of them also sees the admission that preceded it (the
   // Settled() <= admitted half of the snapshot contract); the latency
@@ -96,6 +106,14 @@ void MetricsRegistry::RecordOutcome(const QueryResponse& response,
   cache_mismatches_.fetch_add(response.cache_mismatches,
                               std::memory_order_relaxed);
   work_steals_.fetch_add(response.work_steals, std::memory_order_relaxed);
+  if (smart_evaluated) {
+    training_nodes_.fetch_add(response.num_training_nodes,
+                              std::memory_order_relaxed);
+    train_micros_.fetch_add(Micros(response.train_seconds),
+                            std::memory_order_relaxed);
+    smart_exec_micros_.fetch_add(Micros(response.exec_seconds),
+                                 std::memory_order_relaxed);
+  }
   if (response.served_degraded) {
     degraded_requests_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -123,6 +141,9 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       candidates_evaluated_.load(std::memory_order_relaxed);
   s.cache_mismatches = cache_mismatches_.load(std::memory_order_relaxed);
   s.work_steals = work_steals_.load(std::memory_order_relaxed);
+  s.training_nodes = training_nodes_.load(std::memory_order_relaxed);
+  s.train_micros = train_micros_.load(std::memory_order_relaxed);
+  s.smart_exec_micros = smart_exec_micros_.load(std::memory_order_relaxed);
   s.degraded_entries = degraded_entries_.load(std::memory_order_relaxed);
   s.degraded_exits = degraded_exits_.load(std::memory_order_relaxed);
   s.degraded_requests = degraded_requests_.load(std::memory_order_relaxed);
@@ -152,6 +173,10 @@ std::string MetricsSnapshot::ToString() const {
       << " candidates=" << candidates_evaluated
       << " cache_mismatches=" << cache_mismatches << "\n"
       << "search: work_steals=" << work_steals << "\n"
+      << "realist: training_nodes=" << training_nodes
+      << " train_micros=" << train_micros
+      << " smart_exec_micros=" << smart_exec_micros
+      << " train_share=" << TrainShare() << "\n"
       << "degradation: entries=" << degraded_entries
       << " exits=" << degraded_exits
       << " degraded_requests=" << degraded_requests

@@ -74,6 +74,14 @@ struct MetricsSnapshot {
   // requests.
   uint64_t work_steals = 0;
 
+  // Realist training's share of the work, aggregated across the requests
+  // the Realist evaluated: nodes trained, microseconds spent training, and
+  // the microseconds those requests executed in all. TrainShare() is the
+  // ratio of the last two.
+  uint64_t training_nodes = 0;
+  uint64_t train_micros = 0;
+  uint64_t smart_exec_micros = 0;
+
   // Graceful degradation (DESIGN.md §11).
   uint64_t degraded_entries = 0;  // times pessimist-only mode was entered
   uint64_t degraded_exits = 0;    // times it was left after cooldown
@@ -118,6 +126,15 @@ struct MetricsSnapshot {
   /// Terminal events recorded so far (== admitted once the queue drains).
   uint64_t Settled() const {
     return completed + timed_out + cancelled + invalid + not_found;
+  }
+
+  /// Fraction of the Realist's execution time spent training (0 before
+  /// any Realist request).
+  double TrainShare() const {
+    return smart_exec_micros == 0
+               ? 0.0
+               : static_cast<double>(train_micros) /
+                     static_cast<double>(smart_exec_micros);
   }
 
   /// Multi-line human-readable dump for tools.
@@ -198,10 +215,13 @@ class MetricsRegistry {
 
   /// Records a terminal response (status bucket + engine counters +
   /// latency). kRejected responses route to RecordRejected's counter and
-  /// record no latency — they were never admitted.
+  /// record no latency — they were never admitted. `smart_evaluated` marks
+  /// a response the Realist evaluated: its exec_seconds then count toward
+  /// smart_exec_micros.
   void RecordOutcome(const QueryResponse& response,
                      uint64_t method_recoveries = 0,
-                     uint64_t plan_fallbacks = 0);
+                     uint64_t plan_fallbacks = 0,
+                     bool smart_evaluated = false);
 
   MetricsSnapshot Snapshot() const;
 
@@ -225,6 +245,9 @@ class MetricsRegistry {
   std::atomic<uint64_t> plan_fallbacks_{0};
   std::atomic<uint64_t> candidates_evaluated_{0};
   std::atomic<uint64_t> work_steals_{0};
+  std::atomic<uint64_t> training_nodes_{0};
+  std::atomic<uint64_t> train_micros_{0};
+  std::atomic<uint64_t> smart_exec_micros_{0};
   std::atomic<uint64_t> batch_submitted_{0};
   std::atomic<uint64_t> batch_rejected_{0};
   std::atomic<uint64_t> batch_queries_{0};

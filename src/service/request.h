@@ -107,6 +107,12 @@ struct QueryResponse {
   /// (DESIGN.md §14). Zero when the worker searched sequentially.
   uint64_t work_steals = 0;
 
+  /// Realist training (DESIGN.md §5): the nodes phase 1 trained on and the
+  /// seconds it spent, fitting included. Zero unless the Realist evaluated
+  /// this request.
+  size_t num_training_nodes = 0;
+  double train_seconds = 0.0;
+
   bool ok() const { return status == RequestStatus::kOk; }
 };
 

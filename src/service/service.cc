@@ -402,6 +402,8 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
       response.cache_hits = result.cache_hits;
       response.cache_mismatches = result.cache_mismatches;
       response.work_steals = result.search.work_steals;
+      response.num_training_nodes = result.num_training_nodes;
+      response.train_seconds = result.train_seconds;
       method_recoveries = result.method_recoveries;
       plan_fallbacks = result.plan_fallbacks;
       complete = result.complete;
@@ -453,7 +455,8 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
 
   response.exec_seconds = exec_timer.Seconds();
   response.latency_seconds = admission_timer.Seconds();
-  metrics_.RecordOutcome(response, method_recoveries, plan_fallbacks);
+  metrics_.RecordOutcome(response, method_recoveries, plan_fallbacks,
+                         smart_evaluated);
   return response;
 }
 

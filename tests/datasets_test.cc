@@ -1,5 +1,7 @@
 #include "graph/datasets.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
 
 namespace psi::graph {
@@ -31,6 +33,22 @@ TEST(DatasetsTest, FullScaleSmallDatasets) {
   const Graph cora = MakeDataset(Dataset::kCora, 1.0, 42);
   EXPECT_EQ(cora.num_nodes(), 2708u);
   EXPECT_LE(cora.num_labels(), 7u);
+}
+
+// The counts psi_generate sizes its memory guard by are the ones
+// MakeDataset builds to.
+TEST(DatasetsTest, ScaledSizeIsWhatMakeDatasetBuilds) {
+  for (const auto& [d, scale] : {std::pair{Dataset::kYeast, 1.0},
+                                 std::pair{Dataset::kYouTube, 0.002}}) {
+    const DatasetSize size = ScaledDatasetSize(d, scale);
+    const Graph g = MakeDataset(d, scale, 42);
+    EXPECT_EQ(g.num_nodes(), size.nodes);
+    EXPECT_LE(g.num_edges(), size.edges);
+    EXPECT_GT(g.num_edges(), size.edges * 9 / 10);
+  }
+  const DatasetSize weibo = ScaledDatasetSize(Dataset::kWeibo, 1.0);
+  EXPECT_EQ(weibo.nodes, 1655678u);
+  EXPECT_EQ(weibo.edges, 369438063u);
 }
 
 TEST(DatasetsTest, HumanIsDenserThanYeast) {

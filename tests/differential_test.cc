@@ -8,8 +8,10 @@
 // keeps the suite meaningful in both configurations.
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -160,6 +162,40 @@ TEST_P(DifferentialTest, WarmRealistMatchesBruteForce) {
   {
     util::ScopedFaultSpec chaos(psi::testing::MakeChaosSchedule());
     warm_sweep("chaos");
+  }
+}
+
+// Budgeted training (SmartPsiEngine::kTrainingShare) stops phase 1 before
+// the sample draw is used up on these queries. The sample nodes it never
+// tried must still be evaluated in phase 2, so the answer stays the
+// oracle's, bare and under the chaos schedule.
+TEST_F(DifferentialTest, BudgetedTrainingStopsEarlyAndStaysExact) {
+  for (const uint64_t seed : {101u, 202u, 303u}) {
+    SCOPED_TRACE(seed);
+    const graph::Graph g = psi::testing::MakeRandomGraph(600, 3000, 2, seed);
+    const graph::QueryGraph q = psi::testing::ExtractQuery(g, 3, seed + 1);
+    ASSERT_EQ(q.num_nodes(), 3u);
+    match::BasicEngine basic(g);
+    const auto truth = basic.ProjectPivot(q, match::MatchingEngine::Options());
+    ASSERT_TRUE(truth.complete);
+    ASSERT_FALSE(truth.pivot_matches.empty());
+
+    core::SmartPsiConfig config;
+    config.seed = seed;
+    for (const bool chaos : {false, true}) {
+      std::optional<util::ScopedFaultSpec> faults;
+      if (chaos) faults.emplace(psi::testing::MakeChaosSchedule());
+      core::SmartPsiEngine smart(g, config);
+      const core::PsiQueryResult result = smart.Evaluate(q);
+      ASSERT_TRUE(result.complete);
+      const size_t ceiling = std::min<size_t>(
+          config.max_train_nodes,
+          static_cast<size_t>(std::ceil(
+              config.train_fraction *
+              static_cast<double>(result.num_candidates))));
+      EXPECT_LT(result.num_training_nodes, ceiling) << "chaos=" << chaos;
+      EXPECT_EQ(result.valid_nodes, truth.pivot_matches) << "chaos=" << chaos;
+    }
   }
 }
 

@@ -93,6 +93,27 @@ TEST(MetricsRegistryTest, RejectedRecordsNoLatencyOrEngineWork) {
   EXPECT_EQ(s.candidates_evaluated, 0u);
 }
 
+// Realist training counters sum over the responses the Realist evaluated
+// only: a pure-method response's execution time is not Realist work.
+TEST(MetricsRegistryTest, TrainingShareCountsRealistResponsesOnly) {
+  MetricsRegistry metrics;
+  QueryResponse smart = MakeResponse(RequestStatus::kOk, 5e-3);
+  smart.exec_seconds = 4e-3;
+  smart.train_seconds = 1e-3;
+  smart.num_training_nodes = 6;
+  QueryResponse pure = MakeResponse(RequestStatus::kOk, 9e-3);
+  pure.exec_seconds = 8e-3;
+  metrics.RecordOutcome(smart, 0, 0, /*smart_evaluated=*/true);
+  metrics.RecordOutcome(smart, 0, 0, /*smart_evaluated=*/true);
+  metrics.RecordOutcome(pure);
+  const MetricsSnapshot s = metrics.Snapshot();
+  EXPECT_EQ(s.training_nodes, 12u);
+  EXPECT_EQ(s.train_micros, 2000u);
+  EXPECT_EQ(s.smart_exec_micros, 8000u);
+  EXPECT_DOUBLE_EQ(s.TrainShare(), 0.25);
+  EXPECT_EQ(MetricsSnapshot().TrainShare(), 0.0);
+}
+
 TEST(MetricsRegistryTest, EngineCountersAggregateAcrossOutcomes) {
   MetricsRegistry metrics;
   QueryResponse a = MakeResponse(RequestStatus::kOk, 1e-3);
@@ -211,6 +232,9 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
   s.batch_degraded = 28;
   s.cache_entries = 29;
   s.cache_evictions = 30;
+  s.training_nodes = 31;
+  s.train_micros = 32;
+  s.smart_exec_micros = 64;
 
   const std::string text = s.ToString();
   const std::vector<std::string> expected = {
@@ -229,6 +253,8 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
       "batch_rejected=25", "batch_queries=26",
       "batch_context_hits=27", "batch_degraded=28",
       "cache_entries=29", "cache_evictions=30",
+      "training_nodes=31", "train_micros=32",
+      "smart_exec_micros=64", "train_share=0.5",
   };
   for (const std::string& label : expected) {
     EXPECT_NE(text.find(label), std::string::npos)

@@ -332,6 +332,43 @@ TEST(PsiServiceTest, SharedCacheSeesRepeatTraffic) {
   EXPECT_GT(stats.cache.hits, 0u);
 }
 
+// A Realist request reports its training in its response, and the service
+// counters sum exactly those responses; pure-method requests add nothing.
+TEST(PsiServiceTest, RealistTrainingReachesResponsesAndCounters) {
+  const graph::Graph g = testing::MakeRandomGraph(600, 2000, 2, /*seed=*/73);
+  graph::QueryExtractor extractor(g);
+  util::Rng rng(74);
+  const auto queries = extractor.ExtractMany(3, 3, rng);
+  ASSERT_FALSE(queries.empty());
+
+  ServiceOptions options = SmallOptions(1);
+  options.engine.min_candidates_for_ml = 8;
+  PsiService service(g, options);
+  size_t training_nodes = 0;
+  for (const auto& query : queries) {
+    QueryRequest request;
+    request.query = query;
+    const QueryResponse response = service.Execute(std::move(request));
+    ASSERT_EQ(response.status, RequestStatus::kOk);
+    EXPECT_LE(response.train_seconds, response.exec_seconds);
+    training_nodes += response.num_training_nodes;
+  }
+  QueryRequest pure;
+  pure.query = queries[0];
+  pure.method = Method::kPessimistic;
+  const QueryResponse pure_response = service.Execute(std::move(pure));
+  EXPECT_EQ(pure_response.num_training_nodes, 0u);
+  EXPECT_EQ(pure_response.train_seconds, 0.0);
+
+  const MetricsSnapshot s = service.Stats().metrics;
+  EXPECT_GT(training_nodes, 0u);
+  EXPECT_EQ(s.training_nodes, training_nodes);
+  EXPECT_GT(s.train_micros, 0u);
+  EXPECT_LE(s.train_micros, s.smart_exec_micros);
+  EXPECT_GT(s.TrainShare(), 0.0);
+  EXPECT_LE(s.TrainShare(), 1.0);
+}
+
 TEST(PsiServiceTest, ShutdownStopsAdmissionAndIsIdempotent) {
   const graph::Graph g = testing::MakeFigure1Graph();
   PsiService service(g, SmallOptions(2));

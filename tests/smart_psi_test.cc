@@ -431,6 +431,52 @@ TEST(SmartPsiTest, PreemptionRecoversAndStaysExact) {
   EXPECT_GT(result.method_recoveries + result.plan_fallbacks, 0u);
 }
 
+// The sample draw is a ceiling and kMinTrainingNodes a floor. A fitted run
+// trains at most ceil(train_fraction × misses) and at most max_train_nodes
+// nodes, and at least min(kMinTrainingNodes, that ceiling). A fresh engine
+// misses on every candidate.
+TEST(SmartPsiTest, TrainingSampleStaysBetweenMinimumAndCeiling) {
+  const graph::Graph g = psi::testing::MakeRandomGraph(600, 2000, 2, 73);
+  struct Case {
+    double fraction;
+    size_t cap;
+  };
+  size_t fitted = 0;
+  size_t at_floor = 0;
+  for (const Case c : {Case{0.1, 1000}, Case{0.5, 1000}, Case{1.0, 6},
+                       Case{0.1, 3}}) {
+    for (uint64_t s = 0; s < 4; ++s) {
+      SmartPsiConfig config;
+      config.min_candidates_for_ml = 8;
+      config.train_fraction = c.fraction;
+      config.max_train_nodes = c.cap;
+      SmartPsiEngine engine(g, config);
+      const graph::QueryGraph q = psi::testing::ExtractQuery(g, 3, 500 + s);
+      const PsiQueryResult r = engine.Evaluate(q);
+      ASSERT_TRUE(r.complete);
+      if (r.num_candidates < config.min_candidates_for_ml) {
+        EXPECT_EQ(r.num_training_nodes, 0u);
+        continue;
+      }
+      ++fitted;
+      const size_t ceiling = std::min(
+          c.cap, static_cast<size_t>(std::ceil(
+                     c.fraction * static_cast<double>(r.num_candidates))));
+      const size_t floor =
+          std::min(SmartPsiEngine::kMinTrainingNodes, ceiling);
+      EXPECT_LE(r.num_training_nodes, ceiling) << c.fraction << " " << c.cap;
+      EXPECT_GE(r.num_training_nodes, floor) << c.fraction << " " << c.cap;
+      if (ceiling <= SmartPsiEngine::kMinTrainingNodes) {
+        // The budget is first checked after the floor: nothing stops early.
+        EXPECT_EQ(r.num_training_nodes, ceiling);
+        ++at_floor;
+      }
+    }
+  }
+  EXPECT_GT(fitted, 8u);
+  EXPECT_GT(at_floor, 0u);
+}
+
 TEST(SmartPsiTest, DeterministicAcrossRunsWithSameSeed) {
   const graph::Graph g = psi::testing::MakeRandomGraph(500, 1600, 3, 77);
   graph::QueryExtractor extractor(g);

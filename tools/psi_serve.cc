@@ -17,6 +17,7 @@
 //   !save social graph2.psnap    # persist a served graph as a .psnap
 //   !retire social
 //   !list
+//   !stats                       # service counters, Realist training share
 // Queries select a graph with the g= token: v=0,1 e=0-1 p=0 g=social
 
 #include <algorithm>
@@ -69,6 +70,7 @@ void Usage() {
       "  !save NAME FILE   write served graph NAME as a .psnap snapshot\n"
       "  !retire NAME      stop serving NAME (in-flight requests finish)\n"
       "  !list             print catalog snapshots and pin gauges\n"
+      "  !stats            print the service counters settled so far\n"
       "\n"
       "Per-request output: id=<id> status=<status> valid=<n> latency_ms=<t> "
       "snapshot=<v>\n";
@@ -217,6 +219,10 @@ int ServeLoop(service::PsiService& psi_service, std::istream& in, bool quiet,
                   << " labels=" << e.num_labels
                   << " build_s=" << e.timings.signature_build_seconds << "\n";
       }
+      return true;
+    }
+    if (op == "stats") {
+      std::cerr << psi_service.Stats().metrics.ToString() << "\n";
       return true;
     }
     std::cerr << "bad admin command: !" << command << "\n";

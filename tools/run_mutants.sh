@@ -139,6 +139,16 @@ mutant "SubmitSupportBatch drops the limit" \
   $'    probe.max_valid_nodes = min_support;\n' \
   ''
 
+mutant "untried training sample nodes stay settled" \
+  src/core/smart_psi.cc \
+  $'        settled[train_indices[k]] = 0;\n' \
+  ''
+
+mutant "training minimum ignored" \
+  src/core/smart_psi.cc \
+  'if (trained >= kMinTrainingNodes &&' \
+  'if ('
+
 echo "== $KILLED killed, ${#SURVIVORS[@]} survived"
 if [[ ${#SURVIVORS[@]} -gt 0 ]]; then
   printf 'SURVIVOR: %s\n' "${SURVIVORS[@]}" >&2
