@@ -2,18 +2,6 @@
 
 namespace psi::core {
 
-const char* ClassifierKindName(ClassifierKind kind) {
-  switch (kind) {
-    case ClassifierKind::kRandomForest:
-      return "random-forest";
-    case ClassifierKind::kLinearSvm:
-      return "linear-svm";
-    case ClassifierKind::kNeuralNet:
-      return "neural-net";
-  }
-  return "unknown";
-}
-
 Classifier::Classifier(ClassifierKind kind) : kind_(kind) {
   switch (kind) {
     case ClassifierKind::kRandomForest:

@@ -22,8 +22,6 @@ enum class ClassifierKind {
   kNeuralNet,
 };
 
-const char* ClassifierKindName(ClassifierKind kind);
-
 /// Classifier-kind-erased wrapper with the minimal Train/Predict surface
 /// the engine needs. Exactness never depends on the learner: a worse model
 /// costs time (recoveries), not correctness.

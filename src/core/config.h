@@ -34,13 +34,6 @@ struct SmartPsiConfig {
   /// misses pessimistically with the heuristic plan (training would
   /// dominate); cache hits still run their cached decision.
   size_t min_candidates_for_ml = 24;
-  /// Number of plans in Model β's pool (heuristic plan + random plans).
-  size_t plan_pool_size = 4;
-  /// Initial per-plan time limit during Model β training, and its growth
-  /// factor per escalation round (paper §4.2.2: "gradually increased").
-  double plan_time_limit_init_seconds = 0.01;
-  double plan_time_limit_growth = 4.0;
-  size_t plan_escalation_rounds = 3;
   /// Learner backing Models α and β (paper: Random Forest; §5.4 shows it
   /// beats SVM and NN on accuracy and build time).
   ClassifierKind classifier = ClassifierKind::kRandomForest;

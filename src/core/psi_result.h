@@ -48,13 +48,6 @@ struct PsiQueryResult {
   double eval_seconds = 0.0;     // candidate evaluation proper
   double total_seconds = 0.0;
 
-  /// Fraction of total time spent on ML (Table 4's metric).
-  double MlOverheadFraction() const {
-    return total_seconds <= 0.0
-               ? 0.0
-               : (train_seconds + predict_seconds) / total_seconds;
-  }
-
   /// Aggregated search counters across all candidate evaluations.
   match::SearchStats search;
 };

@@ -93,22 +93,6 @@ SmartPsiEngine::SmartPsiEngine(SmartPsiConfig config)
   }
 }
 
-SmartPsiEngine::SmartPsiEngine(const graph::Graph& g,
-                               signature::SignatureMatrix graph_sigs,
-                               SmartPsiConfig config)
-    : graph_(&g), config_(config), rng_(config.seed) {
-  assert(graph_sigs.num_rows() == g.num_nodes());
-  assert(graph_sigs.num_labels() >= g.num_labels());
-  if (config_.num_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
-  }
-  // Query signatures must be built exactly like the adopted graph ones.
-  config_.signature_method = graph_sigs.method();
-  config_.signature_depth = graph_sigs.depth();
-  config_.signature_decay = graph_sigs.decay();
-  graph_sigs_ = std::move(graph_sigs);
-}
-
 void SmartPsiEngine::Rebind(const graph::Graph& g,
                             const signature::SignatureMatrix* sigs) {
   assert(sigs != nullptr);
@@ -152,7 +136,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
                       ? util::Rng(config_.seed ^ query_salt)
                       : rng_.Fork();
   const std::vector<match::Plan> plan_pool = match::SamplePlanPool(
-      q, *graph_, q.pivot(), std::max<size_t>(1, config_.plan_pool_size), rng);
+      q, *graph_, q.pivot(), kPlanPoolSize, rng);
   const size_t num_plans = plan_pool.size();
 
   // Optional BoostIso-style dedup: keep one representative per syntactic-
@@ -275,9 +259,9 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
 
     // Escalating per-plan time limits (paper §4.2.2): try every plan under
     // a small budget; if none finishes, grow the budget and retry.
-    double limit = config_.plan_time_limit_init_seconds;
-    for (size_t round = 0;
-         round < config_.plan_escalation_rounds && !decided; ++round) {
+    double limit = kPlanTimeLimitInitSeconds;
+    for (size_t round = 0; round < kPlanEscalationRounds && !decided;
+         ++round) {
       for (size_t p = 0; p < num_plans; ++p) {
         trainer.BindQuery(q, ctx.query_sigs, plan_pool[p]);
         // Once some plan finished in best_time, a competitor is only
@@ -304,7 +288,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
           decided = true;
         }
       }
-      limit *= config_.plan_time_limit_growth;
+      limit *= kPlanTimeLimitGrowth;
       if (deadline.Expired() || stop.StopRequested()) break;
     }
     if (!decided) {

@@ -66,6 +66,15 @@ class SmartPsiEngine {
   /// Nodes trained before the budget is first checked (fewer when the
   /// sample draw itself is smaller): the models never fit on less.
   static constexpr size_t kMinTrainingNodes = 4;
+  /// Plans in Model β's pool: the heuristic plan plus random plans.
+  static constexpr size_t kPlanPoolSize = 4;
+  /// Phase 1 races every pool plan under an initial per-plan time limit
+  /// and multiplies it by kPlanTimeLimitGrowth each round, for at most
+  /// kPlanEscalationRounds rounds, until some plan finishes (paper §4.2.2:
+  /// "gradually increased").
+  static constexpr double kPlanTimeLimitInitSeconds = 0.01;
+  static constexpr double kPlanTimeLimitGrowth = 4.0;
+  static constexpr size_t kPlanEscalationRounds = 3;
 
   /// Builds graph signatures eagerly; `g` must outlive the engine.
   explicit SmartPsiEngine(const graph::Graph& g,
@@ -75,14 +84,6 @@ class SmartPsiEngine {
   /// first Rebind(). This is the service-worker form — workers are created
   /// once and rebound to whichever pinned snapshot each request resolved.
   explicit SmartPsiEngine(SmartPsiConfig config);
-
-  /// Adopts precomputed graph signatures (e.g. loaded with
-  /// signature::LoadSignatureFile) instead of building them. The config's
-  /// signature method/depth/decay are overridden from the matrix metadata;
-  /// the matrix must have one row per node of `g` and at least
-  /// g.num_labels() columns.
-  SmartPsiEngine(const graph::Graph& g, signature::SignatureMatrix graph_sigs,
-                 SmartPsiConfig config = SmartPsiConfig());
 
   /// Evaluates one pivoted query. `deadline` bounds the whole call; on
   /// expiry the result is marked incomplete. `stop` cancels cooperatively
@@ -96,8 +97,9 @@ class SmartPsiEngine {
   /// per-request snapshot rebind. No-op when already bound to the same
   /// pair (the steady-state fast path: one pointer comparison). Otherwise
   /// drops graph-derived memos (the equivalence partition) and overrides
-  /// the config's signature metadata from the matrix, exactly like the
-  /// adopting constructor. Both `g` and `sigs` must outlive the binding —
+  /// the config's signature metadata from the matrix, so query signatures
+  /// are built exactly like the graph's. Both `g` and `sigs` must outlive
+  /// the binding —
   /// the service guarantees this by holding a snapshot pin for the whole
   /// request. Only call between Evaluate() calls.
   void Rebind(const graph::Graph& g, const signature::SignatureMatrix* sigs);
@@ -139,7 +141,6 @@ class SmartPsiEngine {
   /// Evaluate() is in flight on this engine (the service flips it between
   /// checkout and evaluation, where it holds the engine exclusively).
   void set_cache_enabled(bool enabled) { config_.enable_cache = enabled; }
-  bool cache_enabled() const { return config_.enable_cache; }
 
  private:
   /// Lazily computed equivalence partition (exploit_equivalence only).

@@ -71,12 +71,4 @@ std::string CanonicalCode(const graph::QueryGraph& pattern) {
                      best.size() * sizeof(uint32_t));
 }
 
-bool ArePatternsIsomorphic(const graph::QueryGraph& a,
-                           const graph::QueryGraph& b) {
-  if (a.num_nodes() != b.num_nodes() || a.num_edges() != b.num_edges()) {
-    return false;
-  }
-  return CanonicalCode(a) == CanonicalCode(b);
-}
-
 }  // namespace psi::fsm

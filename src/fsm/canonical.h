@@ -16,10 +16,6 @@ namespace psi::fsm {
 /// patterns (≤ 8 nodes — asserts above that).
 std::string CanonicalCode(const graph::QueryGraph& pattern);
 
-/// True iff the two patterns are isomorphic (equal canonical codes).
-bool ArePatternsIsomorphic(const graph::QueryGraph& a,
-                           const graph::QueryGraph& b);
-
 }  // namespace psi::fsm
 
 #endif  // SMARTPSI_FSM_CANONICAL_H_

@@ -169,7 +169,7 @@ FsmResult FsmMiner::Mine(util::Deadline deadline) {
       const graph::QueryGraph& p = m.pattern;
 
       // (a) Attach a new node through a frequent edge type.
-      if (p.num_nodes() < config_.max_nodes) {
+      if (p.num_nodes() < kMaxPatternNodes) {
         for (graph::NodeId v = 0; v < p.num_nodes(); ++v) {
           for (const EdgeType& type : frequent_edge_types) {
             for (int flip = 0; flip < 2; ++flip) {

@@ -13,6 +13,9 @@
 
 namespace psi::fsm {
 
+/// Maximum pattern size in nodes (the canonicalization bound).
+inline constexpr size_t kMaxPatternNodes = 7;
+
 /// Frequent subgraph mining over a single large graph (GraMi / ScaleMine
 /// style, paper §5.5): grow patterns edge by edge from frequent single
 /// edges, prune by MNI anti-monotonicity, and evaluate candidate support
@@ -23,8 +26,6 @@ struct FsmConfig {
   uint64_t min_support = 100;
   /// Maximum pattern size in edges (paper's Weibo experiment uses 6).
   size_t max_edges = 6;
-  /// Maximum pattern size in nodes (canonicalization bound).
-  size_t max_nodes = 7;
   /// Worker threads for parallel support evaluation — the stand-in for the
   /// paper's "compute nodes" axis in Figure 12.
   size_t num_threads = 1;

@@ -185,20 +185,4 @@ SupportResult ReduceServedSupport(const service::BatchResponse& response,
   return ReduceSupport(counts, min_support);
 }
 
-SupportResult EvaluateSupportServed(service::PsiService& service,
-                                    const graph::QueryGraph& pattern,
-                                    uint64_t min_support,
-                                    double deadline_seconds,
-                                    const std::string& graph_name) {
-  if (pattern.num_nodes() == 0) return SupportResult{};
-  auto future = SubmitSupportBatch(service, pattern, min_support,
-                                   deadline_seconds, graph_name);
-  if (!future.has_value()) {
-    SupportResult result;
-    result.complete = false;
-    return result;
-  }
-  return ReduceServedSupport(future->get(), pattern.num_nodes(), min_support);
-}
-
 }  // namespace psi::fsm

@@ -99,14 +99,6 @@ SupportResult ReduceServedSupport(const service::BatchResponse& response,
                                   size_t num_pattern_nodes,
                                   uint64_t min_support);
 
-/// Blocking convenience: SubmitSupportBatch + ReduceServedSupport. A shed
-/// batch returns incomplete (frequent unknown).
-SupportResult EvaluateSupportServed(service::PsiService& service,
-                                    const graph::QueryGraph& pattern,
-                                    uint64_t min_support,
-                                    double deadline_seconds = 0.0,
-                                    const std::string& graph_name = "");
-
 }  // namespace psi::fsm
 
 #endif  // SMARTPSI_FSM_SUPPORT_H_

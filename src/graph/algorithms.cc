@@ -5,25 +5,6 @@
 
 namespace psi::graph {
 
-std::vector<uint32_t> BfsDistances(const Graph& g, NodeId source,
-                                   uint32_t max_depth) {
-  std::vector<uint32_t> dist(g.num_nodes(), UINT32_MAX);
-  std::vector<NodeId> queue;
-  queue.push_back(source);
-  dist[source] = 0;
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const NodeId u = queue[head];
-    if (dist[u] == max_depth) continue;
-    for (const NodeId v : g.neighbors(u)) {
-      if (dist[v] == UINT32_MAX) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  return dist;
-}
-
 BoundedBfs::BoundedBfs(size_t num_nodes)
     : seen_epoch_(num_nodes, 0), depth_(num_nodes, 0) {}
 

@@ -10,12 +10,6 @@
 
 namespace psi::graph {
 
-/// BFS from `source` up to `max_depth` hops. Returns hop distances
-/// (UINT32_MAX for unreached nodes). Allocates O(N); for repeated bounded
-/// BFS from many sources prefer BoundedBfs with a reusable scratch buffer.
-std::vector<uint32_t> BfsDistances(const Graph& g, NodeId source,
-                                   uint32_t max_depth = UINT32_MAX);
-
 /// Reusable scratch state for repeated bounded BFS traversals (used by the
 /// exploration-based signature builder, which runs one BFS per node).
 class BoundedBfs {
@@ -56,6 +50,7 @@ class BoundedBfs {
 
 /// Connected components; returns component id per node and sets
 /// `*num_components` if non-null.
+// psi-check: allow(unused-decl) -- test oracle in generators_test
 std::vector<uint32_t> ConnectedComponents(const Graph& g,
                                           size_t* num_components = nullptr);
 
@@ -67,6 +62,7 @@ struct DegreeStats {
   double median = 0.0;
 };
 
+// psi-check: allow(unused-decl) -- test oracle in generators_test
 DegreeStats ComputeDegreeStats(const Graph& g);
 
 /// Builds the query graph induced by `nodes` (data-graph node ids; must be

@@ -30,11 +30,6 @@ struct EquivalenceClasses {
   std::vector<NodeId> representative;
 
   size_t num_classes() const { return representative.size(); }
-
-  /// True iff the two nodes are in the same class.
-  bool Equivalent(NodeId u, NodeId v) const {
-    return class_of[u] == class_of[v];
-  }
 };
 
 EquivalenceClasses ComputeSyntacticEquivalence(const Graph& g);

@@ -27,10 +27,4 @@ std::optional<Label> Graph::EdgeLabelBetween(NodeId u, NodeId v) const {
   return edge_labels_[offsets_[u] + static_cast<size_t>(it - nbrs.begin())];
 }
 
-size_t Graph::max_degree() const {
-  size_t best = 0;
-  for (NodeId u = 0; u < num_nodes(); ++u) best = std::max(best, degree(u));
-  return best;
-}
-
 }  // namespace psi::graph

@@ -94,8 +94,6 @@ class Graph {
                      static_cast<double>(num_nodes());
   }
 
-  size_t max_degree() const;
-
  private:
   friend class GraphBuilder;
 

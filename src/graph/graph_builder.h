@@ -40,7 +40,6 @@ class GraphBuilder {
   bool AddEdge(NodeId u, NodeId v, Label label = kDefaultEdgeLabel);
 
   size_t num_nodes() const { return node_labels_.size(); }
-  size_t num_edges_added() const { return edges_.size(); }
 
   /// Finalizes into an immutable Graph (sorting adjacency, deduplicating,
   /// building the label index). Consumes the builder.

@@ -39,7 +39,6 @@ class QueryGraph {
   size_t num_edges() const { return nbrs_.size() / 2; }
 
   Label label(NodeId v) const { return nodes_[v].label; }
-  void set_label(NodeId v, Label label) { nodes_[v].label = label; }
 
   size_t degree(NodeId v) const {
     return nodes_[v + 1].begin - nodes_[v].begin;

@@ -103,39 +103,6 @@ Plan MakeRandomPlan(const graph::QueryGraph& q, graph::NodeId root,
   return plan;
 }
 
-namespace {
-
-void EnumeratePlansRec(const graph::QueryGraph& q, Plan& current,
-                       uint64_t placed, size_t max_count,
-                       std::vector<Plan>& out) {
-  if (out.size() >= max_count) return;
-  if (current.order.size() == q.num_nodes()) {
-    out.push_back(current);
-    return;
-  }
-  for (graph::NodeId v = 0; v < q.num_nodes(); ++v) {
-    if ((placed >> v) & 1ULL) continue;
-    if ((q.neighbor_bits(v) & placed) == 0) continue;
-    current.order.push_back(v);
-    EnumeratePlansRec(q, current, placed | (1ULL << v), max_count, out);
-    current.order.pop_back();
-    if (out.size() >= max_count) return;
-  }
-}
-
-}  // namespace
-
-std::vector<Plan> EnumerateConnectedPlans(const graph::QueryGraph& q,
-                                          graph::NodeId root,
-                                          size_t max_count) {
-  std::vector<Plan> plans;
-  if (q.num_nodes() == 0 || max_count == 0) return plans;
-  Plan current;
-  current.order.push_back(root);
-  EnumeratePlansRec(q, current, 1ULL << root, max_count, plans);
-  return plans;
-}
-
 std::vector<Plan> SamplePlanPool(const graph::QueryGraph& q,
                                  const graph::Graph& g, graph::NodeId root,
                                  size_t count, util::Rng& rng) {

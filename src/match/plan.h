@@ -44,12 +44,6 @@ Plan MakeHeuristicPlan(const graph::QueryGraph& q, const graph::Graph& g,
 Plan MakeRandomPlan(const graph::QueryGraph& q, graph::NodeId root,
                     util::Rng& rng);
 
-/// Enumerates connected orders starting at `root`, stopping after
-/// `max_count` plans (DFS over frontiers; deterministic order).
-std::vector<Plan> EnumerateConnectedPlans(const graph::QueryGraph& q,
-                                          graph::NodeId root,
-                                          size_t max_count);
-
 /// The plan pool Model β classifies over (paper §4.2.2): the heuristic plan
 /// (class 0) plus up to `count - 1` distinct random connected plans.
 /// For small queries where fewer distinct plans exist, the pool is shorter.

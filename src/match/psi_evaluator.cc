@@ -7,18 +7,6 @@
 
 namespace psi::match {
 
-const char* PsiModeName(PsiMode mode) {
-  switch (mode) {
-    case PsiMode::kOptimistic:
-      return "optimistic";
-    case PsiMode::kSuperOptimistic:
-      return "super-optimistic";
-    case PsiMode::kPessimistic:
-      return "pessimistic";
-  }
-  return "unknown";
-}
-
 PsiEvaluator::PsiEvaluator(const graph::Graph& g,
                            const signature::SignatureMatrix& graph_sigs,
                            SearchScratch* scratch)

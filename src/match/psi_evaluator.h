@@ -29,8 +29,6 @@ enum class PsiMode {
   kPessimistic,
 };
 
-const char* PsiModeName(PsiMode mode);
-
 /// Evaluates whether single data nodes are valid pivot bindings for a
 /// pivoted query — the core of PSI: it stops at the *first* embedding.
 ///

@@ -99,11 +99,6 @@ class SearchScratchPool {
     free_.push_back(std::move(scratch));
   }
 
-  size_t idle_count() const {
-    util::MutexLock lock(mutex_);
-    return free_.size();
-  }
-
  private:
   mutable util::Mutex mutex_;
   std::vector<std::unique_ptr<SearchScratch>> free_ PSI_GUARDED_BY(mutex_);

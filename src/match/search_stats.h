@@ -48,20 +48,6 @@ enum class Outcome {
   kStopped,
 };
 
-inline const char* OutcomeName(Outcome o) {
-  switch (o) {
-    case Outcome::kValid:
-      return "valid";
-    case Outcome::kInvalid:
-      return "invalid";
-    case Outcome::kTimeout:
-      return "timeout";
-    case Outcome::kStopped:
-      return "stopped";
-  }
-  return "unknown";
-}
-
 }  // namespace psi::match
 
 #endif  // SMARTPSI_MATCH_SEARCH_STATS_H_

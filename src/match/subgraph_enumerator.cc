@@ -1,11 +1,8 @@
 #include "match/subgraph_enumerator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <unordered_set>
-
-#include "match/parallel_search.h"
 
 namespace psi::match {
 
@@ -177,12 +174,6 @@ SubgraphEnumerator::EnumerationResult SubgraphEnumerator::EnumerateRoots(
   return result;
 }
 
-SubgraphEnumerator::EnumerationResult SubgraphEnumerator::CountEmbeddings(
-    const graph::QueryGraph& q, const Plan& plan, const Options& options,
-    SearchStats* stats) {
-  return Enumerate(q, plan, Visitor(), options, stats);
-}
-
 SubgraphEnumerator::ProjectionResult SubgraphEnumerator::ProjectPivot(
     const graph::QueryGraph& q, const Plan& plan, const Options& options,
     SearchStats* stats) {
@@ -199,87 +190,6 @@ SubgraphEnumerator::ProjectionResult SubgraphEnumerator::ProjectPivot(
       options, stats);
   projection.embedding_count = result.embedding_count;
   projection.complete = result.complete;
-  projection.pivot_matches.assign(distinct.begin(), distinct.end());
-  std::sort(projection.pivot_matches.begin(), projection.pivot_matches.end());
-  return projection;
-}
-
-SubgraphEnumerator::ProjectionResult SubgraphEnumerator::ProjectPivotParallel(
-    const graph::QueryGraph& q, const Plan& plan, const Options& options,
-    size_t num_threads, util::ThreadPool* pool, SearchStats* stats) {
-  assert(q.has_pivot());
-  if (num_threads <= 1 || q.num_nodes() == 0) {
-    return ProjectPivot(q, plan, options, stats);
-  }
-
-  const graph::NodeId root = plan.order[0];
-  const graph::Label root_label = q.label(root);
-  std::vector<graph::NodeId> roots;
-  if (root_label < graph_.num_labels()) {
-    for (const graph::NodeId u : graph_.nodes_with_label(root_label)) {
-      if (graph_.degree(u) >= q.degree(root)) roots.push_back(u);
-    }
-  }
-  if (roots.size() <= 1) return ProjectPivot(q, plan, options, stats);
-
-  // Each root's subtree is disjoint from every other root's (embeddings
-  // are keyed by the root image), so partitioning the root frontier
-  // partitions the embedding space: any complete parallel run visits
-  // exactly the sequential embedding set, and the sorted union of the
-  // per-worker pivot sets is bit-identical to the sequential projection.
-  const graph::NodeId pivot = q.pivot();
-  struct Worker {
-    std::unordered_set<graph::NodeId> pivots;
-    SearchStats stats;
-    bool complete = true;
-  };
-  const size_t num_workers = std::min(num_threads, roots.size());
-  std::vector<Worker> workers(num_workers);
-  std::atomic<uint64_t> total_embeddings{0};
-  std::atomic<bool> halted{false};
-
-  auto body = [&](size_t item, size_t w) {
-    Worker& worker = workers[w];
-    if (halted.load(std::memory_order_relaxed)) {
-      worker.complete = false;
-      return;
-    }
-    Options per_root = options;
-    per_root.max_embeddings = UINT64_MAX;  // enforced via the shared counter
-    const graph::NodeId root_image = roots[item];
-    const auto r = EnumerateRoots(
-        q, plan, {&root_image, 1},
-        [&](std::span<const graph::NodeId> m) {
-          if (halted.load(std::memory_order_relaxed)) return false;
-          worker.pivots.insert(m[pivot]);
-          const uint64_t seen =
-              total_embeddings.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (seen >= options.max_embeddings) {
-            halted.store(true, std::memory_order_relaxed);
-            return false;
-          }
-          return true;
-        },
-        per_root, &worker.stats);
-    if (!r.complete) {
-      worker.complete = false;
-      halted.store(true, std::memory_order_relaxed);
-    }
-  };
-  const uint64_t steals = RunWorkStealing(roots.size(), num_workers, pool, body);
-
-  ProjectionResult projection;
-  std::unordered_set<graph::NodeId> distinct;
-  SearchStats aggregate;
-  projection.complete = true;
-  for (Worker& worker : workers) {
-    distinct.insert(worker.pivots.begin(), worker.pivots.end());
-    aggregate += worker.stats;
-    projection.complete = projection.complete && worker.complete;
-  }
-  aggregate.work_steals += steals;
-  if (stats != nullptr) *stats += aggregate;
-  projection.embedding_count = total_embeddings.load(std::memory_order_relaxed);
   projection.pivot_matches.assign(distinct.begin(), distinct.end());
   std::sort(projection.pivot_matches.begin(), projection.pivot_matches.end());
   return projection;

@@ -13,10 +13,6 @@
 #include "util/stop_token.h"
 #include "util/timer.h"
 
-namespace psi::util {
-class ThreadPool;
-}
-
 namespace psi::match {
 
 /// Generic backtracking subgraph-isomorphism enumeration with label, degree
@@ -69,11 +65,6 @@ class SubgraphEnumerator {
                                    const Options& options,
                                    SearchStats* stats = nullptr);
 
-  /// Convenience: count embeddings (possibly truncated by `options`).
-  EnumerationResult CountEmbeddings(const graph::QueryGraph& q,
-                                    const Plan& plan, const Options& options,
-                                    SearchStats* stats = nullptr);
-
   /// PSI by projection: enumerates all embeddings and collects the distinct
   /// data nodes bound to the query pivot. Requires q.has_pivot(). The result
   /// is sorted. `complete` is false if truncated, in which case the set is
@@ -86,21 +77,6 @@ class SubgraphEnumerator {
   ProjectionResult ProjectPivot(const graph::QueryGraph& q, const Plan& plan,
                                 const Options& options,
                                 SearchStats* stats = nullptr);
-
-  /// ProjectPivot with the root-candidate frontier split across
-  /// `num_threads` work-stealing workers (see parallel_search.h). Each
-  /// worker owns its scratch and stats; per-worker pivot sets are merged
-  /// and sorted, so a complete parallel projection is bit-identical to the
-  /// sequential one for every thread count. `max_embeddings` is enforced
-  /// through a shared counter; which embeddings survive a truncated run is
-  /// schedule-dependent (exactly as the sequential subset is
-  /// order-dependent). `pool` may be null (transient threads are used).
-  ProjectionResult ProjectPivotParallel(const graph::QueryGraph& q,
-                                        const Plan& plan,
-                                        const Options& options,
-                                        size_t num_threads,
-                                        util::ThreadPool* pool = nullptr,
-                                        SearchStats* stats = nullptr);
 
  private:
   struct Frame {

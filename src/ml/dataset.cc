@@ -12,12 +12,6 @@ void Dataset::AddExample(std::span<const float> features, int32_t label) {
   labels_.push_back(label);
 }
 
-size_t Dataset::NumClasses() const {
-  int32_t max_label = -1;
-  for (const int32_t l : labels_) max_label = std::max(max_label, l);
-  return static_cast<size_t>(max_label + 1);
-}
-
 TrainTestSplit MakeTrainTestSplit(size_t n, double train_fraction,
                                   util::Rng& rng) {
   std::vector<size_t> indices(n);

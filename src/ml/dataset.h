@@ -32,10 +32,6 @@ class Dataset {
   }
   int32_t label(size_t i) const { return labels_[i]; }
 
-  /// Number of distinct classes assuming labels are dense 0..k-1
-  /// (max label + 1; 0 for an empty dataset).
-  size_t NumClasses() const;
-
  private:
   size_t num_features_;
   std::vector<float> features_;

@@ -15,44 +15,4 @@ double Accuracy(std::span<const int32_t> predicted,
   return static_cast<double>(correct) / static_cast<double>(predicted.size());
 }
 
-std::vector<uint64_t> ConfusionMatrix(std::span<const int32_t> predicted,
-                                      std::span<const int32_t> actual,
-                                      size_t num_classes) {
-  assert(predicted.size() == actual.size());
-  std::vector<uint64_t> confusion(num_classes * num_classes, 0);
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    assert(actual[i] >= 0 && static_cast<size_t>(actual[i]) < num_classes);
-    assert(predicted[i] >= 0 &&
-           static_cast<size_t>(predicted[i]) < num_classes);
-    ++confusion[static_cast<size_t>(actual[i]) * num_classes +
-                static_cast<size_t>(predicted[i])];
-  }
-  return confusion;
-}
-
-ClassMetrics ComputeClassMetrics(std::span<const uint64_t> confusion,
-                                 size_t num_classes, size_t cls) {
-  assert(confusion.size() == num_classes * num_classes);
-  assert(cls < num_classes);
-  uint64_t tp = confusion[cls * num_classes + cls];
-  uint64_t predicted_positive = 0;
-  uint64_t actual_positive = 0;
-  for (size_t i = 0; i < num_classes; ++i) {
-    predicted_positive += confusion[i * num_classes + cls];
-    actual_positive += confusion[cls * num_classes + i];
-  }
-  ClassMetrics m;
-  if (predicted_positive > 0) {
-    m.precision =
-        static_cast<double>(tp) / static_cast<double>(predicted_positive);
-  }
-  if (actual_positive > 0) {
-    m.recall = static_cast<double>(tp) / static_cast<double>(actual_positive);
-  }
-  if (m.precision + m.recall > 0.0) {
-    m.f1 = 2.0 * m.precision * m.recall / (m.precision + m.recall);
-  }
-  return m;
-}
-
 }  // namespace psi::ml

@@ -3,28 +3,12 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace psi::ml {
 
 /// Fraction of positions where predicted == actual (0 for empty input).
 double Accuracy(std::span<const int32_t> predicted,
                 std::span<const int32_t> actual);
-
-/// Row-major confusion matrix: entry [actual * num_classes + predicted].
-std::vector<uint64_t> ConfusionMatrix(std::span<const int32_t> predicted,
-                                      std::span<const int32_t> actual,
-                                      size_t num_classes);
-
-/// Per-class precision / recall / F1 from a confusion matrix.
-struct ClassMetrics {
-  double precision = 0.0;
-  double recall = 0.0;
-  double f1 = 0.0;
-};
-
-ClassMetrics ComputeClassMetrics(std::span<const uint64_t> confusion,
-                                 size_t num_classes, size_t cls);
 
 }  // namespace psi::ml
 

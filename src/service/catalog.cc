@@ -65,13 +65,6 @@ GraphCatalog::BuildAndPublish(std::string name, graph::Graph g,
 }
 
 util::Result<std::shared_ptr<const GraphSnapshot>>
-GraphCatalog::PublishPrebuilt(std::string name, graph::Graph g,
-                              signature::SignatureMatrix sigs,
-                              SnapshotTimings timings) {
-  return Publish(std::move(name), std::move(g), std::move(sigs), timings);
-}
-
-util::Result<std::shared_ptr<const GraphSnapshot>>
 GraphCatalog::PublishFromFile(std::string name, const std::string& path) {
   util::WallTimer load_timer;
   auto loaded = LoadSnapshotFile(path);
@@ -151,10 +144,6 @@ std::shared_ptr<const GraphSnapshot> GraphCatalog::Resolve(
 
 SnapshotPin GraphCatalog::Pin(std::string_view name) const {
   return SnapshotPin(Resolve(name));
-}
-
-bool GraphCatalog::Contains(std::string_view name) const {
-  return Resolve(name) != nullptr;
 }
 
 bool GraphCatalog::Retire(std::string_view name) {

@@ -216,13 +216,6 @@ class GraphCatalog {
       std::string name, graph::Graph g,
       SnapshotBuildOptions options = SnapshotBuildOptions());
 
-  /// Publishes a caller-built bundle (e.g. signatures loaded from a file).
-  /// `sigs` must have one row per node of `g`. Same fault site and swap
-  /// semantics as BuildAndPublish.
-  util::Result<std::shared_ptr<const GraphSnapshot>> PublishPrebuilt(
-      std::string name, graph::Graph g, signature::SignatureMatrix sigs,
-      SnapshotTimings timings = SnapshotTimings());
-
   /// Maps a .psnap snapshot file (service/snapshot_io.h) and publishes it
   /// under `name` — the O(page-fault) alternative to BuildAndPublish's
   /// full signature rebuild. The published snapshot serves its float and
@@ -249,8 +242,6 @@ class GraphCatalog {
   /// Resolve + pin in one step — what admission calls. An empty pin means
   /// the name is unknown (the request becomes kNotFound).
   SnapshotPin Pin(std::string_view name) const;
-
-  bool Contains(std::string_view name) const;
 
   /// Removes `name` from the map: new requests stop resolving it, and the
   /// snapshot is destroyed once the last in-flight pin (and any caller

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -196,12 +195,6 @@ inline const char* RequestStatusName(RequestStatus s) {
       return "not_found";
   }
   return "unknown";
-}
-
-/// Prints the status name, so a failed test comparison reads `timeout`
-/// rather than a byte dump of the enum.
-inline void PrintTo(RequestStatus s, std::ostream* os) {
-  *os << RequestStatusName(s);
 }
 
 }  // namespace psi::service

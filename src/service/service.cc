@@ -22,7 +22,9 @@ PsiService::PsiService(const graph::Graph& g, ServiceOptions options)
   build.signature_method = options_.engine.signature_method;
   build.signature_depth = options_.engine.signature_depth;
   build.signature_decay = options_.engine.signature_decay;
-  build.prewarm_row_hashes = options_.prewarm_row_hashes;
+  // Row hashes (the prediction-cache keys) are computed lazily on first
+  // use: a quicker start at the cost of a slower first query.
+  build.prewarm_row_hashes = false;
   // The service pool is idle until StartWorkers below, so the startup
   // build may parallelize on it safely (the no-serving-pool rule in
   // BuildOptions only bites once queries are in flight).
@@ -230,26 +232,6 @@ std::optional<std::future<BatchResponse>> PsiService::SubmitBatch(
   }
   metrics_.RecordBatchSubmitted();
   return future;
-}
-
-BatchResponse PsiService::ExecuteBatch(BatchRequest request) {
-  const uint64_t id = request.id;
-  std::vector<uint64_t> member_ids;
-  member_ids.reserve(request.queries.size());
-  for (const QueryRequest& q : request.queries) member_ids.push_back(q.id);
-  std::optional<std::future<BatchResponse>> future =
-      SubmitBatch(std::move(request));
-  if (!future.has_value()) {
-    BatchResponse response;
-    response.id = id;
-    response.responses.resize(member_ids.size());
-    for (size_t i = 0; i < member_ids.size(); ++i) {
-      response.responses[i].id = member_ids[i];
-      response.responses[i].status = RequestStatus::kRejected;
-    }
-    return response;
-  }
-  return future->get();
 }
 
 BatchResponse PsiService::RunBatch(BatchRequest request, SnapshotPin pin,

@@ -79,12 +79,6 @@ struct ServiceOptions {
   /// unbounded execution.
   double default_deadline_seconds = 0.0;
 
-  /// Compute every data row's memoized signature hash
-  /// (SignatureMatrix::RowHash, the prediction-cache key) on the service
-  /// pool at startup instead of lazily on first use, trading startup time
-  /// for steady first-query latency.
-  bool prewarm_row_hashes = false;
-
   /// Graceful-degradation policies; disabled by default.
   DegradationOptions degradation;
 
@@ -195,10 +189,6 @@ class PsiService {
   /// one against the same snapshot. Returns std::nullopt when the whole
   /// batch is shed (queue at bound, or service shutting down).
   std::optional<std::future<BatchResponse>> SubmitBatch(BatchRequest request);
-
-  /// Synchronous convenience wrapper for SubmitBatch. A shed batch returns
-  /// immediately with every member marked kRejected.
-  BatchResponse ExecuteBatch(BatchRequest request);
 
   ServiceStats Stats() const;
 

@@ -186,8 +186,9 @@ util::Status ParseHeader(const unsigned char* base, uint64_t file_bytes,
 }
 
 /// Structural validation layer 2: every section has the expected id and
-/// exact size (all arithmetic overflow-checked BEFORE any use — the PR 4
-/// PSIG rule), lies inside the file, and is aligned for its element type.
+/// exact size, lies inside the file, and is aligned for its element type.
+/// Every size is computed with overflow checks before it is used, so a
+/// hostile header can neither wrap a bound nor drive an allocation.
 util::Status ValidateSections(const ParsedHeader& h, uint64_t file_bytes) {
   const uint64_t n = h.info.num_nodes;
   const uint64_t num_labels = h.info.num_labels;
@@ -195,7 +196,7 @@ util::Status ValidateSections(const ParsedHeader& h, uint64_t file_bytes) {
 
   // Dimension sanity before any size arithmetic: node and label ids must
   // fit their 32-bit on-disk/in-memory types, and every element count must
-  // be size_t-addressable (the ILP32 concern the PSIG reader also guards).
+  // be size_t-addressable (a 64-bit count can exceed size_t on ILP32).
   if (n > std::numeric_limits<uint32_t>::max()) {
     return Invalid("num_nodes exceeds the 32-bit node id space");
   }

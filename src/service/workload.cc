@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <istream>
-#include <ostream>
 #include <sstream>
 
 #include "graph/query_extractor.h"
 #include "graph/types.h"
-#include "util/fault_injection.h"
 
 namespace psi::service {
 
@@ -185,36 +182,6 @@ std::string FormatWorkloadLine(const QueryRequest& request) {
   if (request.id != 0) oss << " id=" << request.id;
   if (!request.graph.empty()) oss << " g=" << request.graph;
   return oss.str();
-}
-
-Result<std::vector<QueryRequest>> ReadWorkload(std::istream& in) {
-  std::vector<QueryRequest> requests;
-  std::string line;
-  size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    // Chaos hook: simulated short read (see graph_io.cc).
-    if (PSI_INJECT_FAULT(util::faults::kWorkloadShortRead)) {
-      return Status::IoError("injected short read at line " +
-                             std::to_string(line_number));
-    }
-    const size_t start = line.find_first_not_of(" \t\r");
-    if (start == std::string::npos || line[start] == '#') continue;
-    Result<QueryRequest> parsed = ParseWorkloadLine(line);
-    if (!parsed.ok()) {
-      return Status::InvalidArgument("line " + std::to_string(line_number) +
-                                     ": " + parsed.status().message());
-    }
-    requests.push_back(std::move(parsed).value());
-  }
-  return requests;
-}
-
-void WriteWorkload(const std::vector<QueryRequest>& requests,
-                   std::ostream& out) {
-  for (const QueryRequest& request : requests) {
-    out << FormatWorkloadLine(request) << "\n";
-  }
 }
 
 std::vector<QueryRequest> ExtractWorkload(const graph::Graph& g,

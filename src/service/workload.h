@@ -1,7 +1,6 @@
 #ifndef SMARTPSI_SERVICE_WORKLOAD_H_
 #define SMARTPSI_SERVICE_WORKLOAD_H_
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -30,14 +29,9 @@ namespace psi::service {
 ///   v=0,1,2 e=0-1,1-2,0-2 p=0 d=50 m=smart
 util::Result<QueryRequest> ParseWorkloadLine(const std::string& line);
 
+/// The inverse of ParseWorkloadLine.
+// psi-check: allow(unused-decl) -- test oracle in service_workload_test
 std::string FormatWorkloadLine(const QueryRequest& request);
-
-/// Reads every non-blank, non-comment line; fails on the first malformed
-/// line (with its 1-based line number in the message).
-util::Result<std::vector<QueryRequest>> ReadWorkload(std::istream& in);
-
-void WriteWorkload(const std::vector<QueryRequest>& requests,
-                   std::ostream& out);
 
 /// Recipe for sampling a request stream out of a data graph.
 struct WorkloadSpec {

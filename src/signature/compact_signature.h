@@ -119,7 +119,6 @@ class CompactSignatureMatrix {
 
   size_t num_rows() const { return num_rows_; }
   size_t num_labels() const { return num_labels_; }
-  bool is_view() const { return view_ != nullptr; }
 
   const uint8_t* data() const {
     return view_ != nullptr ? view_ : owned_.data();

@@ -10,30 +10,18 @@ namespace psi::util {
 inline constexpr uint64_t kFnv1a64OffsetBasis = 0xcbf29ce484222325ULL;
 inline constexpr uint64_t kFnv1a64Prime = 0x100000001b3ULL;
 
-/// FNV-1a over a byte range — the integrity checksum of the binary
-/// snapshot format (DESIGN.md §16). Not cryptographic: it detects
-/// truncation and corruption, not adversaries. The optional `seed` lets a
-/// caller chain ranges (pass the previous range's digest) so a multi-part
-/// checksum covers all parts in order.
-inline uint64_t Fnv1a64(const void* data, size_t size,
-                        uint64_t seed = kFnv1a64OffsetBasis) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= kFnv1a64Prime;
-  }
-  return h;
-}
-
-/// FNV-1a with a 64-bit word as the mixing unit instead of a byte: one
-/// xor+multiply per 8 bytes (a trailing partial word is zero-padded), so
-/// the serial multiply dependency chain is 8x shorter than Fnv1a64's.
-/// This is what the .psnap section checksums use — payloads are megabytes
-/// and verified on every load, where byte-serial FNV would dominate the
-/// mmap-load path it exists to protect. Words are read in host byte order,
-/// like every other scalar in the snapshot format. Seed chaining is only
-/// sound when every chained range is a whole multiple of 8 bytes.
+/// FNV-1a with a 64-bit word as the mixing unit instead of a byte — the
+/// integrity checksum of the binary snapshot format (DESIGN.md §16). Not
+/// cryptographic: it detects truncation and corruption, not adversaries.
+/// One xor+multiply per 8 bytes (a trailing partial word is zero-padded),
+/// so the serial multiply dependency chain is 8x shorter than byte-wise
+/// FNV-1a's: payloads are megabytes and verified on every load, where a
+/// byte-serial hash would dominate the mmap-load path it exists to protect.
+/// Words are read in host byte order, like every other scalar in the
+/// snapshot format. The optional `seed` lets a caller chain ranges (pass
+/// the previous range's digest) so a multi-part checksum covers all parts
+/// in order; chaining is only sound when every chained range is a whole
+/// multiple of 8 bytes.
 inline uint64_t Fnv1a64Words(const void* data, size_t size,
                              uint64_t seed = kFnv1a64OffsetBasis) {
   const auto* bytes = static_cast<const unsigned char*>(data);

@@ -31,8 +31,6 @@ inline constexpr char kThreadPoolTaskStart[] = "threadpool.task.start";
 inline constexpr char kCatalogPublish[] = "catalog.publish";
 inline constexpr char kGraphIoShortRead[] = "io.graph.short_read";
 inline constexpr char kQueryIoShortRead[] = "io.query.short_read";
-inline constexpr char kSignatureIoShortRead[] = "io.signature.short_read";
-inline constexpr char kWorkloadShortRead[] = "io.workload.short_read";
 inline constexpr char kSnapshotLoad[] = "snapshot.load";
 inline constexpr char kServiceBatch[] = "service.batch";
 

@@ -1,7 +1,6 @@
 #ifndef SMARTPSI_UTIL_MUTEX_H_
 #define SMARTPSI_UTIL_MUTEX_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -23,7 +22,6 @@ class PSI_CAPABILITY("mutex") Mutex {
 
   void Lock() PSI_ACQUIRE() { mu_.lock(); }
   void Unlock() PSI_RELEASE() { mu_.unlock(); }
-  bool TryLock() PSI_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
@@ -69,20 +67,6 @@ class CondVar {
   template <typename Predicate>
   void Wait(Mutex& mu, Predicate pred) PSI_REQUIRES(mu) {
     while (!pred()) Wait(mu);
-  }
-
-  /// Blocks until `pred()` holds or the timeout elapses; returns pred().
-  template <typename Rep, typename Period, typename Predicate>
-  bool WaitFor(Mutex& mu, std::chrono::duration<Rep, Period> timeout,
-               Predicate pred) PSI_REQUIRES(mu) {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    while (!pred()) {
-      std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-      const std::cv_status status = cv_.wait_until(native, deadline);
-      native.release();
-      if (status == std::cv_status::timeout) return pred();
-    }
-    return true;
   }
 
   void NotifyOne() { cv_.notify_one(); }

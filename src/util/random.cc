@@ -45,12 +45,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  return lo + static_cast<int64_t>(
-                  NextBounded(static_cast<uint64_t>(hi - lo) + 1));
-}
-
 double Rng::NextDouble() {
   // 53 random mantissa bits.
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;

@@ -57,9 +57,6 @@ class Rng {
   /// multiply-shift rejection method (unbiased).
   uint64_t NextBounded(uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
   /// Uniform double in [0, 1).
   double NextDouble();
 

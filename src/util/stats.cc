@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace psi::util {
@@ -15,34 +14,8 @@ void RunningStats::Add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
-
-void RunningStats::Merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const size_t total = count_ + other.count_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) /
-                         static_cast<double>(total);
-  mean_ += delta * static_cast<double>(other.count_) /
-           static_cast<double>(total);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ = total;
-}
-
-double RunningStats::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 double Quantile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
@@ -67,12 +40,6 @@ std::string FormatDuration(double seconds) {
   } else {
     std::snprintf(buf, sizeof(buf), "%.1f hrs", seconds / 3600.0);
   }
-  return buf;
-}
-
-std::string FormatScientific(double value, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*e", std::max(0, digits - 1), value);
   return buf;
 }
 

@@ -7,28 +7,22 @@
 
 namespace psi::util {
 
-/// Streaming accumulator for count / mean / min / max / variance (Welford).
+/// Streaming accumulator for count / mean / min / max (running mean).
 /// Used to track per-(method, plan) average evaluation times for the
 /// preemptive executor's MaxTime computation, and for bench reporting.
 class RunningStats {
  public:
   void Add(double x);
 
-  /// Merges another accumulator into this one (parallel reduction).
-  void Merge(const RunningStats& other);
-
   size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
   double min() const { return count_ == 0 ? 0.0 : min_; }
   double max() const { return count_ == 0 ? 0.0 : max_; }
-  double variance() const;
-  double stddev() const;
   double sum() const { return mean_ * static_cast<double>(count_); }
 
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -40,10 +34,6 @@ double Quantile(std::vector<double> values, double q);
 /// Formats seconds the way the paper prints them: "27 sec", "4.3 min",
 /// "2.4 hrs", or "NA" for negative values (used for censored runs).
 std::string FormatDuration(double seconds);
-
-/// Formats a double with `digits` significant digits in scientific notation
-/// matching the paper's Table 1 style, e.g. "1.3e+07".
-std::string FormatScientific(double value, int digits = 2);
 
 }  // namespace psi::util
 

@@ -54,14 +54,6 @@
 /// Function releases the capability before returning.
 #define PSI_RELEASE(...) PSI_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Function attempts the acquisition; holds it iff it returned the first
-/// argument (the success value). Further arguments name the capabilities;
-/// with none given the annotated class itself is the capability. All
-/// arguments ride through __VA_ARGS__ so PSI_TRY_ACQUIRE(true) does not
-/// leave a dangling comma inside the attribute (a clang parse error).
-#define PSI_TRY_ACQUIRE(...) \
-  PSI_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 /// Caller must NOT already hold the capability (deadlock guard for
 /// self-locking member functions).
 #define PSI_EXCLUDES(...) PSI_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))

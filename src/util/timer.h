@@ -14,15 +14,11 @@ class WallTimer {
 
   WallTimer() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch from zero.
-  void Restart() { start_ = Clock::now(); }
-
-  /// Elapsed time in seconds since construction or the last Restart().
+  /// Elapsed time in seconds since construction.
   double Seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double Millis() const { return Seconds() * 1e3; }
   double Micros() const { return Seconds() * 1e6; }
 
  private:
@@ -46,8 +42,6 @@ class Deadline {
                                    std::chrono::duration<double>(seconds));
     return d;
   }
-
-  static Deadline Infinite() { return Deadline(); }
 
   bool Expired() const { return Clock::now() >= expiry_; }
 

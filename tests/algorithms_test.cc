@@ -8,6 +8,16 @@
 namespace psi::graph {
 namespace {
 
+/// Hop distances from `source` within `max_depth` (UINT32_MAX when unreached)
+/// as BoundedBfs reports them.
+std::vector<uint32_t> BfsDistances(const Graph& g, NodeId source,
+                                   uint32_t max_depth = UINT32_MAX) {
+  std::vector<uint32_t> dist(g.num_nodes(), UINT32_MAX);
+  BoundedBfs bfs(g.num_nodes());
+  bfs.Run(g, source, max_depth, [&](NodeId v, uint32_t d) { dist[v] = d; });
+  return dist;
+}
+
 TEST(BfsDistancesTest, Figure1FromU1) {
   const Graph g = testing::MakeFigure1Graph();
   const auto dist = BfsDistances(g, 0);

@@ -160,15 +160,5 @@ TEST(SearchStatsTest, AggregationSumsAllCounters) {
   EXPECT_EQ(b.work_steals, 14u);
 }
 
-TEST(OutcomeTest, Names) {
-  EXPECT_STREQ(OutcomeName(Outcome::kValid), "valid");
-  EXPECT_STREQ(OutcomeName(Outcome::kInvalid), "invalid");
-  EXPECT_STREQ(OutcomeName(Outcome::kTimeout), "timeout");
-  EXPECT_STREQ(OutcomeName(Outcome::kStopped), "stopped");
-  EXPECT_STREQ(PsiModeName(PsiMode::kOptimistic), "optimistic");
-  EXPECT_STREQ(PsiModeName(PsiMode::kSuperOptimistic), "super-optimistic");
-  EXPECT_STREQ(PsiModeName(PsiMode::kPessimistic), "pessimistic");
-}
-
 }  // namespace
 }  // namespace psi::match

@@ -25,9 +25,9 @@ TEST(EquivalenceTest, OpenTwinsDetected) {
   b.AddEdge(center, l3);
   const Graph g = std::move(b).Build();
   const EquivalenceClasses classes = ComputeSyntacticEquivalence(g);
-  EXPECT_TRUE(classes.Equivalent(l1, l2));
-  EXPECT_TRUE(classes.Equivalent(l2, l3));
-  EXPECT_FALSE(classes.Equivalent(center, l1));
+  EXPECT_EQ(classes.class_of[l1], classes.class_of[l2]);
+  EXPECT_EQ(classes.class_of[l2], classes.class_of[l3]);
+  EXPECT_NE(classes.class_of[center], classes.class_of[l1]);
   EXPECT_EQ(classes.num_classes(), 2u);
 }
 
@@ -40,7 +40,7 @@ TEST(EquivalenceTest, DifferentLabelsNeverTwins) {
   b.AddEdge(center, l2);
   const Graph g = std::move(b).Build();
   const EquivalenceClasses classes = ComputeSyntacticEquivalence(g);
-  EXPECT_FALSE(classes.Equivalent(l1, l2));
+  EXPECT_NE(classes.class_of[l1], classes.class_of[l2]);
 }
 
 TEST(EquivalenceTest, EdgeLabelsDistinguishOpenTwins) {
@@ -52,7 +52,7 @@ TEST(EquivalenceTest, EdgeLabelsDistinguishOpenTwins) {
   b.AddEdge(center, l2, 8);  // different edge label
   const Graph g = std::move(b).Build();
   const EquivalenceClasses classes = ComputeSyntacticEquivalence(g);
-  EXPECT_FALSE(classes.Equivalent(l1, l2));
+  EXPECT_NE(classes.class_of[l1], classes.class_of[l2]);
 }
 
 TEST(EquivalenceTest, ClosedTwinsDetected) {
@@ -69,8 +69,8 @@ TEST(EquivalenceTest, ClosedTwinsDetected) {
   b.AddEdge(a, tail);
   const Graph g = std::move(b).Build();
   const EquivalenceClasses classes = ComputeSyntacticEquivalence(g);
-  EXPECT_TRUE(classes.Equivalent(c, d));
-  EXPECT_FALSE(classes.Equivalent(a, c));
+  EXPECT_EQ(classes.class_of[c], classes.class_of[d]);
+  EXPECT_NE(classes.class_of[a], classes.class_of[c]);
 }
 
 TEST(EquivalenceTest, RepresentativeIsSmallestMember) {
@@ -91,8 +91,8 @@ TEST(EquivalenceTest, IsolatedNodesWithSameLabelAreTwins) {
   b.SetNodeLabel(2, 1);
   const Graph g = std::move(b).Build();
   const EquivalenceClasses classes = ComputeSyntacticEquivalence(g);
-  EXPECT_TRUE(classes.Equivalent(0, 1));
-  EXPECT_FALSE(classes.Equivalent(0, 2));
+  EXPECT_EQ(classes.class_of[0], classes.class_of[1]);
+  EXPECT_NE(classes.class_of[0], classes.class_of[2]);
 }
 
 // Twins must share PSI validity — verified against ground truth with the
@@ -156,7 +156,7 @@ TEST(EquivalenceTest, TwinsShareValidityOnRandomGraphs) {
     for (const NodeId u : truth.pivot_matches) {
       // Every candidate twin of a valid node must be valid too.
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (v == u || !classes.Equivalent(u, v)) continue;
+        if (v == u || classes.class_of[u] != classes.class_of[v]) continue;
         EXPECT_TRUE(valid.count(v) > 0)
             << "twin " << v << " of valid " << u << " not valid, query "
             << q.ToString();

@@ -326,8 +326,9 @@ TEST_F(FaultInjectionTest, SubmitBatchRetriesAfterInjectedShed) {
     member.method = method;
     batch.queries.push_back(std::move(member));
   }
-  const service::BatchResponse response =
-      service.ExecuteBatch(std::move(batch));
+  auto future = service.SubmitBatch(std::move(batch));
+  ASSERT_TRUE(future.has_value());
+  const service::BatchResponse response = future->get();
   ASSERT_EQ(response.responses.size(), 3u);
   for (const service::QueryResponse& member : response.responses) {
     EXPECT_EQ(member.status, service::RequestStatus::kOk) << member.id;
@@ -537,8 +538,9 @@ TEST_F(FaultInjectionTest, BatchMembersStartingPastDeadlineTimeOut) {
     member.method = method;
     batch.queries.push_back(std::move(member));
   }
-  const service::BatchResponse response =
-      service.ExecuteBatch(std::move(batch));
+  auto future = service.SubmitBatch(std::move(batch));
+  ASSERT_TRUE(future.has_value());
+  const service::BatchResponse response = future->get();
   ASSERT_EQ(response.responses.size(), 3u);
   for (const service::QueryResponse& member : response.responses) {
     EXPECT_EQ(member.status, service::RequestStatus::kTimeout) << member.id;

@@ -41,7 +41,6 @@ TEST(CanonicalCodeTest, NodeIdRenamingInvariant) {
   b.AddEdge(0, 1);
 
   EXPECT_EQ(CanonicalCode(a), CanonicalCode(b));
-  EXPECT_TRUE(ArePatternsIsomorphic(a, b));
 }
 
 TEST(CanonicalCodeTest, DifferentLabelsDiffer) {
@@ -64,7 +63,6 @@ TEST(CanonicalCodeTest, DifferentStructureDiffers) {
   star.AddEdge(0, 3);
 
   EXPECT_NE(CanonicalCode(path), CanonicalCode(star));
-  EXPECT_FALSE(ArePatternsIsomorphic(path, star));
 }
 
 TEST(CanonicalCodeTest, EdgeLabelsMatter) {
@@ -88,7 +86,7 @@ TEST(CanonicalCodeTest, SizeMismatchShortCircuits) {
   b.AddNode(0);
   b.AddNode(0);
   b.AddEdge(0, 1);
-  EXPECT_FALSE(ArePatternsIsomorphic(a, b));
+  EXPECT_NE(CanonicalCode(a), CanonicalCode(b));
 }
 
 TEST(CanonicalCodeTest, EmptyPattern) {

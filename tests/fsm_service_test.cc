@@ -322,7 +322,9 @@ TEST_F(FsmServiceTest, ServiceBatchFaultDegradesEveryMemberWithoutAnswerDrift) {
     service::PsiService service(g, service::ServiceOptions{});
     service::BatchRequest batch;
     batch.queries = requests;
-    response = service.ExecuteBatch(batch);
+    auto future = service.SubmitBatch(batch);
+    ASSERT_TRUE(future.has_value());
+    response = future->get();
     const service::MetricsSnapshot m = service.Stats().metrics;
     EXPECT_EQ(m.batch_degraded, response.degraded_queries);
     EXPECT_EQ(m.batch_context_hits, response.context_hits);
@@ -357,8 +359,9 @@ TEST_F(FsmServiceTest, BatchCountersAccountExactly) {
     request.method = service::Method::kPessimistic;
     batch.queries.push_back(std::move(request));
   }
-  const service::BatchResponse response =
-      service.ExecuteBatch(std::move(batch));
+  auto future = service.SubmitBatch(std::move(batch));
+  ASSERT_TRUE(future.has_value());
+  const service::BatchResponse response = future->get();
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response.responses.size(), 3u);
   for (const service::QueryResponse& r : response.responses) {
@@ -412,13 +415,9 @@ TEST_F(FsmServiceTest, ShutDownServiceRejectsBatchWhole) {
   batch.queries.push_back(std::move(request));
   EXPECT_FALSE(service.SubmitBatch(batch).has_value());
 
-  const service::BatchResponse response = service.ExecuteBatch(batch);
-  ASSERT_EQ(response.responses.size(), 1u);
-  EXPECT_EQ(response.responses[0].status, service::RequestStatus::kRejected);
-  EXPECT_EQ(response.responses[0].id, 7u);
   const service::MetricsSnapshot m = service.Stats().metrics;
-  EXPECT_EQ(m.batch_rejected, 2u);
-  EXPECT_EQ(m.rejected, 2u);
+  EXPECT_EQ(m.batch_rejected, 1u);
+  EXPECT_EQ(m.rejected, 1u);
   EXPECT_EQ(m.batch_submitted, 0u);
 }
 
@@ -500,8 +499,10 @@ TEST_F(FsmServiceTest, EvaluateSupportServedMatchesInProcessSupports) {
       const fsm::SupportResult in_process =
           fsm::EvaluateSupport(g, &sigs, pattern, min_support,
                                fsm::SupportMethod::kPsi, util::Deadline());
-      const fsm::SupportResult served =
-          fsm::EvaluateSupportServed(service, pattern, min_support);
+      auto future = fsm::SubmitSupportBatch(service, pattern, min_support);
+      ASSERT_TRUE(future.has_value());
+      const fsm::SupportResult served = fsm::ReduceServedSupport(
+          future->get(), pattern.num_nodes(), min_support);
       ASSERT_TRUE(in_process.complete);
       ASSERT_TRUE(served.complete);
       EXPECT_EQ(served.frequent, in_process.frequent);

@@ -4,20 +4,13 @@
 // wrong in-memory object. The CI chaos job runs this binary under
 // AddressSanitizer, which turns any parser over-read into a hard failure.
 
-#include <cstdint>
-#include <cstring>
-#include <limits>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/graph_io.h"
 #include "service/workload.h"
-#include "signature/builders.h"
-#include "signature/io.h"
-#include "tests/test_fixtures.h"
 #include "util/fault_injection.h"
 
 namespace psi {
@@ -126,106 +119,6 @@ TEST(IoFuzzTest, EmptyStreamsAreValidAndEmpty) {
   EXPECT_TRUE(qs.value().empty());
 }
 
-// --- Binary signature files ------------------------------------------------
-
-std::string ValidSignatureBytes() {
-  const graph::Graph g = psi::testing::MakeFigure1Graph();
-  const auto sigs = signature::BuildSignatures(
-      g, signature::Method::kMatrix, 2, g.num_labels());
-  std::ostringstream out(std::ios::binary);
-  signature::WriteSignatures(sigs, out);
-  return out.str();
-}
-
-template <typename T>
-void AppendScalar(std::string* buf, T value) {
-  buf->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-/// Builds a syntactically well-formed PSIG header with the given dimensions
-/// and no payload behind it.
-std::string HeaderOnly(uint64_t num_rows, uint64_t num_labels) {
-  std::string buf = "PSIG";
-  AppendScalar<uint32_t>(&buf, 1);     // version
-  AppendScalar<uint32_t>(&buf, 0);     // method
-  AppendScalar<uint32_t>(&buf, 2);     // depth
-  AppendScalar<float>(&buf, 0.5f);     // decay
-  AppendScalar<uint64_t>(&buf, num_rows);
-  AppendScalar<uint64_t>(&buf, num_labels);
-  return buf;
-}
-
-TEST(IoFuzzTest, SignatureTruncationAtEveryByteErrors) {
-  const std::string full = ValidSignatureBytes();
-  ASSERT_GT(full.size(), 36u);
-  {
-    std::istringstream in(full, std::ios::binary);
-    ASSERT_TRUE(signature::ReadSignatures(in).ok());
-  }
-  // Binary payloads have no record boundaries: every strict prefix must be
-  // rejected outright.
-  for (size_t cut = 0; cut < full.size(); ++cut) {
-    std::istringstream in(full.substr(0, cut), std::ios::binary);
-    const auto result = signature::ReadSignatures(in);
-    EXPECT_FALSE(result.ok()) << "accepted prefix of " << cut << " bytes";
-  }
-}
-
-// A hostile header claiming a petabyte payload must be rejected by the
-// bounds check before the row allocation happens — an OOM here would be a
-// crash, which is exactly what this suite exists to rule out.
-TEST(IoFuzzTest, OversizedSignatureHeaderRejectedBeforeAllocation) {
-  const std::string buf =
-      HeaderOnly(/*num_rows=*/uint64_t{1} << 40, /*num_labels=*/8);
-  std::istringstream in(buf, std::ios::binary);
-  const auto result = signature::ReadSignatures(in);
-  ASSERT_FALSE(result.ok());
-}
-
-TEST(IoFuzzTest, OverflowingSignatureDimensionsRejected) {
-  // num_rows * num_labels * sizeof(float) wraps past 2^64.
-  const std::string buf = HeaderOnly(
-      /*num_rows=*/std::numeric_limits<uint64_t>::max() / 2, /*num_labels=*/8);
-  std::istringstream in(buf, std::ios::binary);
-  EXPECT_FALSE(signature::ReadSignatures(in).ok());
-}
-
-TEST(IoFuzzTest, SignatureDecayOutOfRangeRejected) {
-  std::string buf = "PSIG";
-  AppendScalar<uint32_t>(&buf, 1);
-  AppendScalar<uint32_t>(&buf, 0);
-  AppendScalar<uint32_t>(&buf, 2);
-  AppendScalar<float>(&buf, 0.0f);  // decay must be in (0, 1]
-  AppendScalar<uint64_t>(&buf, 0);
-  AppendScalar<uint64_t>(&buf, 0);
-  std::istringstream in(buf, std::ios::binary);
-  EXPECT_FALSE(signature::ReadSignatures(in).ok());
-}
-
-// Single-byte corruption anywhere in the header: any outcome is fine except
-// a crash or an absurd allocation. (Payload-byte flips just change float
-// values — well-formed by construction — so the header is the whole attack
-// surface.)
-TEST(IoFuzzTest, SignatureHeaderByteFlipsNeverCrash) {
-  const std::string full = ValidSignatureBytes();
-  const size_t header_bytes = 36;  // magic + 3*u32 + f32 + 2*u64
-  ASSERT_GE(full.size(), header_bytes);
-  for (size_t i = 0; i < header_bytes; ++i) {
-    for (const unsigned char mask : {0x01, 0x80, 0xff}) {
-      std::string corrupted = full;
-      corrupted[i] = static_cast<char>(corrupted[i] ^ mask);
-      std::istringstream in(corrupted, std::ios::binary);
-      const auto result = signature::ReadSignatures(in);
-      if (result.ok()) {
-        // A surviving parse must still describe at most the real payload.
-        EXPECT_LE(result.value().num_rows() * result.value().num_labels() *
-                      sizeof(float),
-                  full.size());
-      }
-    }
-  }
-}
-
 // --- Workload lines --------------------------------------------------------
 
 TEST(IoFuzzTest, ValidWorkloadLineParses) {
@@ -261,18 +154,6 @@ TEST(IoFuzzTest, MalformedWorkloadLinesErrorCleanly) {
   }
 }
 
-TEST(IoFuzzTest, WorkloadStreamFailsOnFirstBadLineWithItsNumber) {
-  std::istringstream in(
-      "# header comment\n"
-      "v=0 e= p=0\n"
-      "\n"
-      "v=0,1 e=0-1 p=borken\n");
-  const auto result = service::ReadWorkload(in);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("4"), std::string::npos)
-      << result.status().ToString();
-}
-
 #if PSI_FAULT_INJECTION_ENABLED
 
 // --- Injected short reads --------------------------------------------------
@@ -295,18 +176,6 @@ TEST_F(IoFaultTest, InjectedShortReadsSurfaceAsErrorStatuses) {
     util::ScopedFaultSpec chaos("io.query.short_read=nth:3");
     std::istringstream in(kValidQueries);
     EXPECT_FALSE(graph::ReadQueries(in).ok());
-  }
-  {
-    util::ScopedFaultSpec chaos("io.signature.short_read=nth:2");
-    std::istringstream in(ValidSignatureBytes(), std::ios::binary);
-    const auto result = signature::ReadSignatures(in);
-    ASSERT_FALSE(result.ok());
-    EXPECT_NE(result.status().message().find("short read"), std::string::npos);
-  }
-  {
-    util::ScopedFaultSpec chaos("io.workload.short_read=nth:1");
-    std::istringstream in("v=0,1 e=0-1 p=0\n");
-    EXPECT_FALSE(service::ReadWorkload(in).ok());
   }
 }
 

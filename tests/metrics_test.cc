@@ -17,36 +17,5 @@ TEST(AccuracyTest, EmptyIsZero) {
   EXPECT_EQ(Accuracy({}, {}), 0.0);
 }
 
-TEST(ConfusionMatrixTest, Entries) {
-  const std::vector<int32_t> predicted{0, 1, 1, 0, 1};
-  const std::vector<int32_t> actual{0, 1, 0, 1, 1};
-  const auto confusion = ConfusionMatrix(predicted, actual, 2);
-  // Rows = actual, columns = predicted.
-  EXPECT_EQ(confusion[0 * 2 + 0], 1u);  // actual 0 predicted 0
-  EXPECT_EQ(confusion[0 * 2 + 1], 1u);  // actual 0 predicted 1
-  EXPECT_EQ(confusion[1 * 2 + 0], 1u);  // actual 1 predicted 0
-  EXPECT_EQ(confusion[1 * 2 + 1], 2u);  // actual 1 predicted 1
-}
-
-TEST(ClassMetricsTest, PrecisionRecallF1) {
-  const std::vector<int32_t> predicted{1, 1, 1, 0, 0, 1};
-  const std::vector<int32_t> actual{1, 1, 0, 1, 0, 1};
-  const auto confusion = ConfusionMatrix(predicted, actual, 2);
-  const ClassMetrics m = ComputeClassMetrics(confusion, 2, 1);
-  EXPECT_DOUBLE_EQ(m.precision, 3.0 / 4.0);
-  EXPECT_DOUBLE_EQ(m.recall, 3.0 / 4.0);
-  EXPECT_DOUBLE_EQ(m.f1, 0.75);
-}
-
-TEST(ClassMetricsTest, AbsentClassIsZero) {
-  const std::vector<int32_t> predicted{0, 0};
-  const std::vector<int32_t> actual{0, 0};
-  const auto confusion = ConfusionMatrix(predicted, actual, 2);
-  const ClassMetrics m = ComputeClassMetrics(confusion, 2, 1);
-  EXPECT_EQ(m.precision, 0.0);
-  EXPECT_EQ(m.recall, 0.0);
-  EXPECT_EQ(m.f1, 0.0);
-}
-
 }  // namespace
 }  // namespace psi::ml

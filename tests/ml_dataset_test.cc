@@ -19,14 +19,6 @@ TEST(DatasetTest, AddAndAccess) {
   EXPECT_EQ(data.label(1), 1);
 }
 
-TEST(DatasetTest, NumClasses) {
-  Dataset data(1);
-  EXPECT_EQ(data.NumClasses(), 0u);
-  data.AddExample(std::vector<float>{0.0f}, 0);
-  data.AddExample(std::vector<float>{0.0f}, 4);
-  EXPECT_EQ(data.NumClasses(), 5u);
-}
-
 TEST(TrainTestSplitTest, DisjointAndComplete) {
   util::Rng rng(3);
   const TrainTestSplit split = MakeTrainTestSplit(100, 0.7, rng);

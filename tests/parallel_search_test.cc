@@ -1,17 +1,12 @@
 // Work-stealing parallel search (DESIGN.md §14): the stealing executor's
-// exactly-once contract, and the enumerator's parallel projection against
-// its own sequential ground truth.
+// exactly-once contract.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <vector>
 
 #include "match/parallel_search.h"
-#include "match/plan.h"
-#include "match/subgraph_enumerator.h"
-#include "tests/test_fixtures.h"
 #include "util/thread_pool.h"
 
 namespace psi::match {
@@ -58,66 +53,6 @@ TEST(WorkStealingTest, ImbalancedWorkProvokesSteals) {
       });
   EXPECT_EQ(done.load(), 64u);
   EXPECT_LT(steals, 64u);
-}
-
-// --- Enumerator: parallel projection -------------------------------------
-
-class EnumeratorSearchCoreTest : public ::testing::Test {
- protected:
-  // An extracted query is guaranteed at least one embedding (itself).
-  EnumeratorSearchCoreTest()
-      : g_(psi::testing::MakeRandomGraph(300, 1800, 3, 29)),
-        q_(psi::testing::ExtractQuery(g_, 4, 17)) {}
-
-  void SetUp() override {
-    if (q_.num_nodes() != 4) GTEST_SKIP() << "extraction failed";
-  }
-
-  graph::Graph g_;
-  graph::QueryGraph q_;
-};
-
-TEST_F(EnumeratorSearchCoreTest, ParallelProjectionBitIdenticalAcrossThreads) {
-  SubgraphEnumerator enumerator(g_);
-  const Plan plan = MakeHeuristicPlan(q_, g_, q_.pivot());
-  SubgraphEnumerator::Options options;
-  const auto sequential = enumerator.ProjectPivot(q_, plan, options);
-  ASSERT_TRUE(sequential.complete);
-
-  for (const size_t threads : {2u, 3u, 8u}) {
-    SearchStats stats;
-    const auto parallel = enumerator.ProjectPivotParallel(
-        q_, plan, options, threads, nullptr, &stats);
-    EXPECT_TRUE(parallel.complete) << threads;
-    EXPECT_EQ(parallel.pivot_matches, sequential.pivot_matches) << threads;
-    EXPECT_EQ(parallel.embedding_count, sequential.embedding_count)
-        << threads;
-  }
-
-  util::ThreadPool pool(4);
-  const auto pooled =
-      enumerator.ProjectPivotParallel(q_, plan, options, 4, &pool);
-  EXPECT_TRUE(pooled.complete);
-  EXPECT_EQ(pooled.pivot_matches, sequential.pivot_matches);
-}
-
-TEST_F(EnumeratorSearchCoreTest, ParallelRespectsMaxEmbeddings) {
-  SubgraphEnumerator enumerator(g_);
-  const Plan plan = MakeHeuristicPlan(q_, g_, q_.pivot());
-  SubgraphEnumerator::Options unlimited;
-  const auto full = enumerator.ProjectPivot(q_, plan, unlimited);
-  ASSERT_GT(full.embedding_count, 2u);
-
-  SubgraphEnumerator::Options capped;
-  capped.max_embeddings = 2;
-  const auto cut = enumerator.ProjectPivotParallel(q_, plan, capped, 4);
-  EXPECT_FALSE(cut.complete);
-  EXPECT_GE(cut.embedding_count, capped.max_embeddings);
-  // A truncated projection is a subset of the full answer.
-  for (const graph::NodeId v : cut.pivot_matches) {
-    EXPECT_TRUE(std::binary_search(full.pivot_matches.begin(),
-                                   full.pivot_matches.end(), v));
-  }
 }
 
 }  // namespace

@@ -77,39 +77,6 @@ TEST(RandomPlanTest, ProducesVariety) {
   EXPECT_GT(distinct.size(), 3u);
 }
 
-TEST(EnumerateConnectedPlansTest, CountsForPath) {
-  // Path a-b-c rooted at an end: exactly one connected order (a, b, c).
-  graph::QueryGraph path;
-  path.AddNode(0);
-  path.AddNode(0);
-  path.AddNode(0);
-  path.AddEdge(0, 1);
-  path.AddEdge(1, 2);
-  const auto plans = EnumerateConnectedPlans(path, 0, 100);
-  ASSERT_EQ(plans.size(), 1u);
-  EXPECT_EQ(plans[0].order, (std::vector<graph::NodeId>{0, 1, 2}));
-  // Rooted at the middle: two orders.
-  EXPECT_EQ(EnumerateConnectedPlans(path, 1, 100).size(), 2u);
-}
-
-TEST(EnumerateConnectedPlansTest, RespectsMaxCount) {
-  const graph::QueryGraph q = psi::testing::MakeFigure2Query();
-  const auto plans = EnumerateConnectedPlans(q, 1, 3);
-  EXPECT_EQ(plans.size(), 3u);
-  for (const Plan& p : plans) EXPECT_TRUE(IsValidPlan(q, p, 1));
-}
-
-TEST(EnumerateConnectedPlansTest, AllPlansDistinctAndValid) {
-  const graph::QueryGraph q = psi::testing::MakeFigure2Query();
-  const auto plans = EnumerateConnectedPlans(q, 1, 10000);
-  std::set<std::vector<graph::NodeId>> distinct;
-  for (const Plan& p : plans) {
-    EXPECT_TRUE(IsValidPlan(q, p, 1));
-    distinct.insert(p.order);
-  }
-  EXPECT_EQ(distinct.size(), plans.size());
-}
-
 TEST(SamplePlanPoolTest, HeuristicFirstAllValidDistinct) {
   const graph::Graph g = psi::testing::MakeFigure1Graph();
   const graph::QueryGraph q = psi::testing::MakeFigure2Query();

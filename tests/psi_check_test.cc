@@ -59,6 +59,22 @@ TEST(LexerTest, StringContentsAreTokensButCommentsAreNot) {
   ASSERT_EQ(string_tokens, 1u);
 }
 
+TEST(LexerTest, MacroBodiesYieldIdentifiersButNoTokens) {
+  const LexedFile lexed = Lex(
+      "#define PSI_HOOK(site) \\\n"
+      "  (::psi::Injector::Global().ShouldFail(site))\n"
+      "int x;\n");
+  EXPECT_NE(std::find(lexed.macro_idents.begin(), lexed.macro_idents.end(),
+                      "ShouldFail"),
+            lexed.macro_idents.end());
+  for (const Token& t : lexed.tokens) {
+    EXPECT_NE(t.text, "ShouldFail");
+    if (t.kind == Token::Kind::kIdent) {
+      EXPECT_NE(t.line, 1);
+    }
+  }
+}
+
 TEST(LexerTest, ParsesWellFormedWaiver) {
   const LexedFile lexed = Lex(
       "int x;  // psi-check: allow(lock-guard, determinism) -- both rules\n");
@@ -111,10 +127,10 @@ class MiniRepoTest : public ::testing::Test {
 };
 
 TEST_F(MiniRepoTest, ExactFindingCountAndNoExtras) {
-  // 14 seeded findings; src/util/clean.h and src/util/hooks.cc contribute
+  // 16 seeded findings; src/util/clean.h and src/util/hooks.cc contribute
   // none. Any change here means a rule drifted.
-  EXPECT_EQ(checker_.violations().size(), 14u);
-  EXPECT_EQ(checker_.unwaived_count(), 13);
+  EXPECT_EQ(checker_.violations().size(), 16u);
+  EXPECT_EQ(checker_.unwaived_count(), 15);
   EXPECT_TRUE(At("lock-guard", "src/util/clean.h").empty());
   for (const Violation& v : checker_.violations()) {
     EXPECT_NE(v.file, "src/util/clean.h") << v.message;
@@ -188,6 +204,34 @@ TEST_F(MiniRepoTest, MetricsPairFlagsAllThreeMismatchKinds) {
   EXPECT_NE(vs[2].message.find("'orphan_counter_'"), std::string::npos);
 }
 
+TEST_F(MiniRepoTest, UnusedDeclFlagsFunctionsOnlyTestsCall) {
+  // OnlyTested and WronglyWaived are called from tests/ alone; everything
+  // the other fixture headers declare is called from tools/driver.cc, and
+  // Probe's constructor, destructor, operator and override are exempt.
+  const auto vs = At("unused-decl", "src/match/only_tested.h");
+  ASSERT_EQ(vs.size(), 2u);
+  EXPECT_EQ(vs[0].line, 6);
+  EXPECT_NE(vs[0].message.find("'OnlyTested'"), std::string::npos);
+  EXPECT_FALSE(vs[0].waived);
+  EXPECT_EQ(vs[1].line, 8);
+  EXPECT_NE(vs[1].message.find("'WronglyWaived'"), std::string::npos);
+  for (const Violation& v : checker_.violations()) {
+    if (v.rule == "unused-decl") {
+      EXPECT_EQ(v.file, "src/match/only_tested.h") << v.message;
+    }
+  }
+}
+
+TEST_F(MiniRepoTest, WaiverNamingAnotherRuleDoesNotSuppress) {
+  // The allow(determinism) annotation above WronglyWaived is well formed,
+  // so it is no `waiver` finding either: it just waives nothing here.
+  const auto vs = At("unused-decl", "src/match/only_tested.h");
+  ASSERT_EQ(vs.size(), 2u);
+  EXPECT_EQ(vs[1].line, 8);
+  EXPECT_FALSE(vs[1].waived);
+  EXPECT_TRUE(At("waiver", "src/match/only_tested.h").empty());
+}
+
 TEST_F(MiniRepoTest, WaiverSuppressesButStillReports) {
   const auto vs = At("determinism", "src/graph/waived.cc");
   ASSERT_EQ(vs.size(), 1u);
@@ -210,10 +254,10 @@ TEST_F(MiniRepoTest, ReportsNameEveryRuleAndMarkWaivers) {
             std::string::npos);
   EXPECT_NE(text.find("(waived: fixture: exercising the waiver path)"),
             std::string::npos);
-  EXPECT_NE(text.find("14 finding(s), 13 unwaived"), std::string::npos);
+  EXPECT_NE(text.find("16 finding(s), 15 unwaived"), std::string::npos);
 
   const std::string json = checker_.JsonReport();
-  EXPECT_NE(json.find("\"unwaived\": 13"), std::string::npos);
+  EXPECT_NE(json.find("\"unwaived\": 15"), std::string::npos);
   EXPECT_NE(json.find("\"rule\": \"layering\""), std::string::npos);
   EXPECT_NE(json.find("\"waived\": true"), std::string::npos);
   EXPECT_NE(json.find("\"reason\": \"fixture: exercising the waiver path\""),
@@ -226,8 +270,15 @@ TEST(CleanRepoTest, FullyConformingTreeHasNoFindings) {
   Checker checker;
   ASSERT_TRUE(checker.Load(CleanRepo())) << checker.error();
   checker.RunAll();
-  EXPECT_TRUE(checker.violations().empty()) << checker.TextReport();
-  EXPECT_EQ(checker.unwaived_count(), 0);
+  EXPECT_EQ(checker.unwaived_count(), 0) << checker.TextReport();
+  // The one report is the test oracle's unused-decl finding, which its
+  // waiver suppresses (waived findings stay in the report, §15.2).
+  ASSERT_EQ(checker.violations().size(), 1u) << checker.TextReport();
+  const Violation& oracle = checker.violations()[0];
+  EXPECT_EQ(oracle.rule, "unused-decl");
+  EXPECT_EQ(oracle.file, "src/graph/oracle.h");
+  EXPECT_TRUE(oracle.waived);
+  EXPECT_EQ(oracle.waive_reason, "test oracle for Fine in clean_test");
 }
 
 TEST(RunPsiCheckTest, ExitCodesMatchContract) {

@@ -38,7 +38,7 @@ TEST_P(PsiEvaluatorFigure1Test, AllModesAgreeOnPaperAnswer) {
       const Outcome outcome = evaluator.EvaluateNode(u, options);
       const bool expected_valid = u == 0 || u == 5;
       EXPECT_EQ(outcome == Outcome::kValid, expected_valid)
-          << PsiModeName(mode) << " node " << u;
+          << "mode " << static_cast<int>(mode) << " node " << u;
     }
   }
 }

@@ -81,13 +81,6 @@ TEST(QueryGraphTest, MaxLabelPlusOne) {
   EXPECT_EQ(q.max_label_plus_one(), 5u);
 }
 
-TEST(QueryGraphTest, SetLabel) {
-  QueryGraph q;
-  const NodeId a = q.AddNode(1);
-  q.set_label(a, 9);
-  EXPECT_EQ(q.label(a), 9u);
-}
-
 TEST(QueryGraphTest, ToStringContainsStructure) {
   const QueryGraph q = testing::MakeFigure1Query();
   const std::string s = q.ToString();

@@ -183,10 +183,8 @@ TEST(RaceHarness, ScratchPoolLeaseChurn) {
       for (const graph::NodeId id : scratch->mapping) {
         ASSERT_EQ(id, static_cast<graph::NodeId>(t));
       }
-      if (i % 64 == 0) (void)pool.idle_count();
     }
   });
-  EXPECT_GE(pool.idle_count(), 1u);
 }
 
 // --- SignatureMatrix::RowHash ---------------------------------------------

@@ -60,23 +60,6 @@ TEST(RngTest, BoundedCoversAllValues) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST(RngTest, NextIntInclusiveRange) {
-  const uint64_t seed = psi::testing::TestSeed(11);
-  PSI_LOG_TEST_SEED(seed);
-  Rng rng(seed);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const int64_t x = rng.NextInt(-3, 3);
-    EXPECT_GE(x, -3);
-    EXPECT_LE(x, 3);
-    saw_lo |= x == -3;
-    saw_hi |= x == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, NextDoubleInUnitInterval) {
   const uint64_t seed = psi::testing::TestSeed(13);
   PSI_LOG_TEST_SEED(seed);

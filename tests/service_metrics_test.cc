@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/test_fixtures.h"
+
 namespace psi::service {
 namespace {
 

@@ -12,6 +12,7 @@
 #include "core/smart_psi.h"
 #include "graph/query_extractor.h"
 #include "service/request.h"
+#include "service/snapshot_io.h"
 #include "service/workload.h"
 #include "tests/test_fixtures.h"
 #include "util/random.h"
@@ -64,7 +65,9 @@ TEST(PsiServiceTest, SmartRequestWithLimitIsInvalid) {
   pure.method = Method::kPessimistic;
   BatchRequest batch;
   batch.queries = {smart, pure};
-  const BatchResponse response = service.ExecuteBatch(std::move(batch));
+  auto future = service.SubmitBatch(std::move(batch));
+  ASSERT_TRUE(future.has_value());
+  const BatchResponse response = future->get();
   ASSERT_EQ(response.responses.size(), 2u);
   EXPECT_EQ(response.responses[0].status, RequestStatus::kInvalid);
   EXPECT_EQ(response.responses[1].status, RequestStatus::kOk);
@@ -553,21 +556,21 @@ TEST(PsiServiceTest, CacheIsSaltedPerSnapshotGeneration) {
       << "the new generation must warm its own cache entries";
 }
 
-// A caller-built signature matrix published through the catalog is served
-// as is: no startup build, and the paper's Figure-1 answer.
+// Signatures precomputed into a .psnap file and published through the
+// catalog are served as they are: no startup build, and the paper's
+// Figure-1 answer.
 TEST(PsiServiceTest, AdoptsPrecomputedSignatures) {
   const graph::Graph g = testing::MakeFigure1Graph();
   ServiceOptions options = SmallOptions(2);
   core::SmartPsiConfig config = options.engine;
   config.num_threads = 1;
   core::SmartPsiEngine reference(g, config);
-  signature::SignatureMatrix sigs = reference.graph_signatures();
+  const std::string path =
+      ::testing::TempDir() + "service_adopts_precomputed.psnap";
+  ASSERT_TRUE(SaveSnapshotFile(g, reference.graph_signatures(), path).ok());
 
   GraphCatalog catalog;
-  ASSERT_TRUE(catalog
-                  .PublishPrebuilt(options.default_graph, g.Clone(),
-                                   std::move(sigs))
-                  .ok());
+  ASSERT_TRUE(catalog.PublishFromFile(options.default_graph, path).ok());
   PsiService service(&catalog, options);
   EXPECT_EQ(service.Stats().signature_build_seconds, 0.0);
   QueryRequest request;
@@ -606,6 +609,72 @@ TEST(PsiServiceTest, PlainSubmitTrafficLeavesBatchCountersAtZero) {
   EXPECT_EQ(m.batch_queries, 0u);
   EXPECT_EQ(m.batch_context_hits, 0u);
   EXPECT_EQ(m.batch_degraded, 0u);
+}
+
+// A Submit is a batch of one: the same requests sent through Submit to one
+// service and as one-member SubmitBatch calls to a twin settle with the
+// same answers, and every counter but the batch_* ones agrees.
+TEST(PsiServiceTest, SubmitMatchesBatchOfOne) {
+  const graph::Graph g = testing::MakeRandomGraph(200, 600, 3, /*seed=*/29);
+  util::Rng rng(31);
+  WorkloadSpec spec;
+  spec.count = 6;
+  spec.query_size = 4;
+  std::vector<QueryRequest> requests = ExtractWorkload(g, spec, rng);
+  ASSERT_FALSE(requests.empty());
+  const Method methods[] = {Method::kSmart, Method::kOptimistic,
+                            Method::kPessimistic};
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].method = methods[i % 3];
+  }
+  QueryRequest limited = requests[0];
+  limited.method = Method::kPessimistic;
+  limited.max_valid_nodes = 1;
+  QueryRequest smart_limited = limited;
+  smart_limited.method = Method::kSmart;  // settles kInvalid
+  QueryRequest elsewhere = requests[0];
+  elsewhere.graph = "no-such-graph";  // settles kNotFound
+  QueryRequest no_pivot;
+  no_pivot.query.AddNode(0);  // settles kInvalid
+  for (const QueryRequest* extra :
+       {&limited, &smart_limited, &elsewhere, &no_pivot}) {
+    requests.push_back(*extra);
+  }
+  for (size_t i = 0; i < requests.size(); ++i) requests[i].id = i + 1;
+
+  PsiService submitted(g, SmallOptions(1));
+  PsiService batched(g, SmallOptions(1));
+  for (const QueryRequest& request : requests) {
+    SCOPED_TRACE("request " + std::to_string(request.id));
+    auto alone = submitted.Submit(request);
+    BatchRequest batch;
+    batch.graph = request.graph;
+    batch.queries = {request};
+    auto one = batched.SubmitBatch(std::move(batch));
+    ASSERT_TRUE(alone.has_value());
+    ASSERT_TRUE(one.has_value());
+    const QueryResponse a = alone->get();
+    const BatchResponse b = one->get();
+    ASSERT_EQ(b.responses.size(), 1u);
+    EXPECT_EQ(a.id, b.responses[0].id);
+    EXPECT_EQ(a.status, b.responses[0].status);
+    EXPECT_EQ(a.valid_nodes, b.responses[0].valid_nodes);
+    EXPECT_EQ(a.snapshot_version, b.responses[0].snapshot_version);
+  }
+
+  const MetricsSnapshot s = submitted.Stats().metrics;
+  const MetricsSnapshot b = batched.Stats().metrics;
+  EXPECT_EQ(s.admitted, b.admitted);
+  EXPECT_EQ(s.rejected, b.rejected);
+  EXPECT_EQ(s.completed, b.completed);
+  EXPECT_EQ(s.timed_out, b.timed_out);
+  EXPECT_EQ(s.invalid, b.invalid);
+  EXPECT_EQ(s.not_found, b.not_found);
+  EXPECT_EQ(s.candidates_evaluated, b.candidates_evaluated);
+  EXPECT_EQ(s.latency.count, b.latency.count);
+  EXPECT_EQ(s.invalid, 2u);
+  EXPECT_EQ(s.not_found, 1u);
+  EXPECT_EQ(b.batch_queries, requests.size());
 }
 
 // A pure-method Submit runs through the batch runner's shared prepared

@@ -1,15 +1,67 @@
 #include "service/workload.h"
 
+#include <sys/wait.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "graph/graph_io.h"
 #include "tests/test_fixtures.h"
 #include "util/random.h"
 
 namespace psi::service {
 namespace {
+
+struct ServeRun {
+  int exit_code = -1;
+  std::string out;
+  std::string err;
+};
+
+std::string Slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Runs psi_serve over the paper's Figure-1 graph with `workload` as its
+/// request stream. Files are named after the running test: ctest runs each
+/// test in its own process, possibly at the same time.
+ServeRun RunServe(const std::string& workload) {
+  const std::string stem =
+      ::testing::TempDir() + "psi_serve_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  EXPECT_TRUE(
+      graph::SaveLgFile(testing::MakeFigure1Graph(), stem + ".lg").ok());
+  {
+    std::ofstream requests(stem + ".txt");
+    requests << workload;
+  }
+  const std::string command = std::string(PSI_SERVE_BIN) + " " + stem +
+                              ".lg --workers 1 --workload " + stem +
+                              ".txt >" + stem + ".out 2>" + stem + ".err";
+  const int status = std::system(command.c_str());
+  ServeRun run;
+  if (status != -1 && WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
+  run.out = Slurp(stem + ".out");
+  run.err = Slurp(stem + ".err");
+  return run;
+}
+
+/// The Figure-1 triangle query as a workload line.
+std::string Figure1Line(uint64_t id) {
+  QueryRequest request;
+  request.id = id;
+  request.query = testing::MakeFigure1Query();
+  return FormatWorkloadLine(request);
+}
 
 TEST(WorkloadParseTest, Figure1TriangleLine) {
   const auto parsed =
@@ -168,50 +220,46 @@ TEST(WorkloadParseTest, GraphTokenRoundTripsAndRejectsEmpty) {
   EXPECT_FALSE(ParseWorkloadLine("v=0,1 p=0 g=").ok());
 }
 
+// psi_serve reads a workload stream line by line: comments and blank lines
+// are skipped, and a malformed line is reported with its 1-based number.
 TEST(WorkloadIoTest, ReadSkipsCommentsAndBlankLines) {
-  std::istringstream in(
-      "# a comment\n"
-      "\n"
-      "v=0,1 e=0-1 p=0\n"
-      "   # indented comment\n"
-      "v=2 p=0 id=5\n");
-  const auto requests = ReadWorkload(in);
-  ASSERT_TRUE(requests.ok()) << requests.status().ToString();
-  ASSERT_EQ(requests.value().size(), 2u);
-  EXPECT_EQ(requests.value()[1].id, 5u);
+  const std::string workload = "# a comment\n\n" + Figure1Line(4) +
+                               "\n   # indented comment\n" + Figure1Line(5) +
+                               "\n";
+  const ServeRun run = RunServe(workload);
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_EQ(std::count(run.out.begin(), run.out.end(), '\n'), 2) << run.out;
+  EXPECT_NE(run.out.find("id=4 status=ok valid=2"), std::string::npos)
+      << run.out;
+  EXPECT_NE(run.out.find("id=5 status=ok valid=2"), std::string::npos)
+      << run.out;
 }
 
 TEST(WorkloadIoTest, ReadReportsOneBasedLineNumber) {
-  std::istringstream in(
-      "v=0,1 e=0-1 p=0\n"
-      "not a request\n");
-  const auto requests = ReadWorkload(in);
-  ASSERT_FALSE(requests.ok());
-  EXPECT_NE(requests.status().message().find("line 2"), std::string::npos)
-      << requests.status().ToString();
+  const ServeRun run = RunServe(Figure1Line(1) + "\nnot a request\n");
+  EXPECT_EQ(run.exit_code, 1) << run.err;
+  EXPECT_NE(run.err.find("line 2: "), std::string::npos) << run.err;
+  EXPECT_NE(run.out.find("id=1 status=ok valid=2"), std::string::npos)
+      << run.out;
 }
 
+// Lines written by FormatWorkloadLine are read back by psi_serve with their
+// ids, methods and deadlines.
 TEST(WorkloadIoTest, WriteReadRoundTrip) {
-  std::vector<QueryRequest> requests;
   QueryRequest a;
   a.id = 1;
   a.query = testing::MakeFigure1Query();
-  QueryRequest b;
+  QueryRequest b = a;
   b.id = 2;
-  b.query = testing::MakeFigure2Query();
-  b.deadline_seconds = 0.010;
+  b.deadline_seconds = 5.0;
   b.method = Method::kOptimistic;
-  requests.push_back(a);
-  requests.push_back(b);
-
-  std::stringstream io;
-  WriteWorkload(requests, io);
-  const auto back = ReadWorkload(io);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_EQ(back.value().size(), 2u);
-  EXPECT_EQ(back.value()[0].query.Fingerprint(), a.query.Fingerprint());
-  EXPECT_EQ(back.value()[1].query.Fingerprint(), b.query.Fingerprint());
-  EXPECT_EQ(back.value()[1].method, Method::kOptimistic);
+  const ServeRun run = RunServe(FormatWorkloadLine(a) + "\n" +
+                                FormatWorkloadLine(b) + "\n");
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+  EXPECT_NE(run.out.find("id=1 status=ok valid=2"), std::string::npos)
+      << run.out;
+  EXPECT_NE(run.out.find("id=2 status=ok valid=2"), std::string::npos)
+      << run.out;
 }
 
 TEST(ExtractWorkloadTest, RespectsSpecAndAssignsIds) {

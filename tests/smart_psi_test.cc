@@ -176,23 +176,13 @@ TEST_P(SmartPsiClassifierTest, ExactWithAnyClassifier) {
   const PsiQueryResult result = engine.Evaluate(q);
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.valid_nodes, truth.pivot_matches)
-      << core::ClassifierKindName(GetParam());
+      << "kind " << static_cast<int>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, SmartPsiClassifierTest,
                          ::testing::Values(core::ClassifierKind::kRandomForest,
                                            core::ClassifierKind::kLinearSvm,
                                            core::ClassifierKind::kNeuralNet));
-
-TEST(ClassifierTest, KindNames) {
-  EXPECT_STREQ(
-      core::ClassifierKindName(core::ClassifierKind::kRandomForest),
-      "random-forest");
-  EXPECT_STREQ(core::ClassifierKindName(core::ClassifierKind::kLinearSvm),
-               "linear-svm");
-  EXPECT_STREQ(core::ClassifierKindName(core::ClassifierKind::kNeuralNet),
-               "neural-net");
-}
 
 TEST(ClassifierTest, AllKindsTrainAndPredict) {
   ml::Dataset data(2);
@@ -219,7 +209,7 @@ TEST(ClassifierTest, AllKindsTrainAndPredict) {
       if (model.Predict(data.row(i)) == data.label(i)) ++correct;
     }
     EXPECT_GT(static_cast<double>(correct) / data.size(), 0.9)
-        << core::ClassifierKindName(kind);
+        << "kind " << static_cast<int>(kind);
   }
 }
 
@@ -251,8 +241,8 @@ TEST(SmartPsiTest, MlPathReportsAccuracyAndTiming) {
   EXPECT_GT(result.alpha_predictions, 0u);
   EXPECT_LE(result.alpha_correct, result.alpha_predictions);
   EXPECT_GT(result.train_seconds, 0.0);
-  EXPECT_GE(result.MlOverheadFraction(), 0.0);
-  EXPECT_LE(result.MlOverheadFraction(), 1.0);
+  EXPECT_LE(result.train_seconds + result.predict_seconds,
+            result.total_seconds);
 }
 
 TEST(SmartPsiTest, CacheHitsAccumulateAcrossQueries) {

@@ -86,14 +86,6 @@ TEST(WallTimerTest, MeasuresElapsed) {
   const double s = t.Seconds();
   EXPECT_GE(s, 0.015);
   EXPECT_LT(s, 2.0);
-  EXPECT_NEAR(t.Millis(), t.Seconds() * 1e3, 5.0);
-}
-
-TEST(WallTimerTest, RestartResets) {
-  WallTimer t;
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  t.Restart();
-  EXPECT_LT(t.Seconds(), 0.015);
 }
 
 }  // namespace

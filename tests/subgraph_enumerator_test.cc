@@ -14,7 +14,7 @@ TEST(SubgraphEnumeratorTest, Figure1TriangleCount) {
   SubgraphEnumerator enumerator(g);
   const Plan plan = MakeHeuristicPlan(q, g, q.pivot());
   const auto result =
-      enumerator.CountEmbeddings(q, plan, SubgraphEnumerator::Options());
+      enumerator.Enumerate(q, plan, nullptr, SubgraphEnumerator::Options());
   EXPECT_EQ(result.embedding_count, 5u);
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.outcome, Outcome::kValid);
@@ -28,7 +28,7 @@ TEST(SubgraphEnumeratorTest, CountIndependentOfPlan) {
   for (int i = 0; i < 10; ++i) {
     const Plan plan = MakeRandomPlan(q, q.pivot(), rng);
     const auto result =
-        enumerator.CountEmbeddings(q, plan, SubgraphEnumerator::Options());
+        enumerator.Enumerate(q, plan, nullptr, SubgraphEnumerator::Options());
     EXPECT_EQ(result.embedding_count, 5u) << plan.ToString();
   }
 }
@@ -83,7 +83,7 @@ TEST(SubgraphEnumeratorTest, MaxEmbeddingsTruncates) {
   const Plan plan = MakeHeuristicPlan(q, g, q.pivot());
   SubgraphEnumerator::Options options;
   options.max_embeddings = 2;
-  const auto result = enumerator.CountEmbeddings(q, plan, options);
+  const auto result = enumerator.Enumerate(q, plan, nullptr, options);
   EXPECT_EQ(result.embedding_count, 2u);
   EXPECT_FALSE(result.complete);
 }
@@ -119,7 +119,7 @@ TEST(SubgraphEnumeratorTest, NoMatchesForImpossibleQuery) {
   SubgraphEnumerator enumerator(g);
   const Plan plan = MakeHeuristicPlan(q, g, a);
   const auto result =
-      enumerator.CountEmbeddings(q, plan, SubgraphEnumerator::Options());
+      enumerator.Enumerate(q, plan, nullptr, SubgraphEnumerator::Options());
   EXPECT_EQ(result.embedding_count, 0u);
   EXPECT_EQ(result.outcome, Outcome::kInvalid);
   EXPECT_TRUE(result.complete);
@@ -134,7 +134,7 @@ TEST(SubgraphEnumeratorTest, SingleNodeQueryCountsLabelFrequency) {
   Plan plan;
   plan.order = {0};
   const auto result =
-      enumerator.CountEmbeddings(q, plan, SubgraphEnumerator::Options());
+      enumerator.Enumerate(q, plan, nullptr, SubgraphEnumerator::Options());
   EXPECT_EQ(result.embedding_count, 2u);  // u3, u4
 }
 
@@ -173,7 +173,7 @@ TEST(SubgraphEnumeratorTest, ExpiredDeadlineIncomplete) {
   const Plan plan = MakeHeuristicPlan(q, g, q.pivot());
   SubgraphEnumerator::Options options;
   options.deadline = util::Deadline::After(-1.0);
-  const auto result = enumerator.CountEmbeddings(q, plan, options);
+  const auto result = enumerator.Enumerate(q, plan, nullptr, options);
   EXPECT_FALSE(result.complete);
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "graph/graph_builder.h"
 #include "graph/query_extractor.h"
 #include "graph/query_graph.h"
+#include "service/request.h"
 #include "util/random.h"
 
 namespace psi::testing {
@@ -160,5 +162,17 @@ inline std::string MakeChaosSchedule() {
 }
 
 }  // namespace psi::testing
+
+namespace psi::service {
+
+/// Prints the status name, so a failed test comparison reads `timeout`
+/// rather than a byte dump of the enum (gtest finds it by argument-
+/// dependent lookup). Every test that compares statuses includes this
+/// header, so all of them print statuses the same way.
+inline void PrintTo(RequestStatus s, std::ostream* os) {
+  *os << RequestStatusName(s);
+}
+
+}  // namespace psi::service
 
 #endif  // SMARTPSI_TESTS_TEST_FIXTURES_H_

@@ -43,7 +43,7 @@ bool ReadFile(const fs::path& path, std::string* out) {
 
 bool IsSourceExtension(const fs::path& path) {
   const std::string ext = path.extension().string();
-  return ext == ".h" || ext == ".cc";
+  return ext == ".h" || ext == ".cc" || ext == ".cpp";
 }
 
 /// True when any component of the root-relative path is `fixtures` —
@@ -56,6 +56,25 @@ bool InFixtureDir(const fs::path& path) {
     if (part == "fixtures") return true;
   }
   return false;
+}
+
+/// The source files under root/dir (none when dir is absent), sorted, with
+/// fixture trees skipped.
+std::vector<fs::path> ListSources(const fs::path& root, const char* dir) {
+  std::vector<fs::path> paths;
+  std::error_code ec;
+  if (!fs::is_directory(root / dir, ec)) return paths;
+  for (auto it = fs::recursive_directory_iterator(root / dir, ec);
+       it != fs::recursive_directory_iterator(); ++it) {
+    if (!it->is_regular_file()) continue;
+    if (InFixtureDir(fs::relative(it->path(), root)) ||
+        !IsSourceExtension(it->path())) {
+      continue;
+    }
+    paths.push_back(it->path());
+  }
+  std::sort(paths.begin(), paths.end());
+  return paths;
 }
 
 bool IsWordChar(char c) {
@@ -329,6 +348,203 @@ bool TypeMentions(const FieldDecl& field, std::string_view ident) {
   return false;
 }
 
+// ---------------------------------------------------------------------------
+// Function declarations, for the unused-decl rule.
+
+/// Words that can stand before `name(` without `name` being a declared
+/// function: statement keywords and the specifiers that precede a
+/// constructor (`explicit Foo(`).
+bool IsNonTypeKeyword(const std::string& s) {
+  static const std::set<std::string> kWords = {
+      "return",   "else",      "new",       "delete",    "throw",
+      "case",     "goto",      "co_return", "co_await",  "co_yield",
+      "if",       "while",     "for",       "switch",    "catch",
+      "do",       "try",       "sizeof",    "alignof",   "decltype",
+      "typeid",   "noexcept",  "explicit",  "virtual",   "static",
+      "inline",   "constexpr", "consteval", "friend",    "extern",
+      "typedef",  "using",     "template",  "typename",  "class",
+      "struct",   "union",     "enum",      "namespace", "public",
+      "private",  "protected", "operator",  "const",     "volatile",
+      "mutable",  "default",   "this",      "alignas",   "static_assert",
+      "requires", "concept"};
+  return kWords.count(s) != 0;
+}
+
+bool IsBuiltinType(const std::string& s) {
+  return s == "void" || s == "bool" || s == "char" || s == "int" ||
+         s == "short" || s == "long" || s == "float" || s == "double" ||
+         s == "unsigned" || s == "signed" || s == "auto";
+}
+
+/// PSI_GUARDED_BY and friends: all caps, so never a function name here.
+bool IsMacroName(const std::string& s) {
+  return std::none_of(s.begin(), s.end(), [](char c) {
+    return std::islower(static_cast<unsigned char>(c)) != 0;
+  });
+}
+
+/// True when toks[i] is `name(...)` followed by optional qualifiers and a
+/// `{`: the head of a function definition, which is never a call.
+bool IsDefinitionHead(const std::vector<Token>& toks, size_t i) {
+  if (toks[i].kind != Token::Kind::kIdent || i + 1 >= toks.size() ||
+      !IsPunct(toks[i + 1], "(")) {
+    return false;
+  }
+  size_t j = SkipBalanced(toks, i + 1, "(", ")");
+  while (j < toks.size()) {
+    const Token& t = toks[j];
+    if (IsIdent(t, "const") || IsIdent(t, "override") ||
+        IsIdent(t, "final") || IsIdent(t, "mutable") || IsPunct(t, "&")) {
+      ++j;
+    } else if (IsIdent(t, "noexcept") ||
+               (t.kind == Token::Kind::kIdent && IsAnnotationMacro(t.text))) {
+      ++j;
+      if (j < toks.size() && IsPunct(toks[j], "(")) {
+        j = SkipBalanced(toks, j, "(", ")");
+      }
+    } else {
+      break;
+    }
+  }
+  return j < toks.size() && IsPunct(toks[j], "{");
+}
+
+struct FunctionDecl {
+  std::string name;
+  int line = 0;
+  size_t token = 0;  // index of the name token
+};
+
+/// Collects the functions a header declares at namespace and class scope.
+/// Function bodies, enums and initializers are skipped whole, so nothing
+/// inside them is mistaken for a declaration.
+class FunctionDeclCollector {
+ public:
+  explicit FunctionDeclCollector(const std::vector<Token>& toks)
+      : toks_(toks) {}
+
+  std::vector<FunctionDecl> Run() {
+    ParseScope(0, "");
+    return std::move(decls_);
+  }
+
+ private:
+  /// Parses declarations until the `}` closing this scope; `cls` names the
+  /// enclosing class ("" at namespace scope). Returns the index past `}`.
+  size_t ParseScope(size_t pos, const std::string& cls) {
+    size_t start = pos;  // first token of the current statement
+    while (pos < toks_.size() && toks_[pos].kind != Token::Kind::kEnd) {
+      const Token& t = toks_[pos];
+      if (IsPunct(t, "}")) return pos + 1;
+      if (IsPunct(t, ";")) {
+        Declarator(start, pos, cls);
+        start = ++pos;
+        continue;
+      }
+      if ((IsIdent(t, "public") || IsIdent(t, "private") ||
+           IsIdent(t, "protected")) &&
+          pos + 1 < toks_.size() && IsPunct(toks_[pos + 1], ":")) {
+        start = pos += 2;
+        continue;
+      }
+      if (IsPunct(t, "(")) {
+        pos = SkipBalanced(toks_, pos, "(", ")");
+        continue;
+      }
+      if (!IsPunct(t, "{")) {
+        ++pos;
+        continue;
+      }
+      bool is_namespace = false;
+      bool is_enum = false;
+      bool is_class = false;
+      std::string name;
+      for (size_t k = start; k < pos; ++k) {
+        const Token& s = toks_[k];
+        if (IsIdent(s, "namespace") || IsIdent(s, "extern")) {
+          is_namespace = true;
+        }
+        if (IsIdent(s, "enum")) is_enum = true;
+        if (IsIdent(s, "class") || IsIdent(s, "struct") ||
+            IsIdent(s, "union")) {
+          is_class = true;
+          name.clear();
+        }
+        if (IsPunct(s, ":") && is_class) break;  // base-clause follows
+        if (s.kind == Token::Kind::kIdent && !IsNonTypeKeyword(s.text) &&
+            !IsMacroName(s.text) && s.text != "final") {
+          name = s.text;
+        }
+      }
+      if (is_namespace) {
+        start = pos = ParseScope(pos + 1, "");
+      } else if (is_class && !is_enum) {
+        start = pos = ParseScope(pos + 1, name);
+      } else {
+        // A function body, enum, initializer or lambda: skip it whole. A
+        // function definition needs no trailing semicolon; anything else
+        // runs on to its `;`.
+        const bool function = Declarator(start, pos, cls);
+        pos = SkipBalanced(toks_, pos, "{", "}");
+        if (function || pos >= toks_.size() ||
+            !(IsPunct(toks_[pos], ";") || IsPunct(toks_[pos], ","))) {
+          start = pos;
+        }
+      }
+    }
+    return pos;
+  }
+
+  /// Records the function (if any) that the statement [start, end)
+  /// declares. Returns true when the statement declares a function, even an
+  /// exempt one.
+  bool Declarator(size_t start, size_t end, const std::string& cls) {
+    size_t i = start;
+    if (i < end && IsIdent(toks_[i], "template") && i + 1 < end &&
+        IsPunct(toks_[i + 1], "<")) {
+      i = SkipBalanced(toks_, i + 1, "<", ">");
+    }
+    for (; i < end; ++i) {
+      const Token& t = toks_[i];
+      if (IsIdent(t, "operator")) return true;
+      if (IsPunct(t, "=")) return false;  // an initialized variable
+      if (IsPunct(t, "(")) {
+        i = SkipBalanced(toks_, i, "(", ")") - 1;
+        continue;
+      }
+      if (t.kind != Token::Kind::kIdent || i + 1 >= end ||
+          !IsPunct(toks_[i + 1], "(")) {
+        continue;
+      }
+      if (IsNonTypeKeyword(t.text) || IsBuiltinType(t.text) ||
+          IsMacroName(t.text)) {
+        i = SkipBalanced(toks_, i + 1, "(", ")") - 1;
+        continue;
+      }
+      if (i == start) return true;  // `Name(` opens it: a constructor
+      const Token& prev = toks_[i - 1];
+      const bool typed =
+          (prev.kind == Token::Kind::kIdent &&
+           (!IsNonTypeKeyword(prev.text) || IsIdent(prev, "const"))) ||
+          IsPunct(prev, ">") || IsPunct(prev, "*") || IsPunct(prev, "&");
+      // Constructors (`explicit Foo(`, `Foo(`), destructors (`~Foo(`) and
+      // out-of-class definitions (`Foo::Bar(`) are not new declarations.
+      if (!typed || t.text == cls) return true;
+      for (size_t k = SkipBalanced(toks_, i + 1, "(", ")"); k < end; ++k) {
+        if (IsIdent(toks_[k], "override") || IsIdent(toks_[k], "final")) {
+          return true;
+        }
+      }
+      decls_.push_back(FunctionDecl{t.text, t.line, i});
+      return true;
+    }
+    return false;
+  }
+
+  const std::vector<Token>& toks_;
+  std::vector<FunctionDecl> decls_;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -341,18 +557,7 @@ bool Checker::Load(const fs::path& root) {
     error_ = "no src/ directory under root: " + root_.string();
     return false;
   }
-  std::vector<fs::path> paths;
-  for (auto it = fs::recursive_directory_iterator(root_ / "src", ec);
-       it != fs::recursive_directory_iterator(); ++it) {
-    if (!it->is_regular_file()) continue;
-    if (InFixtureDir(fs::relative(it->path(), root_)) ||
-        !IsSourceExtension(it->path())) {
-      continue;
-    }
-    paths.push_back(it->path());
-  }
-  std::sort(paths.begin(), paths.end());
-  for (const fs::path& path : paths) {
+  for (const fs::path& path : ListSources(root_, "src")) {
     std::string content;
     if (!ReadFile(path, &content)) {
       error_ = "unreadable file: " + path.string();
@@ -368,24 +573,17 @@ bool Checker::Load(const fs::path& root) {
     files_.push_back(std::move(file));
   }
   ReadFile(root_ / "DESIGN.md", &design_text_);
-  if (fs::is_directory(root_ / "tests", ec)) {
-    std::vector<fs::path> test_paths;
-    for (auto it = fs::recursive_directory_iterator(root_ / "tests", ec);
-         it != fs::recursive_directory_iterator(); ++it) {
-      if (!it->is_regular_file()) continue;
-      if (InFixtureDir(fs::relative(it->path(), root_)) ||
-          !IsSourceExtension(it->path())) {
-        continue;
-      }
-      test_paths.push_back(it->path());
+  for (const fs::path& path : ListSources(root_, "tests")) {
+    std::string content;
+    if (ReadFile(path, &content)) {
+      tests_text_ += content;
+      tests_text_ += '\n';
     }
-    std::sort(test_paths.begin(), test_paths.end());
-    for (const fs::path& path : test_paths) {
+  }
+  for (const char* dir : {"tools", "bench", "perfbench", "examples"}) {
+    for (const fs::path& path : ListSources(root_, dir)) {
       std::string content;
-      if (ReadFile(path, &content)) {
-        tests_text_ += content;
-        tests_text_ += '\n';
-      }
+      if (ReadFile(path, &content)) caller_files_.push_back(Lex(content));
     }
   }
   return true;
@@ -757,6 +955,48 @@ void Checker::CheckMetricsPairing() {
   }
 }
 
+void Checker::CheckUnusedDecls() {
+  struct Declared {
+    const SourceFile* file;
+    FunctionDecl decl;
+  };
+  std::vector<Declared> declared;
+  // (file, token) of every collected declaration: not references.
+  std::set<std::pair<const LexedFile*, size_t>> decl_tokens;
+  for (const SourceFile& file : files_) {
+    if (file.rel_path.size() < 2 ||
+        file.rel_path.compare(file.rel_path.size() - 2, 2, ".h") != 0) {
+      continue;
+    }
+    for (FunctionDecl& d : FunctionDeclCollector(file.lexed.tokens).Run()) {
+      decl_tokens.insert({&file.lexed, d.token});
+      declared.push_back(Declared{&file, std::move(d)});
+    }
+  }
+
+  std::set<std::string> referenced;
+  auto collect = [&](const LexedFile& lexed) {
+    const std::vector<Token>& toks = lexed.tokens;
+    for (size_t i = 0; i < toks.size(); ++i) {
+      if (toks[i].kind == Token::Kind::kIdent &&
+          decl_tokens.count({&lexed, i}) == 0 && !IsDefinitionHead(toks, i)) {
+        referenced.insert(toks[i].text);
+      }
+    }
+    referenced.insert(lexed.macro_idents.begin(), lexed.macro_idents.end());
+  };
+  for (const SourceFile& file : files_) collect(file.lexed);
+  for (const LexedFile& lexed : caller_files_) collect(lexed);
+
+  for (const Declared& d : declared) {
+    if (referenced.count(d.decl.name) != 0) continue;
+    Report(*d.file, "unused-decl", d.decl.line,
+           "function '" + d.decl.name +
+               "' has no caller in src/, tools/, bench/, perfbench/ or "
+               "examples/ — delete it, or waive it as a test oracle");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Driving & reporting
 
@@ -769,6 +1009,7 @@ void Checker::RunAll() {
   }
   CheckFaultSites();
   CheckMetricsPairing();
+  CheckUnusedDecls();
   std::stable_sort(violations_.begin(), violations_.end(),
                    [](const Violation& a, const Violation& b) {
                      if (a.file != b.file) return a.file < b.file;
@@ -835,9 +1076,10 @@ int RunPsiCheck(const std::vector<std::string>& args) {
       std::cout
           << "usage: psi_check [--root DIR] [--json]\n\n"
              "Project-contract static analysis (DESIGN.md §15): layering,\n"
-             "determinism, lock-guard, fault-site and metrics-pair rules\n"
-             "over DIR/src, cross-referenced against DIR/DESIGN.md and\n"
-             "DIR/tests. Exit 0 = clean, 1 = unwaived violations,\n"
+             "determinism, lock-guard, fault-site, metrics-pair and\n"
+             "unused-decl rules over DIR/src, cross-referenced against\n"
+             "DIR/DESIGN.md, DIR/tests and the callers in DIR/{tools,bench,\n"
+             "perfbench,examples}. Exit 0 = clean, 1 = unwaived violations,\n"
              "2 = usage or unreadable tree.\n";
       return 0;
     } else {

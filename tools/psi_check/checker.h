@@ -2,7 +2,7 @@
 #define SMARTPSI_TOOLS_PSI_CHECK_CHECKER_H_
 
 // tools/psi_check — the project-contract static-analysis pass (DESIGN.md
-// §15). Five rules, each enforcing a written contract that generic tools
+// §15). Six rules, each enforcing a written contract that generic tools
 // (clang-tidy, cppcheck) cannot see because the contracts are this repo's,
 // not the language's:
 //
@@ -27,6 +27,13 @@
 //                 emitted by ToString and asserted in a test; every
 //                 std::atomic<uint64_t> on MetricsRegistry must have a
 //                 matching snapshot field.
+//   unused-decl   every function declared in a src/ header must be named
+//                 somewhere in src/, tools/, bench/, perfbench/ or
+//                 examples/ besides its own declaration and definition;
+//                 tests alone do not keep code alive. Matching is by
+//                 name, so it can miss dead code but never flags called
+//                 code. Constructors, destructors, operators and
+//                 overrides are exempt.
 //
 // Any violation is suppressible only by an explicit annotation on the
 // offending line (or the line above):
@@ -83,6 +90,7 @@ class Checker {
   void CheckLockGuards(const SourceFile& file);
   void CheckFaultSites();
   void CheckMetricsPairing();
+  void CheckUnusedDecls();
 
   /// Records `v`, resolving waivers against the file's annotations.
   void Report(const SourceFile& file, std::string rule, int line,
@@ -92,6 +100,7 @@ class Checker {
 
   std::filesystem::path root_;
   std::vector<SourceFile> files_;        // src/**/*.{h,cc}
+  std::vector<LexedFile> caller_files_;  // tools, bench, perfbench, examples
   std::string design_text_;              // DESIGN.md (may be empty)
   std::string tests_text_;               // concatenated tests/**/*.{h,cc}
   std::vector<Violation> violations_;

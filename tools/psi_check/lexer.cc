@@ -182,6 +182,7 @@ class Lexer {
       }
     }
     // Consume to the end of the (possibly continued) directive.
+    if (directive == "define") pos_ = word_end;
     while (pos_ < src_.size()) {
       if (src_[pos_] == '\\' && Peek(1) == '\n') {
         pos_ += 2;
@@ -189,6 +190,13 @@ class Lexer {
         continue;
       }
       if (src_[pos_] == '\n') break;  // newline handled by Run()
+      if (directive == "define" && IsIdentStart(src_[pos_])) {
+        size_t end = pos_;
+        while (end < src_.size() && IsIdentChar(src_[end])) ++end;
+        result_.macro_idents.push_back(src_.substr(pos_, end - pos_));
+        pos_ = end;
+        continue;
+      }
       // Line comments end a directive's interesting part but may hold a
       // waiver; block comments inside directives are rare — skip simply.
       if (src_[pos_] == '/' && Peek(1) == '/') {

@@ -49,6 +49,10 @@ struct LexedFile {
   std::vector<Token> tokens;
   std::vector<IncludeDirective> includes;
   std::vector<Waiver> waivers;
+  /// Identifiers in `#define` bodies. They are not tokens (the rules check
+  /// call sites, not macro definitions), but a function a macro calls is
+  /// still called.
+  std::vector<std::string> macro_idents;
 };
 
 /// Lexes `content` (the bytes of one source file). Never fails: unexpected

@@ -149,6 +149,26 @@ mutant "training minimum ignored" \
   'if (trained >= kMinTrainingNodes &&' \
   'if ('
 
+mutant "kSmart request with a limit is evaluated" \
+  src/service/service.cc \
+  '(request.method == Method::kSmart && request.max_valid_nodes > 0)) {' \
+  '(false && request.max_valid_nodes > 0)) {'
+
+mutant "batch members share the first member's limit" \
+  src/service/service.cc \
+  $'    for (const size_t i : pure_members) {\n      response.responses[i] = RunOne(' \
+  $'    for (const size_t i : pure_members) {\n      request.queries[i].max_valid_nodes =\n          request.queries[pure_members[0]].max_valid_nodes;\n      response.responses[i] = RunOne('
+
+mutant "ReduceSupport reads past the first short pivot" \
+  src/fsm/support.cc \
+  $'    if (count < min_support) break;  // the in-process path stops here too\n' \
+  ''
+
+mutant "Submit drops the request's graph name" \
+  src/service/service.cc \
+  $'  batch.graph = std::move(request.graph);\n' \
+  ''
+
 echo "== $KILLED killed, ${#SURVIVORS[@]} survived"
 if [[ ${#SURVIVORS[@]} -gt 0 ]]; then
   printf 'SURVIVOR: %s\n' "${SURVIVORS[@]}" >&2
