@@ -258,7 +258,7 @@ void BM_PredictionCacheLookup(benchmark::State& state) {
     cache.Insert(h * 0x9e3779b97f4a7c15ULL,
                  {.valid = h % 2 == 0,
                   .plan_index = static_cast<uint16_t>(h % 8),
-                  .seconds = 1e-3f});
+                  .steps = 1000});
   }
   uint64_t i = 0;
   for (auto _ : state) {

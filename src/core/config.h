@@ -11,8 +11,9 @@ namespace psi::core {
 
 /// Tuning knobs for the SmartPSI engine (paper §4.2–4.3). Defaults follow
 /// the paper where it states values (10% training sample capped at 1000
-/// nodes, here a ceiling; super-optimistic candidate cap 10, MaxTime =
-/// 2 × AvgT).
+/// nodes, here a ceiling; super-optimistic candidate cap 10). The Realist's
+/// cost constants — plan step limits and MaxTime = 2 × AvgT with its floor,
+/// all counted in search steps — are not knobs: see SmartPsiEngine.
 struct SmartPsiConfig {
   // --- Signatures -------------------------------------------------------
   /// Builder for graph and query signatures (must match; engine-enforced).
@@ -43,11 +44,6 @@ struct SmartPsiConfig {
   // --- Evaluation --------------------------------------------------------
   /// Candidate cap of the super-optimistic first pass (paper uses 10).
   size_t super_optimistic_limit = 10;
-  /// MaxTime(u) = timeout_factor × AvgT(method, plan) (paper §4.3 uses 2).
-  double timeout_factor = 2.0;
-  /// Floor for MaxTime so microsecond-scale averages cannot cause
-  /// pathological preemption thrash.
-  double min_preemption_seconds = 1e-3;
   /// Enable Model β (otherwise: heuristic plan for everything).
   bool enable_plan_model = true;
   /// Enable the signature-keyed prediction cache (paper §4.2.3).

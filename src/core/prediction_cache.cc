@@ -66,7 +66,7 @@ std::optional<PredictionCache::Entry> PredictionCache::Lookup(
     ++shard.misses;
     return std::nullopt;
   }
-  if (slot->epoch != expected_epoch) {
+  if (slot->epoch != static_cast<uint16_t>(expected_epoch)) {
     // Key matched but the entry was confirmed against a different snapshot
     // generation. With version-salted keys this should be unreachable; the
     // counter is the tripwire swap-storm asserts on.
@@ -75,7 +75,8 @@ std::optional<PredictionCache::Entry> PredictionCache::Lookup(
     return std::nullopt;
   }
   ++shard.hits;
-  Entry entry{slot->valid, slot->plan_index, slot->seconds, slot->epoch};
+  Entry entry{(slot->flags & kValid) != 0, slot->plan_index, slot->steps,
+              expected_epoch};
   if (poison) {
     entry.valid = !entry.valid;
     ++entry.plan_index;  // consumers clamp out-of-range plan indices
@@ -98,8 +99,10 @@ void PredictionCache::Insert(uint64_t signature_hash, Entry entry) {
     i = shard.Find(signature_hash);
     ++shard.size;
   }
-  shard.slots[i] = {signature_hash, entry.epoch, entry.seconds,
-                    entry.plan_index, entry.valid, kOccupied};
+  shard.slots[i] = {
+      signature_hash, entry.steps, static_cast<uint16_t>(entry.epoch),
+      static_cast<uint8_t>(std::min<uint16_t>(entry.plan_index, UINT8_MAX)),
+      static_cast<uint8_t>(kOccupied | (entry.valid ? kValid : 0))};
 }
 
 size_t PredictionCache::size() const {

@@ -36,14 +36,14 @@ class PredictionCache {
     bool valid = false;
     /// Plan-pool index that completed the evaluation.
     uint16_t plan_index = 0;
-    /// Wall time of the run that confirmed the decision; the Realist's
-    /// MaxTime base for the next evaluation steered by this entry.
-    float seconds = 0.0f;
+    /// Search steps of the run that confirmed the decision (saturated); the
+    /// Realist's MaxTime base for the next evaluation steered by this entry.
+    uint32_t steps = 0;
     /// Generation stamp of the state the decision was confirmed against —
     /// the service stamps entries with the graph-snapshot version. 0 for
-    /// standalone engines with no snapshot. An entry whose epoch differs
-    /// from the lookup's expected epoch is treated as a miss and counted
-    /// in Counters::epoch_drops (the cross-snapshot tripwire).
+    /// standalone engines with no snapshot. An entry whose epoch's low 16
+    /// bits differ from the lookup's expected epoch's is treated as a miss
+    /// and counted in Counters::epoch_drops (the cross-snapshot tripwire).
     uint64_t epoch = 0;
   };
   static_assert(sizeof(Entry) == 16, "Entry must pack to 16 bytes");
@@ -101,18 +101,19 @@ class PredictionCache {
   static constexpr size_t kShardSlots = kMaxSlots / kShards;
   static constexpr size_t kInitialShardSlots = 64;
 
-  /// One table slot: the key and the Entry's fields, plus the occupancy
-  /// flag in the byte the Entry would spend on padding.
+  /// One table slot in 16 bytes: the epoch keeps its low 16 bits (a false
+  /// hit across generations 65,536 publishes apart would also need a 64-bit
+  /// key collision) and plan indices saturate at 255 (readers clamp them).
   struct Slot {
     uint64_t key;
-    uint64_t epoch;
-    float seconds;
-    uint16_t plan_index;
-    bool valid;
-    uint8_t flags;  // kOccupied or 0
+    uint32_t steps;
+    uint16_t epoch;
+    uint8_t plan_index;
+    uint8_t flags;  // kOccupied | kValid
   };
-  static_assert(sizeof(Slot) <= 24, "a slot is the key plus a 16-byte Entry");
+  static_assert(sizeof(Slot) == 16, "a slot is the key plus 8 bytes");
   static constexpr uint8_t kOccupied = 1;
+  static constexpr uint8_t kValid = 2;
 
   /// Everything in a shard — its table and traffic counters — is guarded
   /// by the shard's own mutex; shards never nest, so no lock order exists.

@@ -99,7 +99,7 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
     evaluator.BindQuery(q, query_sigs, plan);
     for (const graph::NodeId u : candidates) {
       // Poll between candidates: the evaluator only checks every
-      // kCheckInterval steps, so small searches finish between polls and
+      // kPollSteps steps, so small searches finish between polls and
       // an expired deadline could otherwise start every remaining
       // candidate.
       if (options.deadline.Expired() || options.stop.StopRequested()) {

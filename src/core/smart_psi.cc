@@ -30,10 +30,11 @@ using match::PsiMode;
 /// full optimistic strategy (super-optimistic pass + complete fallback).
 Outcome RunMethod(PsiEvaluator& evaluator, graph::NodeId node, bool optimistic,
                   size_t super_limit, util::Deadline deadline,
-                  util::StopToken stop, match::SearchStats* stats,
-                  bool pivot_prefiltered = false) {
+                  uint64_t max_steps, util::StopToken stop,
+                  match::SearchStats* stats, bool pivot_prefiltered = false) {
   PsiEvaluator::Options options;
   options.super_optimistic_limit = super_limit;
+  options.max_steps = max_steps;
   options.deadline = deadline;
   options.stop = stop;
   options.pivot_prefiltered = pivot_prefiltered;
@@ -44,9 +45,17 @@ Outcome RunMethod(PsiEvaluator& evaluator, graph::NodeId node, bool optimistic,
   return evaluator.EvaluateNode(node, options, stats);
 }
 
-/// Takes the earlier of two deadlines.
-util::Deadline MinDeadline(util::Deadline a, util::Deadline b) {
-  return a.RemainingSeconds() <= b.RemainingSeconds() ? a : b;
+/// MaxTime for a run whose method and plan took `base_steps` before (paper
+/// §4.3: 2 × AvgT), never below twice the floor.
+uint64_t MaxTimeSteps(double base_steps) {
+  return SmartPsiEngine::kTimeoutFactor *
+         std::max(static_cast<uint64_t>(std::llround(base_steps)),
+                  SmartPsiEngine::kMinPreemptionSteps);
+}
+
+/// A run's steps as a cache entry's MaxTime base, saturated to its field.
+uint32_t CacheSteps(uint64_t steps) {
+  return static_cast<uint32_t>(std::min<uint64_t>(steps, UINT32_MAX));
 }
 
 /// Per-worker accumulation merged after the parallel evaluation phase.
@@ -196,8 +205,8 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
 
   // ---------------------------------------------------------------------
   // Phase 1 — training sample drawn from the misses: ground-truth labels
-  // for Model α, best plans and per-plan average times for Model β /
-  // MaxTime (paper §4.2). Empty when no model is fitted. The draw is a
+  // for Model α, best plans and per-plan mean steps for Model β / MaxTime
+  // (paper §4.2). Empty when no model is fitted. The draw is a
   // ceiling: training stops once it has spent its share of the query's
   // estimated work (kTrainingShare), and phase 2 evaluates the rest.
   // ---------------------------------------------------------------------
@@ -222,23 +231,18 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
   ml::Dataset beta_data(num_features);
   alpha_data.Reserve(train_indices.size());
   beta_data.Reserve(train_indices.size());
-  std::vector<util::RunningStats> plan_times(num_plans);
-  util::RunningStats all_times;
+  std::vector<util::RunningStats> plan_steps(num_plans);
+  util::RunningStats all_steps;
 
   match::SearchScratchPool::Lease trainer_scratch(&scratch_pool_);
   PsiEvaluator trainer(*graph_, sigs(), trainer_scratch.get());
   bool training_aborted = false;
-  // Training's budget in search steps (see kTrainingShare): every plan run
-  // of phase 1 so far against the best plans' steps per trained node.
-  const auto steps_of = [](const match::SearchStats& s) {
-    return static_cast<double>(s.recursive_calls + s.candidates_examined);
-  };
-  const double steps_before_training = steps_of(result.search);
+  // Training's budget (see kTrainingShare): the steps of every plan run of
+  // phase 1 so far against the best plans' steps per trained node.
+  double train_steps = 0.0;
   double best_steps_sum = 0.0;
   size_t trained = 0;
   for (; trained < train_indices.size(); ++trained) {
-    const double train_steps =
-        steps_of(result.search) - steps_before_training;
     if (trained >= kMinTrainingNodes &&
         train_steps * static_cast<double>(trained) >=
             kTrainingShare * best_steps_sum *
@@ -254,57 +258,48 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     bool decided = false;
     bool node_valid = false;
     int32_t best_plan = 0;
-    double best_time = 0.0;
-    double best_steps = 0.0;
+    uint64_t best_steps = 0;
 
-    // Escalating per-plan time limits (paper §4.2.2): try every plan under
+    // Escalating per-plan step limits (paper §4.2.2): try every plan under
     // a small budget; if none finishes, grow the budget and retry.
-    double limit = kPlanTimeLimitInitSeconds;
+    uint64_t limit = kPlanStepLimitInit;
     for (size_t round = 0; round < kPlanEscalationRounds && !decided;
          ++round) {
       for (size_t p = 0; p < num_plans; ++p) {
         trainer.BindQuery(q, ctx.query_sigs, plan_pool[p]);
-        // Once some plan finished in best_time, a competitor is only
+        // Once some plan finished in best_steps, a competitor is only
         // interesting if it beats that — cap its budget accordingly.
-        const double budget =
-            decided ? std::min(limit, best_time) : limit;
-        util::WallTimer plan_timer;
-        const double steps_before = steps_of(result.search);
+        const uint64_t budget = decided ? std::min(limit, best_steps) : limit;
         const Outcome outcome = RunMethod(
             trainer, u, /*optimistic=*/false, config_.super_optimistic_limit,
-            MinDeadline(util::Deadline::After(budget), deadline), stop,
-            &result.search);
-        const double seconds = plan_timer.Seconds();
-        const double steps = steps_of(result.search) - steps_before;
+            deadline, budget, stop, &result.search);
+        const uint64_t steps = trainer.steps();
+        train_steps += steps;
         if (outcome == Outcome::kValid || outcome == Outcome::kInvalid) {
-          plan_times[p].Add(seconds);
-          all_times.Add(seconds);
-          if (!decided || seconds < best_time) {
+          plan_steps[p].Add(steps);
+          all_steps.Add(steps);
+          if (!decided || steps < best_steps) {
             best_plan = static_cast<int32_t>(p);
-            best_time = seconds;
             best_steps = steps;
           }
           node_valid = outcome == Outcome::kValid;
           decided = true;
         }
       }
-      limit *= kPlanTimeLimitGrowth;
+      limit *= kPlanStepLimitGrowth;
       if (deadline.Expired() || stop.StopRequested()) break;
     }
     if (!decided) {
       // No plan finished under any limit: heuristic plan, no plan budget.
       trainer.BindQuery(q, ctx.query_sigs, plan_pool[0]);
-      util::WallTimer plan_timer;
-      const double steps_before = steps_of(result.search);
-      const Outcome outcome =
-          RunMethod(trainer, u, /*optimistic=*/false,
-                    config_.super_optimistic_limit, deadline, stop,
-                    &result.search);
-      best_steps = steps_of(result.search) - steps_before;
+      const Outcome outcome = RunMethod(
+          trainer, u, /*optimistic=*/false, config_.super_optimistic_limit,
+          deadline, /*max_steps=*/0, stop, &result.search);
+      best_steps = trainer.steps();
+      train_steps += best_steps;
       if (outcome == Outcome::kValid || outcome == Outcome::kInvalid) {
-        best_time = plan_timer.Seconds();
-        plan_times[0].Add(best_time);
-        all_times.Add(best_time);
+        plan_steps[0].Add(best_steps);
+        all_steps.Add(best_steps);
         node_valid = outcome == Outcome::kValid;
         best_plan = 0;
         decided = true;
@@ -324,7 +319,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     if (config_.enable_cache) {
       active_cache_->Insert(sigs().RowHash(u) ^ cache_key_salt,
                             {node_valid, static_cast<uint16_t>(best_plan),
-                             static_cast<float>(best_time), cache_epoch_});
+                             CacheSteps(best_steps), cache_epoch_});
     }
   }
 
@@ -346,15 +341,6 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     expand_twins();
     result.total_seconds = total_timer.Seconds();
     return result;
-  }
-
-  // Per-plan MaxTime base: mean pessimistic time for that plan during
-  // training; fall back to the overall mean when a plan has no samples.
-  std::vector<double> plan_mean(num_plans, 0.0);
-  for (size_t p = 0; p < num_plans; ++p) {
-    plan_mean[p] =
-        plan_times[p].count() > 0 ? plan_times[p].mean() : all_times.mean();
-    plan_mean[p] = std::max(plan_mean[p], config_.min_preemption_seconds);
   }
 
   // ---------------------------------------------------------------------
@@ -404,8 +390,8 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     {
       if (global_incomplete.load(std::memory_order_relaxed)) return;
       // Check before starting a candidate, not only inside the search (which
-      // polls every kCheckInterval steps): small searches finish between
-      // polls, so without this an expired deadline could still start every
+      // polls every kPollSteps steps): small searches finish between polls,
+      // so without this an expired deadline could still start every
       // remaining candidate and overrun its budget unboundedly.
       if (deadline.Expired() || stop.StopRequested()) {
         ws.incomplete = true;
@@ -431,14 +417,12 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
       const bool model_free = !from_cache && !fit_models;
       bool predicted_valid = false;
       uint32_t plan_index = 0;
-      double max_time = 0.0;
+      uint64_t max_steps = 0;  // MaxTime
       if (from_cache) {
         predicted_valid = entry->valid;
         plan_index = std::min<uint32_t>(entry->plan_index,
                                         static_cast<uint32_t>(num_plans - 1));
-        max_time = config_.timeout_factor *
-                   std::max<double>(entry->seconds,
-                                    config_.min_preemption_seconds);
+        max_steps = MaxTimeSteps(entry->steps);
         ++ws.cache_hits;
       } else if (fit_models) {
         predicted_valid = alpha.Predict(row) == 1;
@@ -447,7 +431,10 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
               std::clamp<int32_t>(beta.Predict(row), 0,
                                   static_cast<int32_t>(num_plans - 1)));
         }
-        max_time = config_.timeout_factor * plan_mean[plan_index];
+        // AvgT: this plan's mean over completed training runs, or all plans'.
+        const util::RunningStats& avg = plan_steps[plan_index];
+        max_steps = MaxTimeSteps(avg.count() > 0 ? avg.mean()
+                                                 : all_steps.mean());
       }
       if (!model_free) {
         // Chaos hooks: simulated Model α / Model β mispredictions. The
@@ -465,25 +452,17 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
       ws.predict_seconds += predict_timer.Seconds();
 
       // --- Preemptive execution (3 states) ---------------------------
-      // `run` times each attempt; the one that completes is what the cache
-      // records as the decision's MaxTime base.
-      double seconds = 0.0;
-      auto run = [&](bool optimistic, util::Deadline limit) {
-        util::WallTimer run_timer;
-        const Outcome outcome =
-            RunMethod(evaluator, u, optimistic,
-                      config_.super_optimistic_limit, limit, stop, &ws.stats,
-                      /*pivot_prefiltered=*/model_free);
-        seconds = run_timer.Seconds();
-        return outcome;
+      auto run = [&](bool optimistic, uint64_t limit) {
+        return RunMethod(evaluator, u, optimistic,
+                         config_.super_optimistic_limit, deadline, limit,
+                         stop, &ws.stats, /*pivot_prefiltered=*/model_free);
       };
       Outcome outcome;
       uint32_t completed_plan = plan_index;
       evaluator.BindQuery(q, ctx.query_sigs, plan_pool[plan_index]);
       if (config_.enable_preemption && !model_free) {
         // State 1: predicted method + predicted plan, limited.
-        outcome = run(predicted_valid,
-                      MinDeadline(util::Deadline::After(max_time), deadline));
+        outcome = run(predicted_valid, max_steps);
         // Chaos hook: pretend MaxTime expired even though state 1 finished,
         // forcing the recovery ladder. Both PSI methods are exact, so the
         // re-evaluation in state 2/3 reaches the same answer.
@@ -495,9 +474,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
           // State 2: opposite method, restarted, still limited — recovers
           // from Model α mispredictions.
           ++ws.method_recoveries;
-          outcome = run(!predicted_valid,
-                        MinDeadline(util::Deadline::After(max_time),
-                                    deadline));
+          outcome = run(!predicted_valid, max_steps);
         }
         if (outcome == Outcome::kTimeout && !deadline.Expired()) {
           // State 3: predicted method + heuristic plan, no MaxTime —
@@ -505,12 +482,12 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
           ++ws.plan_fallbacks;
           completed_plan = 0;
           evaluator.BindQuery(q, ctx.query_sigs, plan_pool[0]);
-          outcome = run(predicted_valid, deadline);
+          outcome = run(predicted_valid, /*limit=*/0);
         }
       } else {
         // Unlimited: preemption off, or a model-free miss (pessimist,
         // heuristic plan).
-        outcome = run(predicted_valid, deadline);
+        outcome = run(predicted_valid, /*limit=*/0);
       }
 
       if (outcome != Outcome::kValid && outcome != Outcome::kInvalid) {
@@ -530,13 +507,13 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
         ++ws.alpha_predictions;
         if (predicted_valid == actual_valid) ++ws.alpha_correct;
       }
-      // Model-free runs confirm no prediction and are not cached. That keeps
-      // a repeated small query off the preemptive executor, whose
-      // wall-clock MaxTime can preempt a cheap search on a busy host.
+      // The entry's MaxTime base is the completing run's steps: the
+      // evaluator's last. Model-free runs confirm no prediction and are not
+      // cached; a repeat of the small query runs model-free again.
       if (config_.enable_cache && !model_free) {
         active_cache_->Insert(hash, {actual_valid,
                                      static_cast<uint16_t>(completed_plan),
-                                     static_cast<float>(seconds),
+                                     CacheSteps(evaluator.steps()),
                                      cache_epoch_});
       }
     }

@@ -27,8 +27,8 @@ namespace psi::core {
 ///      in the signature-keyed prediction cache (cache-first),
 ///   2. if the cache misses number at least min_candidates_for_ml, evaluates
 ///      a small random sample of the misses with the pessimistic method to
-///      label training data, timing a pool of execution plans per node
-///      under escalating time limits. The sample draw (10%, capped) is a
+///      label training data, racing a pool of execution plans per node
+///      under escalating step limits. The sample draw (10%, capped) is a
 ///      ceiling: training stops early once it has cost kTrainingShare of
 ///      the query's estimated work, and the untried nodes go to step 4,
 ///      and
@@ -39,8 +39,12 @@ namespace psi::core {
 ///   4. evaluates every other candidate with the cached or predicted
 ///      method and plan under the preemptive 3-state detection-and-recovery
 ///      executor (MaxTime = 2 × AvgT for predictions, 2 × the confirming
-///      run's time for cache hits),
+///      run's steps for cache hits, never below 2 × kMinPreemptionSteps),
 ///   5. returns the exact set of valid nodes with full instrumentation.
+///
+/// Every decision counts search steps (PsiEvaluator::steps()), not wall
+/// time, so plan races, recovery states and cache entries do not vary with
+/// host load. Only the caller's deadline is wall-clock.
 ///
 /// Exactness does not depend on the models: both PSI methods explore the
 /// complete search space in the worst case, so a misprediction costs time,
@@ -51,30 +55,34 @@ namespace psi::core {
 /// (the engine's internal pool already parallelizes within a query).
 class SmartPsiEngine {
  public:
-  /// Training budget, in search steps (recursive calls + candidates
-  /// examined, so the rule does not depend on the host's speed): phase 1
-  /// stops before its next node once its steps reach kTrainingShare × (mean
-  /// best-plan steps per trained node) × cache misses, i.e. this share of
-  /// what evaluating every miss with its best plan would cost. Chosen by a
-  /// perfbench sweep over {0.1, 0.15, 0.2} against the parent (EXPERIMENTS.md,
-  /// "Budgeted Realist training"; 4-vCPU VM, Release, 34 s runs): at 0.15
-  /// serve-cold-swap p50 fell 13–45 % (median 34 %, 3 runs) while serve-hot
-  /// p99's median rose 9 % (4 runs). 0.1 cut serve-cold-swap p50 as far
-  /// (31–36 %) but raised serve-hot p99 13–35 % (median 24 %), because
-  /// fewer raced plans reach the cache; 0.2 cut p50 by only 18–21 %.
+  /// Training budget: phase 1 stops before its next node once its steps
+  /// reach kTrainingShare × (mean best-plan steps per trained node) × cache
+  /// misses, i.e. this share of what evaluating every miss with its best
+  /// plan would cost. A perfbench sweep over {0.1, 0.15, 0.2} (EXPERIMENTS.md,
+  /// "Budgeted Realist training") chose 0.15: 0.1 raised serve-hot p99 by a
+  /// median 24 %, and 0.2 cut serve-cold-swap p50 the least.
   static constexpr double kTrainingShare = 0.15;
   /// Nodes trained before the budget is first checked (fewer when the
   /// sample draw itself is smaller): the models never fit on less.
   static constexpr size_t kMinTrainingNodes = 4;
   /// Plans in Model β's pool: the heuristic plan plus random plans.
   static constexpr size_t kPlanPoolSize = 4;
-  /// Phase 1 races every pool plan under an initial per-plan time limit
-  /// and multiplies it by kPlanTimeLimitGrowth each round, for at most
-  /// kPlanEscalationRounds rounds, until some plan finishes (paper §4.2.2:
-  /// "gradually increased").
-  static constexpr double kPlanTimeLimitInitSeconds = 0.01;
-  static constexpr double kPlanTimeLimitGrowth = 4.0;
+  /// Phase 1 races every pool plan under a per-plan step limit that grows
+  /// ×kPlanStepLimitGrowth per round, for at most kPlanEscalationRounds
+  /// rounds, until some plan finishes (paper §4.2.2: "gradually
+  /// increased"); later competitors are capped at the best plan's steps.
+  /// 1.65M steps is the former 10 ms limit at ~165 steps/µs: traced
+  /// serve-cold-swap scanned 4.09M neighbours in 6.0k Search calls per
+  /// query in 24.8 ms of pessimistic evaluation (4-vCPU VM, Release; a
+  /// re-run read 155 steps/µs, EXPERIMENTS.md, "One cost unit").
+  static constexpr uint64_t kPlanStepLimitInit = 1'650'000;
+  static constexpr uint64_t kPlanStepLimitGrowth = 4;
   static constexpr size_t kPlanEscalationRounds = 3;
+  /// MaxTime = kTimeoutFactor × max(AvgT, kMinPreemptionSteps) steps (paper
+  /// §4.3: 2 × AvgT). The floor is the former 1 ms at ~165 steps/µs; without
+  /// it traced serve-cold-swap made ~90 recoveries per query, not ~0.01.
+  static constexpr uint64_t kTimeoutFactor = 2;
+  static constexpr uint64_t kMinPreemptionSteps = 165'000;
 
   /// Builds graph signatures eagerly; `g` must outlive the engine.
   explicit SmartPsiEngine(const graph::Graph& g,

@@ -77,18 +77,24 @@ bool PsiEvaluator::IsUsed(graph::NodeId data_node, size_t level) const {
   return false;
 }
 
+void PsiEvaluator::StartEvaluation(const Options& options) {
+  evaluation_start_ = steps_;
+  step_limit_ =
+      options.max_steps == 0 ? UINT64_MAX : steps_ + options.max_steps;
+}
+
 bool PsiEvaluator::ShouldAbort(const Options& options, Outcome* outcome) {
-  if (--steps_until_check_ != 0) return false;
-  steps_until_check_ = kCheckInterval;
-  if (options.stop.StopRequested()) {
-    *outcome = Outcome::kStopped;
-    return true;
+  if (steps_ < next_poll_ && steps_ <= step_limit_) return false;
+  if (steps_ <= step_limit_) {
+    next_poll_ = steps_ + kPollSteps;
+    if (options.stop.StopRequested()) {
+      *outcome = Outcome::kStopped;
+      return true;
+    }
+    if (!options.deadline.Expired()) return false;
   }
-  if (options.deadline.Expired()) {
-    *outcome = Outcome::kTimeout;
-    return true;
-  }
-  return false;
+  *outcome = Outcome::kTimeout;
+  return true;
 }
 
 void PsiEvaluator::GenerateCandidates(size_t level, SearchStats* stats) {
@@ -122,9 +128,10 @@ void PsiEvaluator::GenerateCandidates(size_t level, SearchStats* stats) {
 
   const auto nbrs = graph_.neighbors(anchor_image);
   const auto edge_labels = graph_.edge_labels(anchor_image);
+  steps_ += nbrs.size();
+  if (stats != nullptr) stats->candidates_examined += nbrs.size();
   for (size_t i = 0; i < nbrs.size(); ++i) {
     const graph::NodeId c = nbrs[i];
-    if (stats != nullptr) ++stats->candidates_examined;
     if (edge_labels[i] != anchor.edge_label) continue;
     if (graph_.label(c) != want_label) continue;
     if (graph_.degree(c) < want_degree) continue;
@@ -147,6 +154,7 @@ void PsiEvaluator::GenerateCandidates(size_t level, SearchStats* stats) {
 Outcome PsiEvaluator::Search(size_t level, const Options& options,
                              SearchStats* stats) {
   if (stats != nullptr) ++stats->recursive_calls;
+  ++steps_;
   Outcome abort_outcome;
   if (ShouldAbort(options, &abort_outcome)) return abort_outcome;
 
@@ -156,6 +164,7 @@ Outcome PsiEvaluator::Search(size_t level, const Options& options,
 
   const graph::NodeId v = s.plan.order[level];
   GenerateCandidates(level, stats);
+  if (ShouldAbort(options, &abort_outcome)) return abort_outcome;
   auto& candidates = s.level_candidates[level];
   const signature::SparseRequirement& req = s.level_reqs[level];
 
@@ -201,9 +210,17 @@ Outcome PsiEvaluator::Search(size_t level, const Options& options,
 Outcome PsiEvaluator::EvaluateNode(graph::NodeId candidate,
                                    const Options& options,
                                    SearchStats* stats) {
+  StartEvaluation(options);
+  return EvaluatePivot(candidate, options, stats);
+}
+
+Outcome PsiEvaluator::EvaluatePivot(graph::NodeId candidate,
+                                    const Options& options,
+                                    SearchStats* stats) {
   assert(query_ != nullptr && "BindQuery first");
   SearchScratch& s = *scratch_;
   const graph::NodeId pivot = query_->pivot();
+  ++steps_;
   if (stats != nullptr) ++stats->candidates_examined;
   if (graph_.label(candidate) != query_->label(pivot)) {
     return Outcome::kInvalid;
@@ -231,15 +248,16 @@ Outcome PsiEvaluator::EvaluateNode(graph::NodeId candidate,
 Outcome PsiEvaluator::EvaluateNodeOptimisticStrategy(graph::NodeId candidate,
                                                      const Options& options,
                                                      SearchStats* stats) {
+  StartEvaluation(options);
   Options super = options;
   super.mode = PsiMode::kSuperOptimistic;
-  const Outcome quick = EvaluateNode(candidate, super, stats);
+  const Outcome quick = EvaluatePivot(candidate, super, stats);
   // kInvalid from the truncated search is inconclusive; everything else
   // (valid / timeout / stopped) is final.
   if (quick != Outcome::kInvalid) return quick;
   Options full = options;
   full.mode = PsiMode::kOptimistic;
-  return EvaluateNode(candidate, full, stats);
+  return EvaluatePivot(candidate, full, stats);
 }
 
 size_t PsiEvaluator::FilterPivotCandidates(

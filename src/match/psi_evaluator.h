@@ -1,6 +1,7 @@
 #ifndef SMARTPSI_MATCH_PSI_EVALUATOR_H_
 #define SMARTPSI_MATCH_PSI_EVALUATOR_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -60,6 +61,9 @@ class PsiEvaluator {
     /// FilterPivotCandidates: EvaluateNode then skips the redundant
     /// per-candidate pivot satisfaction check.
     bool pivot_prefiltered = false;
+    /// Steps (see steps()) one evaluation may take before it returns
+    /// kTimeout; the optimistic strategy's passes share it. 0 = unlimited.
+    uint64_t max_steps = 0;
     util::Deadline deadline;
     util::StopToken stop;
   };
@@ -92,6 +96,11 @@ class PsiEvaluator {
                                          const Options& options,
                                          SearchStats* stats = nullptr);
 
+  /// Steps the last evaluation took, with or without `stats`: the pivot
+  /// check, Search calls and neighbours scanned for candidates, which
+  /// SearchStats counts as recursive_calls + candidates_examined.
+  uint64_t steps() const { return steps_ - evaluation_start_; }
+
   /// Bulk Proposition-3.2 prefilter of pivot candidates: one kernel sweep
   /// over the whole list instead of one check per EvaluateNode call.
   /// Removes (in place, order-preserving) exactly the candidates the
@@ -101,6 +110,11 @@ class PsiEvaluator {
                                SearchStats* stats = nullptr);
 
  private:
+  void StartEvaluation(const Options& options);  // new count and budget
+  /// EvaluateNode within the budget already started.
+  Outcome EvaluatePivot(graph::NodeId candidate, const Options& options,
+                        SearchStats* stats);
+
   Outcome Search(size_t level, const Options& options, SearchStats* stats);
 
   /// Fills the level's candidate buffer with data nodes consistent with
@@ -109,10 +123,13 @@ class PsiEvaluator {
 
   bool IsUsed(graph::NodeId data_node, size_t level) const;
 
-  /// Polls deadline/stop every kCheckInterval steps.
+  /// Stops on a spent step budget, or on the stop token or deadline,
+  /// which it polls every kPollSteps steps.
   bool ShouldAbort(const Options& options, Outcome* outcome);
 
-  static constexpr uint32_t kCheckInterval = 256;
+  /// ~0.1 ms at serve-cold-swap's ~165 steps/µs (EXPERIMENTS.md, "One cost
+  /// unit"): a ~25 ns clock read that often costs nothing measurable.
+  static constexpr uint64_t kPollSteps = uint64_t{1} << 14;
 
   const graph::Graph& graph_;
   const signature::SignatureMatrix& graph_sigs_;
@@ -124,7 +141,11 @@ class PsiEvaluator {
   SearchScratch owned_scratch_;
   SearchScratch* scratch_;
 
-  uint32_t steps_until_check_ = kCheckInterval;
+  /// One step counter for budgets and polls; the first step polls.
+  uint64_t steps_ = 0;
+  uint64_t evaluation_start_ = 0;
+  uint64_t step_limit_ = UINT64_MAX;
+  uint64_t next_poll_ = 0;
 };
 
 }  // namespace psi::match

@@ -37,31 +37,22 @@ SubgraphEnumerator::EnumerationResult SubgraphEnumerator::Enumerate(
   if (q.num_nodes() == 0) return EnumerationResult();
   assert(plan.order.size() == q.num_nodes());
 
-  const graph::NodeId root = plan.order[0];
-  const graph::Label root_label = q.label(root);
-  std::vector<graph::NodeId> roots;
-  if (root_label < graph_.num_labels()) {
-    for (const graph::NodeId u : graph_.nodes_with_label(root_label)) {
-      if (graph_.degree(u) >= q.degree(root)) roots.push_back(u);
-    }
-  }
-  return EnumerateRoots(q, plan, roots, visitor, options, stats);
-}
-
-SubgraphEnumerator::EnumerationResult SubgraphEnumerator::EnumerateRoots(
-    const graph::QueryGraph& q, const Plan& plan,
-    std::span<const graph::NodeId> roots, const Visitor& visitor,
-    const Options& options, SearchStats* stats) {
   EnumerationResult result;
-  if (q.num_nodes() == 0) return result;
-  assert(plan.order.size() == q.num_nodes());
-
   const auto backward = ComputeBackward(q, plan);
   std::vector<graph::NodeId> mapping(q.num_nodes(), graph::kInvalidNode);
   std::vector<graph::NodeId> mapped_stack(q.num_nodes(),
                                           graph::kInvalidNode);
   std::vector<Frame> frames(q.num_nodes());
-  frames[0].candidates.assign(roots.begin(), roots.end());
+  // Root images: every data node with the root's label and enough degree.
+  const graph::NodeId root = plan.order[0];
+  const graph::Label root_label = q.label(root);
+  if (root_label < graph_.num_labels()) {
+    for (const graph::NodeId u : graph_.nodes_with_label(root_label)) {
+      if (graph_.degree(u) >= q.degree(root)) {
+        frames[0].candidates.push_back(u);
+      }
+    }
+  }
 
   auto is_used = [&](graph::NodeId u, size_t level) {
     for (size_t i = 0; i < level; ++i) {

@@ -52,19 +52,6 @@ class SubgraphEnumerator {
                               const Visitor& visitor, const Options& options,
                               SearchStats* stats = nullptr);
 
-  /// Enumerate restricted to the given root-candidate images for
-  /// plan.order[0], taken as-is (the caller has already label/degree
-  /// filtered them). This is the splitting primitive for parallel search:
-  /// enumerating a partition of the roots in any order visits exactly the
-  /// embeddings Enumerate would. Thread-safe: all mutable state is local,
-  /// so concurrent calls on one enumerator are fine.
-  EnumerationResult EnumerateRoots(const graph::QueryGraph& q,
-                                   const Plan& plan,
-                                   std::span<const graph::NodeId> roots,
-                                   const Visitor& visitor,
-                                   const Options& options,
-                                   SearchStats* stats = nullptr);
-
   /// PSI by projection: enumerates all embeddings and collects the distinct
   /// data nodes bound to the query pivot. Requires q.has_pivot(). The result
   /// is sorted. `complete` is false if truncated, in which case the set is

@@ -19,15 +19,13 @@ class WallTimer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double Micros() const { return Seconds() * 1e6; }
-
  private:
   Clock::time_point start_;
 };
 
 /// A point in time after which work should stop. A default-constructed
 /// Deadline is infinite (never expires). Deadlines compose with StopToken in
-/// the search loops: both are polled every few hundred steps.
+/// the search loops: both are polled every fixed number of search steps.
 class Deadline {
  public:
   using Clock = std::chrono::steady_clock;

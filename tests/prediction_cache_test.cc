@@ -30,6 +30,23 @@ TEST(PredictionCacheTest, LastWriterWins) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+// The cross-snapshot tripwire: an entry stamped for one epoch is a miss,
+// counted in epoch_drops, under any other; under its own it round-trips.
+TEST(PredictionCacheTest, OtherEpochIsDroppedAndCounted) {
+  PredictionCache cache;
+  cache.Insert(7, {.valid = true, .plan_index = 2, .steps = 99, .epoch = 5});
+  EXPECT_FALSE(cache.Lookup(7, 6).has_value());
+  EXPECT_FALSE(cache.Lookup(7).has_value());
+  EXPECT_EQ(cache.counters().epoch_drops, 2u);
+  const auto entry = cache.Lookup(7, 5);
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_TRUE(entry->valid);
+  EXPECT_EQ(entry->plan_index, 2u);
+  EXPECT_EQ(entry->steps, 99u);
+  EXPECT_EQ(entry->epoch, 5u);
+  EXPECT_EQ(cache.counters().epoch_drops, 2u);
+}
+
 TEST(PredictionCacheTest, Clear) {
   PredictionCache cache;
   cache.Insert(1, {true, 0});
@@ -134,7 +151,7 @@ TEST(PredictionCacheTest, FullShardStartsOverAndKeepsServing) {
   ASSERT_EQ(cache.size(), kShardBound);
   ASSERT_EQ(cache.counters().evictions, 0u);
   // One more key finds the shard full at its cap: it is emptied first.
-  cache.Insert(kShardBound, {.valid = false, .plan_index = 3, .seconds = 0.5f});
+  cache.Insert(kShardBound, {.valid = false, .plan_index = 3, .steps = 1234});
   EXPECT_EQ(cache.counters().evictions, kShardBound);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_FALSE(cache.Lookup(0).has_value());
@@ -142,7 +159,7 @@ TEST(PredictionCacheTest, FullShardStartsOverAndKeepsServing) {
   ASSERT_TRUE(entry.has_value());
   EXPECT_FALSE(entry->valid);
   EXPECT_EQ(entry->plan_index, 3u);
-  EXPECT_EQ(entry->seconds, 0.5f);
+  EXPECT_EQ(entry->steps, 1234u);
 }
 
 TEST(PredictionCacheTest, ClearAfterGrowthStartsOver) {

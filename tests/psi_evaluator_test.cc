@@ -205,6 +205,90 @@ TEST(PsiEvaluatorTest, StopTokenCancels) {
   EXPECT_GT(stopped, 0u);
 }
 
+// The step budget is exact: an evaluation that takes S steps completes
+// with max_steps = S, times out with S - 1, and counts S whether or not it
+// is given stats.
+TEST(PsiEvaluatorTest, StepBudgetIsExact) {
+  const graph::Graph g = psi::testing::MakeRandomGraph(300, 1500, 2, 7);
+  const graph::QueryGraph q = psi::testing::ExtractQuery(g, 4, 8);
+  ASSERT_EQ(q.num_nodes(), 4u);
+  const auto gs = signature::BuildSignatures(
+      g, signature::Method::kMatrix, 2, g.num_labels());
+  const auto qs = signature::BuildSignatures(
+      q, signature::Method::kMatrix, 2, g.num_labels());
+  PsiEvaluator evaluator(g, gs);
+  evaluator.BindQuery(q, qs, MakeHeuristicPlan(q, g, q.pivot()));
+
+  size_t searched = 0;
+  for (const PsiMode mode : {PsiMode::kPessimistic, PsiMode::kOptimistic}) {
+    PsiEvaluator::Options options;
+    options.mode = mode;
+    for (const graph::NodeId u : ExtractPivotCandidates(g, q)) {
+      SearchStats stats;
+      const Outcome unlimited = evaluator.EvaluateNode(u, options, &stats);
+      const uint64_t used = evaluator.steps();
+      EXPECT_EQ(used, stats.recursive_calls + stats.candidates_examined);
+      ASSERT_EQ(evaluator.EvaluateNode(u, options), unlimited);
+      EXPECT_EQ(evaluator.steps(), used) << "counted without stats";
+      if (used < 2) continue;  // decided by the pivot check alone
+      ++searched;
+      PsiEvaluator::Options limited = options;
+      limited.max_steps = used;
+      EXPECT_EQ(evaluator.EvaluateNode(u, limited), unlimited) << u;
+      EXPECT_EQ(evaluator.steps(), used);
+      limited.max_steps = used - 1;
+      EXPECT_EQ(evaluator.EvaluateNode(u, limited), Outcome::kTimeout) << u;
+    }
+  }
+  EXPECT_GT(searched, 10u);
+}
+
+// The super-optimistic and complete passes of the optimistic strategy
+// share one budget: the complete pass alone fits in what is left of the
+// strategy's budget after the first pass, but the strategy does not.
+TEST(PsiEvaluatorTest, OptimisticPassesShareOneBudget) {
+  const graph::Graph g = psi::testing::MakeRandomGraph(300, 1500, 2, 7);
+  const auto gs = signature::BuildSignatures(
+      g, signature::Method::kMatrix, 2, g.num_labels());
+  size_t checked = 0;
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    const graph::QueryGraph q = psi::testing::ExtractQuery(g, 4, 100 + seed);
+    if (q.num_nodes() != 4) continue;
+    const auto qs = signature::BuildSignatures(
+        q, signature::Method::kMatrix, 2, g.num_labels());
+    PsiEvaluator evaluator(g, gs);
+    evaluator.BindQuery(q, qs, MakeHeuristicPlan(q, g, q.pivot()));
+    PsiEvaluator::Options strategy;
+    strategy.super_optimistic_limit = 1;
+    PsiEvaluator::Options super = strategy;
+    super.mode = PsiMode::kSuperOptimistic;
+    PsiEvaluator::Options full = strategy;
+    full.mode = PsiMode::kOptimistic;
+    for (const graph::NodeId u : ExtractPivotCandidates(g, q)) {
+      // Only candidates whose truncated pass is inconclusive run both.
+      if (evaluator.EvaluateNode(u, super) != Outcome::kInvalid) continue;
+      const uint64_t first = evaluator.steps();
+      const Outcome complete = evaluator.EvaluateNode(u, full);
+      const uint64_t second = evaluator.steps();
+      if (first < 2 || second < 2) continue;
+      ASSERT_EQ(evaluator.EvaluateNodeOptimisticStrategy(u, strategy),
+                complete);
+      ASSERT_EQ(evaluator.steps(), first + second);
+      ++checked;
+      strategy.max_steps = first + second;
+      EXPECT_EQ(evaluator.EvaluateNodeOptimisticStrategy(u, strategy),
+                complete);
+      strategy.max_steps = first + second - 1;
+      EXPECT_GE(strategy.max_steps, second);
+      EXPECT_EQ(evaluator.EvaluateNodeOptimisticStrategy(u, strategy),
+                Outcome::kTimeout)
+          << u;
+      strategy.max_steps = 0;
+    }
+  }
+  EXPECT_GT(checked, 5u);
+}
+
 TEST(PsiEvaluatorTest, BindQueryAcceptsTemporaryPlan) {
   // Regression: BindQuery used to keep a pointer into the passed plan, so a
   // temporary argument dangled. It now copies.

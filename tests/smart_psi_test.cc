@@ -1,8 +1,10 @@
 #include "core/smart_psi.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <ostream>
+#include <thread>
 #include <tuple>
 #include <unordered_set>
 
@@ -10,7 +12,10 @@
 
 #include "core/query_context.h"
 #include "graph/query_extractor.h"
+#include "graph/graph_builder.h"
 #include "match/engine.h"
+#include "match/plan.h"
+#include "match/psi_evaluator.h"
 #include "signature/builders.h"
 #include "tests/test_fixtures.h"
 
@@ -318,7 +323,7 @@ TEST(SmartPsiTest, HalfWarmQueryTrainsOnlyOnMisses) {
     const bool valid = std::binary_search(truth.pivot_matches.begin(),
                                           truth.pivot_matches.end(), u);
     cache.Insert(sigs.RowHash(u) ^ q.Fingerprint(),
-                 {.valid = valid, .seconds = 1e-3f});
+                 {.valid = valid, .steps = 1000});
     warm_keys.insert(sigs.RowHash(u));
   }
   // Signature twins of a warmed candidate hit too.
@@ -395,30 +400,180 @@ TEST(SmartPsiTest, ExpiredDeadlineIncomplete) {
   EXPECT_FALSE(result.complete);
 }
 
+// A graph on which the preemptive executor's recovery states follow from
+// step counts alone. The query is p(0)–X(1), p–Y(2), Y–Z(3), with the
+// Y–Z edge labelled 1; its plan pool is all three connected orders, and
+// the heuristic one, p Y Z X, is plan 0. Candidates:
+// - `trap`: invalid, because its Y image `w` reaches a label-3 node only
+//   over an edge labelled 0. Its signature satisfies the pivot's, so both
+//   methods must search, and every plan but the heuristic one (which
+//   fails at Z right away) walks all n X images first: about n² steps.
+// - `refuted`: invalid with no label-3 node within two hops, so the
+//   pessimist's pivot check refutes it in one step while the optimist,
+//   on a non-heuristic plan, walks all n X images.
+// - `valid`: a small valid node.
+// n is chosen so that n² is twice MaxTime for a base of zero steps.
+struct RecoveryFixture {
+  graph::Graph g;
+  graph::QueryGraph q;
+  graph::NodeId trap, refuted, valid;
+};
+
+RecoveryFixture MakeRecoveryFixture() {
+  const size_t n = static_cast<size_t>(std::sqrt(
+                       2.0 * SmartPsiEngine::kTimeoutFactor *
+                       static_cast<double>(
+                           SmartPsiEngine::kMinPreemptionSteps))) +
+                   1;
+  RecoveryFixture f;
+  graph::GraphBuilder b;
+  f.trap = b.AddNode(0);
+  f.refuted = b.AddNode(0);
+  f.valid = b.AddNode(0);
+  const graph::NodeId w = b.AddNode(2);
+  const graph::NodeId w_refuted = b.AddNode(2);
+  b.AddEdge(f.trap, w);
+  b.AddEdge(f.refuted, w_refuted);
+  b.AddEdge(w, b.AddNode(3), /*label=*/0);  // the wrong edge label
+  for (size_t i = 0; i < n; ++i) {
+    const graph::NodeId x = b.AddNode(1);
+    b.AddEdge(f.trap, x);
+    b.AddEdge(f.refuted, x);
+    // Fillers make every Z scan from w or w_refuted cost n steps.
+    const graph::NodeId filler = b.AddNode(4);
+    b.AddEdge(w, filler);
+    b.AddEdge(w_refuted, filler);
+  }
+  const graph::NodeId valid_y = b.AddNode(2);
+  b.AddEdge(f.valid, b.AddNode(1));
+  b.AddEdge(f.valid, valid_y);
+  b.AddEdge(valid_y, b.AddNode(3), /*label=*/1);
+  f.g = std::move(b).Build();
+
+  const graph::NodeId p = f.q.AddNode(0);
+  const graph::NodeId x = f.q.AddNode(1);
+  const graph::NodeId y = f.q.AddNode(2);
+  const graph::NodeId z = f.q.AddNode(3);
+  f.q.AddEdge(p, x);
+  f.q.AddEdge(p, y);
+  f.q.AddEdge(y, z, /*label=*/1);
+  f.q.set_pivot(p);
+  return f;
+}
+
+// Cached decisions steer the two invalid candidates into the recovery
+// states, deterministically: no sleep, no fault hook. `refuted`, cached as
+// valid on plan 2, times out optimistically (state 1) and is refuted by the
+// pessimist (state 2). `trap`, cached as invalid on plan 1, times out under
+// both methods on that plan (states 1 and 2) and completes on the
+// heuristic plan (state 3). Each confirmed decision is re-cached with the
+// steps of the run that completed it.
 TEST(SmartPsiTest, PreemptionRecoversAndStaysExact) {
-  // Force the preemptive executor through its recovery states by making
-  // MaxTime absurdly tight: state 1 times out constantly, states 2/3 must
-  // still produce the exact answer.
-  const graph::Graph g = psi::testing::MakeRandomGraph(500, 1800, 3, 91);
-  graph::QueryExtractor extractor(g);
-  util::Rng rng(92);
-  const graph::QueryGraph q = extractor.Extract(5, rng);
-  ASSERT_EQ(q.num_nodes(), 5u);
+  const RecoveryFixture f = MakeRecoveryFixture();
+  SmartPsiEngine engine(f.g);
+  PredictionCache cache;
+  engine.UseSharedCache(&cache);
+  const signature::SignatureMatrix& sigs = engine.graph_signatures();
+  const auto key = [&](graph::NodeId u) {
+    return sigs.RowHash(u) ^ f.q.Fingerprint();
+  };
+  cache.Insert(key(f.trap), {.valid = false, .plan_index = 1});
+  cache.Insert(key(f.refuted), {.valid = true, .plan_index = 2});
 
-  match::BasicEngine basic(g);
-  const auto truth = basic.ProjectPivot(q, match::MatchingEngine::Options());
-  ASSERT_TRUE(truth.complete);
-
-  core::SmartPsiConfig config;
-  config.min_candidates_for_ml = 8;
-  config.min_preemption_seconds = 1e-9;  // MaxTime ≈ 2x a few nanoseconds
-  config.timeout_factor = 1e-3;
-  core::SmartPsiEngine engine(g, config);
-  const PsiQueryResult result = engine.Evaluate(q);
+  const PsiQueryResult result = engine.Evaluate(f.q);
   EXPECT_TRUE(result.complete);
-  EXPECT_EQ(result.valid_nodes, truth.pivot_matches);
-  // With such budgets some nodes must have gone through recovery.
-  EXPECT_GT(result.method_recoveries + result.plan_fallbacks, 0u);
+  EXPECT_EQ(result.num_candidates, 3u);
+  EXPECT_EQ(result.valid_nodes, std::vector<graph::NodeId>{f.valid});
+  EXPECT_EQ(result.cache_hits, 2u);
+  EXPECT_EQ(result.num_training_nodes, 0u);
+  EXPECT_EQ(result.method_recoveries, 2u);
+  EXPECT_EQ(result.plan_fallbacks, 1u);
+
+  // What the pessimist on the heuristic plan takes, measured directly.
+  match::PsiEvaluator evaluator(f.g, sigs);
+  const QueryContext ctx = PrepareQuery(f.g, sigs, f.q);
+  evaluator.BindQuery(f.q, ctx.query_sigs,
+                      match::MakeHeuristicPlan(f.q, f.g, f.q.pivot()));
+  match::PsiEvaluator::Options pessimist;
+  pessimist.mode = match::PsiMode::kPessimistic;
+  ASSERT_EQ(evaluator.EvaluateNode(f.trap, pessimist),
+            match::Outcome::kInvalid);
+  const uint64_t trap_steps = evaluator.steps();
+  ASSERT_EQ(evaluator.EvaluateNode(f.refuted, pessimist),
+            match::Outcome::kInvalid);
+  ASSERT_EQ(evaluator.steps(), 1u);  // the pivot check
+
+  const auto trap = cache.Lookup(key(f.trap));
+  ASSERT_TRUE(trap.has_value());
+  EXPECT_FALSE(trap->valid);
+  EXPECT_EQ(trap->plan_index, 0u);
+  EXPECT_EQ(trap->steps, trap_steps);
+  const auto refuted = cache.Lookup(key(f.refuted));
+  ASSERT_TRUE(refuted.has_value());
+  EXPECT_FALSE(refuted->valid);
+  EXPECT_EQ(refuted->plan_index, 2u);
+  EXPECT_EQ(refuted->steps, 1u);
+  // The valid node ran model-free, which is never cached.
+  EXPECT_FALSE(cache.Lookup(key(f.valid)).has_value());
+
+  // Steered by the confirmed decisions, nothing needs recovering.
+  const PsiQueryResult again = engine.Evaluate(f.q);
+  EXPECT_TRUE(again.complete);
+  EXPECT_EQ(again.valid_nodes, result.valid_nodes);
+  EXPECT_EQ(again.method_recoveries, 0u);
+  EXPECT_EQ(again.plan_fallbacks, 0u);
+}
+
+// Every decision the Realist makes counts search steps, so a busy host
+// changes no answer and no count: two fresh engines evaluate one query
+// sequence, one of them while other threads keep the cores busy, and agree
+// on everything but the seconds.
+TEST(SmartPsiTest, DecisionsDoNotDependOnHostLoad) {
+  const graph::Graph g = psi::testing::MakeRandomGraph(1500, 9000, 3, 81);
+  std::vector<graph::QueryGraph> queries;
+  for (uint64_t s = 0; queries.size() < 20; ++s) {
+    graph::QueryGraph q = psi::testing::ExtractQuery(g, 4 + s % 3, 900 + s);
+    if (q.num_nodes() >= 4) queries.push_back(std::move(q));
+  }
+  SmartPsiConfig config;
+  config.min_candidates_for_ml = 8;
+  config.num_threads = 1;
+  const auto run_all = [&]() {
+    SmartPsiEngine engine(g, config);
+    std::vector<PsiQueryResult> results;
+    for (const graph::QueryGraph& q : queries) {
+      results.push_back(engine.Evaluate(q));
+    }
+    return results;
+  };
+  const std::vector<PsiQueryResult> quiet = run_all();
+  std::atomic<bool> done{false};
+  std::vector<std::thread> spinners;
+  for (int i = 0; i < 2; ++i) {
+    spinners.emplace_back([&done]() {
+      while (!done.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  const std::vector<PsiQueryResult> busy = run_all();
+  done.store(true);
+  for (std::thread& t : spinners) t.join();
+
+  const auto counts = [](const PsiQueryResult& r) {
+    const match::SearchStats& s = r.search;
+    return std::make_tuple(r.complete, r.valid_nodes, s.recursive_calls,
+                           s.candidates_examined, s.signature_checks,
+                           s.pruned_by_signature, s.score_sorts,
+                           r.method_recoveries, r.plan_fallbacks,
+                           r.num_training_nodes, r.cache_hits,
+                           r.alpha_predictions, r.alpha_correct);
+  };
+  size_t trained = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(counts(quiet[i]), counts(busy[i])) << "query " << i;
+    trained += quiet[i].num_training_nodes > 0 ? 1 : 0;
+  }
+  EXPECT_GT(trained, 5u);
 }
 
 // The sample draw is a ceiling and kMinTrainingNodes a floor. A fitted run

@@ -169,6 +169,25 @@ mutant "Submit drops the request's graph name" \
   $'  batch.graph = std::move(request.graph);\n' \
   ''
 
+mutant "max_steps ignored" \
+  src/match/psi_evaluator.cc \
+  'options.max_steps == 0 ? UINT64_MAX : steps_ + options.max_steps;' \
+  'options.max_steps == 0 ? UINT64_MAX : UINT64_MAX;'
+
+mutant "optimistic second pass gets a fresh budget" \
+  src/match/psi_evaluator.cc \
+  $'  full.mode = PsiMode::kOptimistic;\n' \
+  $'  full.mode = PsiMode::kOptimistic;\n  step_limit_ = options.max_steps == 0 ? UINT64_MAX : steps_ + options.max_steps;\n'
+
+mutant "cache records the first attempt's steps, not the completing run's" \
+  src/core/smart_psi.cc \
+  $'      Outcome outcome;\n' \
+  $'      Outcome outcome;\n      uint64_t first_steps = 0;\n' \
+  $'        outcome = run(predicted_valid, max_steps);\n' \
+  $'        outcome = run(predicted_valid, max_steps);\n        first_steps = evaluator.steps();\n' \
+  'CacheSteps(evaluator.steps())' \
+  'CacheSteps(first_steps != 0 ? first_steps : evaluator.steps())'
+
 echo "== $KILLED killed, ${#SURVIVORS[@]} survived"
 if [[ ${#SURVIVORS[@]} -gt 0 ]]; then
   printf 'SURVIVOR: %s\n' "${SURVIVORS[@]}" >&2
