@@ -4,16 +4,16 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "core/classifier.h"
 #include "signature/signature_matrix.h"
 
 namespace psi::core {
 
 /// Tuning knobs for the SmartPSI engine (paper §4.2–4.3). Defaults follow
-/// the paper where it states values (10% training sample capped at 1000
-/// nodes, here a ceiling; super-optimistic candidate cap 10). The Realist's
-/// cost constants — plan step limits and MaxTime = 2 × AvgT with its floor,
-/// all counted in search steps — are not knobs: see SmartPsiEngine.
+/// the paper where it states values (10% training sample, here a ceiling;
+/// super-optimistic candidate cap 10). The learner is the paper's Random
+/// Forest. The Realist's constants — the 1000-node training cap, plan step
+/// limits and MaxTime = 2 × AvgT with its floor, all counted in search
+/// steps — are not knobs: see SmartPsiEngine.
 struct SmartPsiConfig {
   // --- Signatures -------------------------------------------------------
   /// Builder for graph and query signatures (must match; engine-enforced).
@@ -29,16 +29,12 @@ struct SmartPsiConfig {
   /// build training data: training stops earlier once it has spent
   /// SmartPsiEngine::kTrainingShare of the query's estimated work.
   double train_fraction = 0.1;
-  /// Hard cap on training nodes (paper §5.2 uses 1000).
-  size_t max_train_nodes = 1000;
   /// Below this many prediction-cache misses, fit no model and evaluate the
   /// misses pessimistically with the heuristic plan (training would
   /// dominate); cache hits still run their cached decision.
   size_t min_candidates_for_ml = 24;
-  /// Learner backing Models α and β (paper: Random Forest; §5.4 shows it
-  /// beats SVM and NN on accuracy and build time).
-  ClassifierKind classifier = ClassifierKind::kRandomForest;
-  /// Random Forest size for both models (kRandomForest only).
+  /// Random Forest size for Models α and β (paper: Random Forest; §5.4
+  /// shows it beats SVM and NN on accuracy and build time).
   size_t forest_trees = 20;
 
   // --- Evaluation --------------------------------------------------------
@@ -60,11 +56,6 @@ struct SmartPsiConfig {
   /// Enable the 3-state detection-and-recovery executor (paper §4.3);
   /// disabled, mispredictions simply run to completion.
   bool enable_preemption = true;
-
-  /// Evaluate one representative per syntactic-equivalence class of data
-  /// nodes and copy its answer to the twins (BoostIso-style, see
-  /// graph/equivalence.h). Classes are computed once per engine, lazily.
-  bool exploit_equivalence = false;
 
   // --- Infrastructure ----------------------------------------------------
   /// Worker threads for signature construction and candidate evaluation.

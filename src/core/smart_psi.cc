@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
-#include <unordered_set>
 #include <cassert>
 #include <cmath>
 #include <optional>
@@ -12,8 +10,8 @@
 #include "match/parallel_search.h"
 #include "match/plan.h"
 #include "match/psi_evaluator.h"
-#include "core/classifier.h"
 #include "ml/dataset.h"
+#include "ml/random_forest.h"
 #include "signature/builders.h"
 #include "util/fault_injection.h"
 #include "util/stats.h"
@@ -74,14 +72,6 @@ struct WorkerState {
 
 }  // namespace
 
-const graph::EquivalenceClasses& SmartPsiEngine::EquivalencePartition() {
-  if (equivalence_ == nullptr) {
-    equivalence_ = std::make_unique<graph::EquivalenceClasses>(
-        graph::ComputeSyntacticEquivalence(*graph_));
-  }
-  return *equivalence_;
-}
-
 SmartPsiEngine::SmartPsiEngine(const graph::Graph& g, SmartPsiConfig config)
     : graph_(&g), config_(config), rng_(config.seed) {
   if (config_.num_threads > 1) {
@@ -111,7 +101,6 @@ void SmartPsiEngine::Rebind(const graph::Graph& g,
   graph_ = &g;
   sigs_view_ = sigs;
   graph_sigs_ = signature::SignatureMatrix();  // drop any adopted matrix
-  equivalence_.reset();  // memoized partition belongs to the old graph
   config_.signature_method = sigs->method();
   config_.signature_depth = sigs->depth();
   config_.signature_decay = sigs->decay();
@@ -148,39 +137,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
       q, *graph_, q.pivot(), kPlanPoolSize, rng);
   const size_t num_plans = plan_pool.size();
 
-  // Optional BoostIso-style dedup: keep one representative per syntactic-
-  // equivalence class; twins inherit the representative's answer at the end.
-  std::vector<graph::NodeId> candidates = ctx.candidates;
-  std::vector<std::pair<uint32_t, graph::NodeId>> dropped_twins;
-  if (config_.exploit_equivalence) {
-    const graph::EquivalenceClasses& classes = EquivalencePartition();
-    std::unordered_map<uint32_t, graph::NodeId> first_in_class;
-    std::vector<graph::NodeId> unique;
-    unique.reserve(candidates.size());
-    for (const graph::NodeId u : candidates) {
-      const uint32_t c = classes.class_of[u];
-      if (first_in_class.emplace(c, u).second) {
-        unique.push_back(u);
-      } else {
-        dropped_twins.emplace_back(c, u);
-      }
-    }
-    candidates.swap(unique);
-  }
-
-  // Expansion of the twins' answers, shared by every return path below.
-  auto expand_twins = [&]() {
-    if (dropped_twins.empty()) return;
-    const graph::EquivalenceClasses& classes = EquivalencePartition();
-    std::unordered_set<uint32_t> valid_classes;
-    for (const graph::NodeId u : result.valid_nodes) {
-      valid_classes.insert(classes.class_of[u]);
-    }
-    for (const auto& [c, u] : dropped_twins) {
-      if (valid_classes.count(c) > 0) result.valid_nodes.push_back(u);
-    }
-    std::sort(result.valid_nodes.begin(), result.valid_nodes.end());
-  };
+  const std::vector<graph::NodeId>& candidates = ctx.candidates;
 
   // ---------------------------------------------------------------------
   // Cache-first split (paper §4.2.3): a candidate whose decision an earlier
@@ -216,7 +173,7 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     const size_t want_train = std::clamp<size_t>(
         static_cast<size_t>(std::ceil(config_.train_fraction *
                                       static_cast<double>(misses.size()))),
-        1, std::min(config_.max_train_nodes, misses.size()));
+        1, std::min(kMaxTrainNodes, misses.size()));
     train_indices =
         util::SampleWithoutReplacement(misses.size(), want_train, rng);
     for (size_t& idx : train_indices) idx = misses[idx];
@@ -325,12 +282,14 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
 
   result.num_training_nodes = trained;
 
-  Classifier alpha(config_.classifier);
-  Classifier beta(config_.classifier);
+  ml::RandomForest alpha;
+  ml::RandomForest beta;
   if (fit_models && !training_aborted) {
-    alpha.Train(alpha_data, /*num_classes=*/2, config_.forest_trees, rng);
+    ml::ForestConfig forest;
+    forest.num_trees = config_.forest_trees;
+    alpha.Train(alpha_data, /*num_classes=*/2, forest, rng);
     if (config_.enable_plan_model && num_plans > 1) {
-      beta.Train(beta_data, num_plans, config_.forest_trees, rng);
+      beta.Train(beta_data, num_plans, forest, rng);
     }
   }
   // Exactly 0.0 when nothing was fitted: the timer measured no training.
@@ -338,7 +297,6 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
   if (training_aborted) {
     result.predict_seconds = lookup_seconds;
     std::sort(result.valid_nodes.begin(), result.valid_nodes.end());
-    expand_twins();
     result.total_seconds = total_timer.Seconds();
     return result;
   }
@@ -559,7 +517,6 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
   result.predict_seconds += lookup_seconds;
 
   std::sort(result.valid_nodes.begin(), result.valid_nodes.end());
-  expand_twins();
   result.total_seconds = total_timer.Seconds();
   return result;
 }

@@ -7,7 +7,6 @@
 #include "core/config.h"
 #include "core/prediction_cache.h"
 #include "core/psi_result.h"
-#include "graph/equivalence.h"
 #include "graph/graph.h"
 #include "graph/query_graph.h"
 #include "match/search_scratch.h"
@@ -65,6 +64,9 @@ class SmartPsiEngine {
   /// Nodes trained before the budget is first checked (fewer when the
   /// sample draw itself is smaller): the models never fit on less.
   static constexpr size_t kMinTrainingNodes = 4;
+  /// Hard cap on the sample draw (paper §5.2 uses 1000 nodes). The
+  /// kTrainingShare budget normally stops training well before it.
+  static constexpr size_t kMaxTrainNodes = 1000;
   /// Plans in Model β's pool: the heuristic plan plus random plans.
   static constexpr size_t kPlanPoolSize = 4;
   /// Phase 1 races every pool plan under a per-plan step limit that grows
@@ -104,12 +106,10 @@ class SmartPsiEngine {
   /// Points the engine at a different (graph, shared signatures) pair — the
   /// per-request snapshot rebind. No-op when already bound to the same
   /// pair (the steady-state fast path: one pointer comparison). Otherwise
-  /// drops graph-derived memos (the equivalence partition) and overrides
-  /// the config's signature metadata from the matrix, so query signatures
-  /// are built exactly like the graph's. Both `g` and `sigs` must outlive
-  /// the binding —
-  /// the service guarantees this by holding a snapshot pin for the whole
-  /// request. Only call between Evaluate() calls.
+  /// overrides the config's signature metadata from the matrix, so query
+  /// signatures are built exactly like the graph's. Both `g` and `sigs` must
+  /// outlive the binding — the service guarantees this by holding a
+  /// snapshot pin for the whole request. Only call between Evaluate() calls.
   void Rebind(const graph::Graph& g, const signature::SignatureMatrix* sigs);
 
   /// True once the engine has a graph + signatures (construction-time or
@@ -144,16 +144,7 @@ class SmartPsiEngine {
     active_cache_ = cache != nullptr ? cache : &cache_;
   }
 
-  /// Toggles prediction-cache consultation at runtime — the service's
-  /// cache-bypass degradation switch (DESIGN.md §11). Only call while no
-  /// Evaluate() is in flight on this engine (the service flips it between
-  /// checkout and evaluation, where it holds the engine exclusively).
-  void set_cache_enabled(bool enabled) { config_.enable_cache = enabled; }
-
  private:
-  /// Lazily computed equivalence partition (exploit_equivalence only).
-  const graph::EquivalenceClasses& EquivalencePartition();
-
   const signature::SignatureMatrix& sigs() const { return *sigs_view_; }
 
   /// Null only for an unbound engine (see bound()); never null once a
@@ -174,7 +165,6 @@ class SmartPsiEngine {
   /// Evaluate() leases one, so a long-lived engine (e.g. a service
   /// worker's) reaches an allocation-free steady state per candidate.
   match::SearchScratchPool scratch_pool_;
-  std::unique_ptr<graph::EquivalenceClasses> equivalence_;
   util::Rng rng_;
 };
 

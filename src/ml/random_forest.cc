@@ -47,18 +47,6 @@ void RandomForest::Train(const Dataset& data,
   }
 }
 
-std::vector<double> RandomForest::PredictProba(
-    std::span<const float> features) const {
-  std::vector<double> votes(num_classes_, 0.0);
-  for (const auto& tree : trees_) tree.AccumulateVotes(features, votes);
-  double total = 0.0;
-  for (const double v : votes) total += v;
-  if (total > 0.0) {
-    for (double& v : votes) v /= total;
-  }
-  return votes;
-}
-
 int32_t RandomForest::Predict(std::span<const float> features) const {
   assert(trained());
   // Stack buffer for the common case — Predict is the per-candidate hot

@@ -34,9 +34,6 @@ class RandomForest {
 
   int32_t Predict(std::span<const float> features) const;
 
-  /// Normalized per-class vote shares (size num_classes).
-  std::vector<double> PredictProba(std::span<const float> features) const;
-
   size_t num_trees() const { return trees_.size(); }
   size_t num_classes() const { return num_classes_; }
   bool trained() const { return !trees_.empty(); }

@@ -114,9 +114,6 @@ void MetricsRegistry::RecordOutcome(const QueryResponse& response,
     smart_exec_micros_.fetch_add(Micros(response.exec_seconds),
                                  std::memory_order_relaxed);
   }
-  if (response.served_degraded) {
-    degraded_requests_.fetch_add(1, std::memory_order_relaxed);
-  }
   latencies_.Record(response.latency_seconds);
 }
 
@@ -144,13 +141,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   s.training_nodes = training_nodes_.load(std::memory_order_relaxed);
   s.train_micros = train_micros_.load(std::memory_order_relaxed);
   s.smart_exec_micros = smart_exec_micros_.load(std::memory_order_relaxed);
-  s.degraded_entries = degraded_entries_.load(std::memory_order_relaxed);
-  s.degraded_exits = degraded_exits_.load(std::memory_order_relaxed);
-  s.degraded_requests = degraded_requests_.load(std::memory_order_relaxed);
-  s.cache_bypass_entries =
-      cache_bypass_entries_.load(std::memory_order_relaxed);
-  s.cache_bypass_exits = cache_bypass_exits_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
   s.batch_submitted = batch_submitted_.load(std::memory_order_relaxed);
   s.batch_rejected = batch_rejected_.load(std::memory_order_relaxed);
   s.batch_queries = batch_queries_.load(std::memory_order_relaxed);
@@ -164,7 +154,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 std::string MetricsSnapshot::ToString() const {
   std::ostringstream oss;
   oss << "requests: admitted=" << admitted << " rejected=" << rejected
-      << " retries=" << retries << " completed=" << completed
+      << " completed=" << completed
       << " timed_out=" << timed_out << " cancelled=" << cancelled
       << " invalid=" << invalid << " not_found=" << not_found << "\n"
       << "engine: cache_hits=" << cache_hits
@@ -177,11 +167,6 @@ std::string MetricsSnapshot::ToString() const {
       << " train_micros=" << train_micros
       << " smart_exec_micros=" << smart_exec_micros
       << " train_share=" << TrainShare() << "\n"
-      << "degradation: entries=" << degraded_entries
-      << " exits=" << degraded_exits
-      << " degraded_requests=" << degraded_requests
-      << " cache_bypass_entries=" << cache_bypass_entries
-      << " cache_bypass_exits=" << cache_bypass_exits << "\n"
       << "batch: batch_submitted=" << batch_submitted
       << " batch_rejected=" << batch_rejected
       << " batch_queries=" << batch_queries

@@ -48,10 +48,6 @@ struct MetricsSnapshot {
   // Admission.
   uint64_t admitted = 0;
   uint64_t rejected = 0;  // shed at the queue bound
-  /// Requests admitted only after at least one shed-and-retry cycle
-  /// (degradation policy, DESIGN.md §11). Counted per request, not per
-  /// attempt, so retries <= admitted always holds.
-  uint64_t retries = 0;
 
   // Terminal states of admitted requests.
   uint64_t completed = 0;
@@ -67,7 +63,8 @@ struct MetricsSnapshot {
   uint64_t plan_fallbacks = 0;     // preemptive executor state-3 fallbacks
   uint64_t candidates_evaluated = 0;
   /// Cache hits whose prediction disagreed with the confirmed outcome —
-  /// the poisoning signal (answers stay exact; see PsiQueryResult).
+  /// the Realist-health signal for stale or poisoned entries (answers stay
+  /// exact; see PsiQueryResult).
   uint64_t cache_mismatches = 0;
 
   // Work-stealing parallel search (DESIGN.md §14), aggregated across
@@ -81,13 +78,6 @@ struct MetricsSnapshot {
   uint64_t training_nodes = 0;
   uint64_t train_micros = 0;
   uint64_t smart_exec_micros = 0;
-
-  // Graceful degradation (DESIGN.md §11).
-  uint64_t degraded_entries = 0;  // times pessimist-only mode was entered
-  uint64_t degraded_exits = 0;    // times it was left after cooldown
-  uint64_t degraded_requests = 0; // smart requests served pessimist-only
-  uint64_t cache_bypass_entries = 0;
-  uint64_t cache_bypass_exits = 0;
 
   // Batched execution (DESIGN.md §17), counting SubmitBatch traffic only
   // (a Submit is a batch of one inside the service, but not batch traffic).
@@ -174,25 +164,6 @@ class MetricsRegistry {
     admitted_.fetch_sub(count, std::memory_order_relaxed);
   }
 
-  /// Records that a request was admitted after at least one shed-and-retry
-  /// cycle. Call after the successful (re-)admission so retries can never
-  /// exceed admitted in any snapshot.
-  void RecordRetriedAdmission() {
-    retries_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Records a degraded-mode (pessimist-only) entry or exit.
-  void RecordDegradedTransition(bool entering) {
-    (entering ? degraded_entries_ : degraded_exits_)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Records a cache-bypass entry or exit.
-  void RecordCacheBypassTransition(bool entering) {
-    (entering ? cache_bypass_entries_ : cache_bypass_exits_)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Records a batch admitted as a unit.
   void RecordBatchSubmitted() {
     batch_submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -228,12 +199,6 @@ class MetricsRegistry {
  private:
   std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> rejected_{0};
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> degraded_entries_{0};
-  std::atomic<uint64_t> degraded_exits_{0};
-  std::atomic<uint64_t> degraded_requests_{0};
-  std::atomic<uint64_t> cache_bypass_entries_{0};
-  std::atomic<uint64_t> cache_bypass_exits_{0};
   std::atomic<uint64_t> cache_mismatches_{0};
   std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> timed_out_{0};

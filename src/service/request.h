@@ -85,11 +85,6 @@ struct QueryResponse {
   /// poisoned entries; the answer is unaffected — see PsiQueryResult).
   size_t cache_mismatches = 0;
 
-  /// True when the service's degradation policy served this kSmart request
-  /// with pessimist-only evaluation instead (DESIGN.md §11). The answer is
-  /// exact either way; only the latency profile differs.
-  bool served_degraded = false;
-
   /// Version of the graph snapshot this request was evaluated against
   /// (GraphSnapshot::version); 0 when the request never resolved a
   /// snapshot (kRejected / kInvalid / kNotFound). A request runs against

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "core/pure_drivers.h"
@@ -117,62 +115,43 @@ bool PsiService::Admit(BatchRequest request, BatchDone done) {
   // admitted and settles kNotFound, keeping Settled() == admitted exact.
   auto pin = std::make_shared<SnapshotPin>(catalog_->Pin(
       request.graph.empty() ? options_.default_graph : request.graph));
-  // The request lives in shared state (not the task closure) so a shed
-  // TrySubmit — which destroys the closure it was handed — leaves it
-  // intact for the next retry attempt. The pin rides the same way (it is
-  // move-only, and std::function closures must be copyable).
+  // The request and the pin ride in shared state: std::function closures
+  // must be copyable, the pin is move-only, and the request is not copied.
   auto shared_request = std::make_shared<BatchRequest>(std::move(request));
 
-  const size_t max_retries =
-      options_.degradation.enabled ? options_.degradation.max_shed_retries : 0;
-  double backoff_ms = options_.degradation.retry_backoff_ms;
-  for (size_t attempt = 0;; ++attempt) {
-    // Count the admission BEFORE the task becomes runnable, one per member
-    // query (each settles through RecordOutcome): once TrySubmit enqueues
-    // it, a worker may record outcomes immediately, and a concurrent
-    // Stats() must never observe Settled() > admitted. A shed submission
-    // revokes the provisional count (admitted may transiently read high,
-    // never low).
-    metrics_.RecordAdmitted(num_queries);
-    // Chaos hook: pretend the queue was at its bound — exercises the shed
-    // path (and the retry policy above it) without real overload.
-    const bool injected_shed =
-        PSI_INJECT_FAULT(util::faults::kServiceAdmissionShed);
-    const bool admitted =
-        !injected_shed &&
-        pool_->TrySubmit(
-            [this, shared_request, pin, done, admission_timer]() mutable {
-              // The RunBatch statement is its own full expression, so the
-              // pin parameter (and with it the pin gauge) drops before
-              // `done` fulfills a promise: a caller observing its future
-              // never sees its own request still pinned.
-              BatchResponse response =
-                  RunBatch(std::move(*shared_request), std::move(*pin),
-                           admission_timer);
-              done(std::move(response));
-            },
-            options_.max_queue_depth);
-    if (admitted) {
-      // Chaos hook: the submitter descheduled right after its enqueue, so
-      // the worker can settle the batch before Admit returns. The count
-      // above already covers it: no snapshot shows Settled() > admitted.
-      PSI_FAULT_STALL(util::faults::kServiceAdmissionEnqueued);
-      if (attempt > 0) metrics_.RecordRetriedAdmission();
-      return true;
-    }
+  // Count the admission BEFORE the task becomes runnable, one per member
+  // query (each settles through RecordOutcome): once TrySubmit enqueues it,
+  // a worker may record outcomes immediately, and a concurrent Stats() must
+  // never observe Settled() > admitted. A shed submission revokes the
+  // provisional count (admitted may transiently read high, never low).
+  metrics_.RecordAdmitted(num_queries);
+  // Chaos hook: pretend the queue was at its bound — exercises the shed
+  // path without real overload.
+  const bool injected_shed =
+      PSI_INJECT_FAULT(util::faults::kServiceAdmissionShed);
+  const bool admitted =
+      !injected_shed &&
+      pool_->TrySubmit(
+          [this, shared_request, pin, done, admission_timer]() mutable {
+            // The RunBatch statement is its own full expression, so the pin
+            // parameter (and with it the pin gauge) drops before `done`
+            // fulfills a promise: a caller observing its future never sees
+            // its own request still pinned.
+            BatchResponse response = RunBatch(
+                std::move(*shared_request), std::move(*pin), admission_timer);
+            done(std::move(response));
+          },
+          options_.max_queue_depth);
+  if (!admitted) {
     metrics_.UndoAdmitted(num_queries);
-    if (attempt >= max_retries ||
-        !accepting_.load(std::memory_order_relaxed)) {
-      metrics_.RecordRejected(num_queries);
-      return false;
-    }
-    // Bounded exponential backoff before the next attempt. Blocking the
-    // caller is the point: retry-with-backoff converts a shed into
-    // backpressure instead of an error, for callers that opted in.
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(backoff_ms));
-    backoff_ms *= 2.0;
+    metrics_.RecordRejected(num_queries);
+    return false;
   }
+  // Chaos hook: the submitter descheduled right after its enqueue, so the
+  // worker can settle the batch before Admit returns. The count above
+  // already covers it: no snapshot shows Settled() > admitted.
+  PSI_FAULT_STALL(util::faults::kServiceAdmissionEnqueued);
+  return true;
 }
 
 std::optional<std::future<QueryResponse>> PsiService::Submit(
@@ -350,17 +329,8 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
                     : util::Deadline();
     const util::StopToken stop(&shutdown_);
 
-    // Degradation policy: under a misprediction-timeout storm, kSmart
-    // requests are served by the pure pessimistic driver until cooldown —
-    // exact answers, no models to mispredict (DESIGN.md §11).
-    Method effective = request.method;
-    if (effective == Method::kSmart && DegradedModeActive()) {
-      effective = Method::kPessimistic;
-      response.served_degraded = true;
-    }
-
     bool complete = true;
-    if (effective == Method::kSmart) {
+    if (request.method == Method::kSmart) {
       smart_evaluated = true;
       core::SmartPsiEngine* engine = CheckoutEngine();
       // Bind the checked-out engine to this request's pinned snapshot
@@ -369,15 +339,8 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
       // can never cross a swap.
       engine->Rebind(pin->graph(), &pin->signatures());
       engine->set_cache_keying(pin->cache_salt(), pin->version());
-      // Cache-bypass degradation: serve this evaluation model-only. The
-      // engine is held exclusively between checkout and return, so the
-      // toggle cannot race another Evaluate.
-      const bool bypass =
-          options_.engine.enable_cache && CacheBypassActive();
-      if (bypass) engine->set_cache_enabled(false);
       core::PsiQueryResult result =
           engine->Evaluate(request.query, deadline, stop);
-      if (bypass) engine->set_cache_enabled(options_.engine.enable_cache);
       ReturnEngine(engine);
       response.valid_nodes = std::move(result.valid_nodes);
       response.num_candidates = result.num_candidates;
@@ -391,7 +354,7 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
       complete = result.complete;
     } else {
       core::PureDriverOptions pure;
-      pure.strategy = effective == Method::kOptimistic
+      pure.strategy = request.method == Method::kOptimistic
                           ? core::PureStrategy::kOptimistic
                           : core::PureStrategy::kPessimistic;
       pure.deadline = deadline;
@@ -403,11 +366,9 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
       if (!slot.fault_degraded) {
         // Shared fast path: evaluate against the batch's prepared context
         // and lease scratch from its pool. Bit-identical to the standalone
-        // preparation (DESIGN.md §17). The pointers are null for members
-        // the batch did not prepare (a kSmart query served pessimistically
-        // in degraded mode), and a member whose service.batch fault fired
-        // skips this — both re-derive everything: same answer, standalone
-        // cost.
+        // preparation (DESIGN.md §17). A member whose service.batch fault
+        // fired skips this and re-derives everything: same answer,
+        // standalone cost.
         pure.prepared = slot.prepared;
         pure.prepared_pivot_requirement = slot.pivot_requirement;
         pure.scratch_pool = slot.scratch;
@@ -425,14 +386,6 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
     } else {
       response.status = RequestStatus::kTimeout;
     }
-    // Only kSmart traffic feeds the state machine: pure-method requests
-    // say nothing about model health, and cancelled requests say nothing
-    // about anything.
-    if (request.method == Method::kSmart &&
-        response.status != RequestStatus::kCancelled &&
-        (smart_evaluated || response.served_degraded)) {
-      UpdateDegradation(response, method_recoveries, plan_fallbacks);
-    }
   }
 
   response.exec_seconds = exec_timer.Seconds();
@@ -440,108 +393,6 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
   metrics_.RecordOutcome(response, method_recoveries, plan_fallbacks,
                          smart_evaluated);
   return response;
-}
-
-
-bool PsiService::DegradedModeActive() const {
-  if (!options_.degradation.enabled) return false;
-  util::MutexLock lock(degrade_mutex_);
-  return degrade_.pessimist_only;
-}
-
-bool PsiService::CacheBypassActive() const {
-  if (!options_.degradation.enabled) return false;
-  util::MutexLock lock(degrade_mutex_);
-  return degrade_.cache_bypass;
-}
-
-void PsiService::UpdateDegradation(const QueryResponse& response,
-                                   uint64_t method_recoveries,
-                                   uint64_t plan_fallbacks) {
-  if (!options_.degradation.enabled) return;
-  const DegradationOptions& dg = options_.degradation;
-  bool entered_degraded = false;
-  bool exited_degraded = false;
-  bool entered_bypass = false;
-  bool exited_bypass = false;
-  {
-    util::MutexLock lock(degrade_mutex_);
-
-    // --- Pessimist-only fallback -----------------------------------------
-    if (degrade_.pessimist_only) {
-      // Every degraded-served request burns cooldown; smart service is
-      // retried once it elapses (with fresh windows, so one bad request
-      // cannot re-trigger immediately).
-      if (response.served_degraded && degrade_.cooldown_remaining > 0 &&
-          --degrade_.cooldown_remaining == 0) {
-        degrade_.pessimist_only = false;
-        degrade_.window_requests = 0;
-        degrade_.window_timeouts = 0;
-        exited_degraded = true;
-      }
-    } else {
-      ++degrade_.window_requests;
-      // A misprediction timeout: the preemptive executor's MaxTime fired
-      // (state-2/3 recovery) or the request deadline expired outright.
-      if (method_recoveries + plan_fallbacks > 0 ||
-          response.status == RequestStatus::kTimeout) {
-        ++degrade_.window_timeouts;
-      }
-      if (degrade_.window_requests >= std::max<size_t>(1, dg.timeout_window)) {
-        const double rate = static_cast<double>(degrade_.window_timeouts) /
-                            static_cast<double>(degrade_.window_requests);
-        if (rate >= dg.timeout_rate_threshold) {
-          degrade_.pessimist_only = true;
-          degrade_.cooldown_remaining = std::max<size_t>(1,
-                                                         dg.degraded_cooldown);
-          entered_degraded = true;
-        }
-        degrade_.window_requests = 0;
-        degrade_.window_timeouts = 0;
-      }
-    }
-
-    // --- Cache bypass on poisoning ---------------------------------------
-    if (degrade_.cache_bypass) {
-      // Bypassed evaluations produce no cache hits, so the mismatch window
-      // cannot refill; cooldown is the only exit.
-      if (!response.served_degraded &&
-          degrade_.bypass_cooldown_remaining > 0 &&
-          --degrade_.bypass_cooldown_remaining == 0) {
-        degrade_.cache_bypass = false;
-        degrade_.window_cache_hits = 0;
-        degrade_.window_cache_mismatches = 0;
-        exited_bypass = true;
-      }
-    } else {
-      degrade_.window_cache_hits += response.cache_hits;
-      degrade_.window_cache_mismatches += response.cache_mismatches;
-      if (degrade_.window_cache_hits >= std::max<size_t>(1,
-                                                         dg.poison_window)) {
-        const double rate =
-            static_cast<double>(degrade_.window_cache_mismatches) /
-            static_cast<double>(degrade_.window_cache_hits);
-        if (rate >= dg.mismatch_rate_threshold) {
-          degrade_.cache_bypass = true;
-          degrade_.bypass_cooldown_remaining =
-              std::max<size_t>(1, dg.cache_bypass_cooldown);
-          entered_bypass = true;
-        }
-        degrade_.window_cache_hits = 0;
-        degrade_.window_cache_mismatches = 0;
-      }
-    }
-  }
-  // Side effects outside the leaf lock.
-  if (entered_degraded) metrics_.RecordDegradedTransition(true);
-  if (exited_degraded) metrics_.RecordDegradedTransition(false);
-  if (entered_bypass) {
-    // Poisoned entries steer predictions until evicted — drop them all;
-    // the cache refills from confirmed outcomes once bypass lifts.
-    shared_cache_.Clear();
-    metrics_.RecordCacheBypassTransition(true);
-  }
-  if (exited_bypass) metrics_.RecordCacheBypassTransition(false);
 }
 
 ServiceStats PsiService::Stats() const {
@@ -561,8 +412,6 @@ ServiceStats PsiService::Stats() const {
   stats.num_workers = options_.num_workers;
   stats.signature_build_seconds = signature_build_seconds_;
   stats.uptime_seconds = uptime_.Seconds();
-  stats.degraded_mode = DegradedModeActive();
-  stats.cache_bypass = CacheBypassActive();
   stats.faults_injected = util::FaultInjector::Global().TotalFires();
   return stats;
 }

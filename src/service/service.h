@@ -26,44 +26,6 @@
 
 namespace psi::service {
 
-/// Graceful-degradation policies (DESIGN.md §11). Disabled by default:
-/// the service then sheds, times out and caches exactly as in earlier
-/// revisions. Every policy trades throughput or freshness for stability —
-/// never correctness, which no mode can affect (answers stay exact).
-struct DegradationOptions {
-  /// Master switch for all three policies below.
-  bool enabled = false;
-
-  // --- Bounded retry-with-backoff for shed submissions -------------------
-  /// Extra admission attempts after an initial shed; 0 restores
-  /// fail-fast shedding even when `enabled`.
-  size_t max_shed_retries = 3;
-  /// First retry waits this long; each later retry doubles it. Submit()
-  /// blocks the caller for at most the sum of these backoffs.
-  double retry_backoff_ms = 1.0;
-
-  // --- Pessimist-only fallback on misprediction-timeout storms -----------
-  /// Sliding window (in settled kSmart requests) over which the
-  /// misprediction-timeout rate is measured.
-  size_t timeout_window = 32;
-  /// Fraction of windowed requests with a misprediction timeout (a state-2/3
-  /// recovery or a deadline expiry) at or above which the service enters
-  /// pessimist-only mode: kSmart requests are served by the pure pessimistic
-  /// driver (no models, no MaxTime) until the cooldown elapses.
-  double timeout_rate_threshold = 0.5;
-  /// Requests served degraded before normal (smart) service is retried.
-  size_t degraded_cooldown = 64;
-
-  // --- Cache bypass on poisoning ------------------------------------------
-  /// Sliding window (in cache hits) for the verify-on-sample detector.
-  size_t poison_window = 32;
-  /// Mismatch fraction (confirmed-wrong hits / hits) at or above which the
-  /// shared cache is cleared and bypassed until the cooldown elapses.
-  double mismatch_rate_threshold = 0.25;
-  /// Smart evaluations served cache-less before the cache is re-enabled.
-  size_t cache_bypass_cooldown = 64;
-};
-
 struct ServiceOptions {
   /// Concurrent query executions. Each worker owns one single-threaded
   /// SmartPsiEngine; cross-query parallelism replaces the engine's internal
@@ -78,9 +40,6 @@ struct ServiceOptions {
   /// Applied when a request carries no deadline of its own; <= 0 means
   /// unbounded execution.
   double default_deadline_seconds = 0.0;
-
-  /// Graceful-degradation policies; disabled by default.
-  DegradationOptions degradation;
 
   /// Catalog name requests with an empty `QueryRequest::graph` resolve to.
   /// The graph-reference constructor publishes its graph under this name.
@@ -114,10 +73,6 @@ struct ServiceStats {
   /// Per-snapshot gauges: every current catalog snapshot plus retired
   /// generations still pinned by in-flight requests.
   std::vector<CatalogEntry> snapshots;
-  /// Degraded-mode gauges: current state, not monotonic counters (those
-  /// live in metrics.degraded_entries/exits etc.).
-  bool degraded_mode = false;
-  bool cache_bypass = false;
   /// Faults fired by the process-wide injector since process start
   /// (0 in PSI_ENABLE_FAULT_INJECTION=OFF builds and un-armed runs).
   uint64_t faults_injected = 0;
@@ -144,7 +99,12 @@ struct ServiceStats {
 /// number of threads. Results are exact (status kOk) regardless of
 /// concurrency — model mispredictions cost time, never correctness — so a
 /// response must only be compared against a serial engine's answer, not
-/// trusted less.
+/// trusted less. The service has no degraded mode: every kSmart request
+/// runs the Realist with the shared cache, and recovery from a
+/// misprediction is the engine's own preemptive executor (paper §4.3),
+/// counted in method_recoveries / plan_fallbacks. A cache hit the
+/// evaluation contradicts is counted in cache_mismatches and overwritten
+/// with the confirmed outcome.
 class PsiService {
  public:
   /// Single-graph convenience: clones `g` into a service-owned catalog
@@ -169,11 +129,14 @@ class PsiService {
 
   /// Admits a request, returning a future for its response — or
   /// std::nullopt when the request is shed (queue at bound, or service
-  /// shutting down). A request with id 0 gets a service-assigned id; the
-  /// assigned id is only visible in the response, so callers that need the
-  /// id up front should set their own. Internally a query is a batch of
-  /// one: it shares SubmitBatch's admission and runner, but not its batch_*
-  /// counters, which count SubmitBatch traffic only.
+  /// shutting down). Shedding is fail-fast: Submit makes one admission
+  /// attempt, never blocks, and counts a shed request in `rejected` only;
+  /// a caller that wants to retry resubmits. A request with id 0 gets a
+  /// service-assigned id; the assigned id is only visible in the response,
+  /// so callers that need the id up front should set their own. Internally
+  /// a query is a batch of one: it shares SubmitBatch's admission and
+  /// runner, but not its batch_* counters, which count SubmitBatch traffic
+  /// only.
   std::optional<std::future<QueryResponse>> Submit(QueryRequest request);
 
   /// Synchronous convenience wrapper: admits and blocks for the response.
@@ -231,8 +194,8 @@ class PsiService {
   void StartWorkers();
   /// The one admission routine behind Submit and SubmitBatch: pins the
   /// snapshot, counts one admission per member before enqueueing, and
-  /// applies shedding and the bounded retry-with-backoff policy. Returns
-  /// false when the batch is shed; `done` then never runs.
+  /// makes one enqueue attempt. Returns false when the batch is shed (the
+  /// count is then revoked); `done` then never runs.
   bool Admit(BatchRequest request, BatchDone done);
   /// The only worker entry: evaluates every member against one pin.
   BatchResponse RunBatch(BatchRequest request, SnapshotPin pin,
@@ -243,14 +206,6 @@ class PsiService {
 
   core::SmartPsiEngine* CheckoutEngine() PSI_EXCLUDES(engines_mutex_);
   void ReturnEngine(core::SmartPsiEngine* engine) PSI_EXCLUDES(engines_mutex_);
-
-  /// Degradation state machine (DESIGN.md §11). Folds one settled kSmart
-  /// request into the sliding windows and performs any mode transition.
-  void UpdateDegradation(const QueryResponse& response,
-                         uint64_t method_recoveries, uint64_t plan_fallbacks)
-      PSI_EXCLUDES(degrade_mutex_);
-  bool DegradedModeActive() const PSI_EXCLUDES(degrade_mutex_);
-  bool CacheBypassActive() const PSI_EXCLUDES(degrade_mutex_);
 
   // psi-check: allow(lock-guard) -- immutable after construction
   ServiceOptions options_;
@@ -276,23 +231,6 @@ class PsiService {
   std::atomic<uint64_t> next_auto_id_{1};
   // psi-check: allow(lock-guard) -- started at construction, read-only afterwards
   util::WallTimer uptime_;
-
-  /// Sliding windows and mode flags for the degradation policies. Leaf
-  /// lock: never held while acquiring engines_mutex_ or sleeping.
-  struct DegradeState {
-    // Pessimist-only fallback.
-    bool pessimist_only = false;
-    size_t cooldown_remaining = 0;
-    size_t window_requests = 0;
-    size_t window_timeouts = 0;
-    // Cache bypass.
-    bool cache_bypass = false;
-    size_t bypass_cooldown_remaining = 0;
-    uint64_t window_cache_hits = 0;
-    uint64_t window_cache_mismatches = 0;
-  };
-  mutable util::Mutex degrade_mutex_;
-  DegradeState degrade_ PSI_GUARDED_BY(degrade_mutex_);
 
   // `engines_` itself is written only at construction (StartWorkers) and is
   // immutable afterwards; the checkout free list is the shared mutable part.

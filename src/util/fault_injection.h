@@ -155,10 +155,6 @@ class FaultInjector {
     return total_fires_.load(std::memory_order_relaxed);
   }
 
-  bool armed() const {
-    return armed_sites_.load(std::memory_order_relaxed) > 0;
-  }
-
  private:
   struct Site {
     FaultSchedule schedule;

@@ -40,9 +40,6 @@ class StopSource {
 
   bool StopRequested() const { return stop_.load(std::memory_order_acquire); }
 
-  /// Rearms the source for reuse. Caller must guarantee quiescence.
-  void Reset() { stop_.store(false, std::memory_order_relaxed); }
-
  private:
   std::atomic<bool> stop_;
 };

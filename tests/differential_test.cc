@@ -189,7 +189,7 @@ TEST_F(DifferentialTest, BudgetedTrainingStopsEarlyAndStaysExact) {
       const core::PsiQueryResult result = smart.Evaluate(q);
       ASSERT_TRUE(result.complete);
       const size_t ceiling = std::min<size_t>(
-          config.max_train_nodes,
+          core::SmartPsiEngine::kMaxTrainNodes,
           static_cast<size_t>(std::ceil(
               config.train_fraction *
               static_cast<double>(result.num_candidates))));

@@ -1,6 +1,6 @@
 // Tests for the deterministic fault injector (DESIGN.md §11): schedule
-// semantics, the spec grammar, the compiled-in hooks, and the service's
-// graceful-degradation policies they drive.
+// semantics, the spec grammar, the compiled-in hooks, and what they may
+// and may not change in the service (counters and latency, never answers).
 //
 // The FaultInjector class compiles in every configuration, so the schedule
 // and grammar tests below run under -DPSI_ENABLE_FAULT_INJECTION=OFF too;
@@ -20,6 +20,7 @@
 
 #include "core/prediction_cache.h"
 #include "core/smart_psi.h"
+#include "match/engine.h"
 #include "service/request.h"
 #include "service/service.h"
 #include "tests/test_fixtures.h"
@@ -53,7 +54,7 @@ std::vector<bool> FirePattern(std::string_view site, int hits) {
 // --- Schedule semantics ----------------------------------------------------
 
 TEST_F(FaultInjectionTest, UnarmedSiteNeverFires) {
-  EXPECT_FALSE(FaultInjector::Global().armed());
+  EXPECT_TRUE(FaultInjector::Global().AllStats().empty());
   const std::vector<bool> pattern = FirePattern("some.site", 100);
   EXPECT_EQ(std::count(pattern.begin(), pattern.end(), true), 0);
   // An unarmed site records nothing.
@@ -112,7 +113,7 @@ TEST_F(FaultInjectionTest, ArmResetsCountsButTotalFiresIsMonotonic) {
   EXPECT_EQ(FaultInjector::Global().Stats("x").fires, 0u);
 
   FaultInjector::Global().Disarm("x");
-  EXPECT_FALSE(FaultInjector::Global().armed());
+  EXPECT_TRUE(FaultInjector::Global().AllStats().empty());
   // The process-wide gauge keeps counting across arm/disarm cycles.
   EXPECT_EQ(FaultInjector::Global().TotalFires(), before + 5);
 }
@@ -200,43 +201,16 @@ TEST_F(FaultInjectionTest, BadTailEntryArmsNothing) {
       FaultInjector::Global().ArmFromSpec("good=always,bad=nope");
   EXPECT_FALSE(status.ok());
   // Two-pass parse: the valid head entry must not have been armed.
-  EXPECT_FALSE(FaultInjector::Global().armed());
+  EXPECT_TRUE(FaultInjector::Global().AllStats().empty());
   EXPECT_FALSE(FaultInjector::Global().ShouldFail("good"));
 }
 
 TEST_F(FaultInjectionTest, ScopedFaultSpecDisarmsOnExit) {
   {
     ScopedFaultSpec chaos("x=always");
-    EXPECT_TRUE(FaultInjector::Global().armed());
+    EXPECT_FALSE(FaultInjector::Global().AllStats().empty());
   }
-  EXPECT_FALSE(FaultInjector::Global().armed());
-}
-
-// --- Service degradation policies ------------------------------------------
-// (shared by the injection-ON tests and the both-configurations clean-traffic
-// test below)
-
-service::ServiceOptions DegradedServiceOptions() {
-  service::ServiceOptions options;
-  options.num_workers = 1;  // serialize: one worker, deterministic windows
-  options.degradation.enabled = true;
-  options.degradation.max_shed_retries = 3;
-  options.degradation.retry_backoff_ms = 0.1;
-  options.degradation.timeout_window = 2;
-  options.degradation.timeout_rate_threshold = 0.5;
-  options.degradation.degraded_cooldown = 2;
-  options.degradation.poison_window = 2;
-  options.degradation.mismatch_rate_threshold = 0.25;
-  options.degradation.cache_bypass_cooldown = 2;
-  options.engine.min_candidates_for_ml = 4;
-  return options;
-}
-
-service::QueryRequest SmartRequest(const graph::QueryGraph& q) {
-  service::QueryRequest request;
-  request.query = q;
-  request.method = service::Method::kSmart;
-  return request;
+  EXPECT_TRUE(FaultInjector::Global().AllStats().empty());
 }
 
 #if PSI_FAULT_INJECTION_ENABLED
@@ -292,141 +266,117 @@ TEST_F(FaultInjectionTest, InjectedFaultsChangeCountersNeverThePivotSet) {
   EXPECT_GT(FaultInjector::Global().TotalFires(), fires_before);
 }
 
-// --- Service degradation under injected faults ------------------------------
+// --- Service under injected faults ------------------------------------------
 
-TEST_F(FaultInjectionTest, SubmitRetriesAfterInjectedShed) {
-  const graph::Graph g = psi::testing::MakeFigure1Graph();
-  service::PsiService service(g, DegradedServiceOptions());
-
-  ScopedFaultSpec chaos("service.admission.shed=nth:1");
-  const service::QueryResponse response =
-      service.Execute(SmartRequest(psi::testing::MakeFigure1Query()));
-  EXPECT_EQ(response.status, service::RequestStatus::kOk);
-  EXPECT_EQ(response.valid_nodes, (std::vector<graph::NodeId>{0, 5}));
-
-  const service::ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.metrics.retries, 1u);
-  EXPECT_EQ(stats.metrics.admitted, 1u);
-  EXPECT_EQ(stats.metrics.rejected, 0u);
-  EXPECT_GE(stats.faults_injected, 1u);
-}
-
-// The batch side of the same retry: one shed, one re-admission of the
-// whole batch, and every member settled exactly once.
-TEST_F(FaultInjectionTest, SubmitBatchRetriesAfterInjectedShed) {
-  const graph::Graph g = psi::testing::MakeFigure1Graph();
-  service::PsiService service(g, DegradedServiceOptions());
-
-  ScopedFaultSpec chaos("service.admission.shed=nth:1");
-  service::BatchRequest batch;
-  for (const service::Method method :
-       {service::Method::kSmart, service::Method::kOptimistic,
-        service::Method::kPessimistic}) {
-    service::QueryRequest member = SmartRequest(psi::testing::MakeFigure1Query());
-    member.method = method;
-    batch.queries.push_back(std::move(member));
-  }
-  auto future = service.SubmitBatch(std::move(batch));
-  ASSERT_TRUE(future.has_value());
-  const service::BatchResponse response = future->get();
-  ASSERT_EQ(response.responses.size(), 3u);
-  for (const service::QueryResponse& member : response.responses) {
-    EXPECT_EQ(member.status, service::RequestStatus::kOk) << member.id;
-    EXPECT_EQ(member.valid_nodes, (std::vector<graph::NodeId>{0, 5}));
-  }
-
-  const service::ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.metrics.retries, 1u);
-  EXPECT_EQ(stats.metrics.batch_submitted, 1u);
-  EXPECT_EQ(stats.metrics.batch_rejected, 0u);
-  EXPECT_EQ(stats.metrics.batch_queries, 3u);
-  EXPECT_EQ(stats.metrics.rejected, 0u);
-  EXPECT_EQ(stats.metrics.admitted, 3u);
-  EXPECT_EQ(stats.metrics.completed, 3u);
-  EXPECT_EQ(stats.metrics.Settled(), stats.metrics.admitted);
-  EXPECT_EQ(stats.metrics.latency.count, 3u);
-  EXPECT_GE(stats.faults_injected, 1u);
-}
-
-TEST_F(FaultInjectionTest, ShedFailsFastWhenDegradationDisabled) {
-  const graph::Graph g = psi::testing::MakeFigure1Graph();
+service::ServiceOptions SmartServiceOptions() {
   service::ServiceOptions options;
-  options.num_workers = 1;  // degradation stays default-disabled
-  service::PsiService service(g, options);
-
-  ScopedFaultSpec chaos("service.admission.shed=nth:1");
-  const service::QueryResponse response =
-      service.Execute(SmartRequest(psi::testing::MakeFigure1Query()));
-  EXPECT_EQ(response.status, service::RequestStatus::kRejected);
-
-  const service::ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.metrics.retries, 0u);
-  EXPECT_EQ(stats.metrics.rejected, 1u);
-  EXPECT_EQ(stats.metrics.admitted, 0u);
+  options.num_workers = 1;  // serialize: one worker, deterministic order
+  options.engine.min_candidates_for_ml = 4;
+  return options;
 }
 
-TEST_F(FaultInjectionTest, PreemptionStormEntersAndExitsDegradedMode) {
+service::QueryRequest SmartRequest(const graph::QueryGraph& q) {
+  service::QueryRequest request;
+  request.query = q;
+  request.method = service::Method::kSmart;
+  return request;
+}
+
+// A shed is final: Submit and SubmitBatch make one admission attempt, count
+// the shed as rejected and admit nothing, and the next submission is
+// admitted as usual.
+TEST_F(FaultInjectionTest, ShedFailsFast) {
+  const graph::Graph g = psi::testing::MakeFigure1Graph();
+  service::PsiService service(g, SmartServiceOptions());
+
+  {
+    ScopedFaultSpec chaos("service.admission.shed=nth:1");
+    const service::QueryResponse shed =
+        service.Execute(SmartRequest(psi::testing::MakeFigure1Query()));
+    EXPECT_EQ(shed.status, service::RequestStatus::kRejected);
+    const service::MetricsSnapshot m = service.Stats().metrics;
+    EXPECT_EQ(m.rejected, 1u);
+    EXPECT_EQ(m.admitted, 0u);
+
+    const service::QueryResponse next =
+        service.Execute(SmartRequest(psi::testing::MakeFigure1Query()));
+    EXPECT_EQ(next.status, service::RequestStatus::kOk);
+    EXPECT_EQ(next.valid_nodes, (std::vector<graph::NodeId>{0, 5}));
+  }
+  {
+    ScopedFaultSpec chaos("service.admission.shed=nth:1");
+    service::BatchRequest batch;
+    for (int i = 0; i < 3; ++i) {
+      batch.queries.push_back(SmartRequest(psi::testing::MakeFigure1Query()));
+    }
+    EXPECT_FALSE(service.SubmitBatch(std::move(batch)).has_value());
+  }
+
+  const service::ServiceStats stats = service.Stats();
+  const service::MetricsSnapshot& m = stats.metrics;
+  EXPECT_EQ(m.rejected, 4u);
+  EXPECT_EQ(m.batch_rejected, 1u);
+  EXPECT_EQ(m.batch_submitted, 0u);
+  EXPECT_EQ(m.admitted, 1u);
+  EXPECT_EQ(m.Settled(), m.admitted);
+  EXPECT_EQ(m.latency.count, 1u);
+  EXPECT_GE(stats.faults_injected, 2u);
+}
+
+// Every state-1 run pretends its MaxTime expired, so every candidate the
+// executor runs goes through a state-2 recovery. The recoveries are
+// counted, and no answer moves.
+TEST_F(FaultInjectionTest, PreemptionStormRecoversEveryAnswer) {
   const uint64_t seed = psi::testing::TestSeed(0xde62ade);
   PSI_LOG_TEST_SEED(seed);
   const graph::Graph g = psi::testing::MakeRandomGraph(120, 360, 2, seed);
-  service::PsiService service(g, DegradedServiceOptions());
-  // Every candidate evaluation pretends its MaxTime expired: each request
-  // reports method recoveries, so the windowed misprediction-timeout rate
-  // saturates and the service must fall back to pessimist-only service.
-  ScopedFaultSpec chaos("smart.preempt.expire=always");
+  const graph::QueryGraph q = psi::testing::ExtractQuery(g, 3, seed);
+  if (q.num_nodes() != 3) GTEST_SKIP() << "query extraction failed";
+  match::BasicEngine basic(g);
+  const auto truth = basic.ProjectPivot(q, match::MatchingEngine::Options());
+  ASSERT_TRUE(truth.complete);
 
-  const graph::QueryGraph q = psi::testing::MakeSingleNodeQuery(0);
-  std::vector<graph::NodeId> first_answer;
-  size_t degraded_served = 0;
-  for (int i = 0; i < 10; ++i) {
+  service::PsiService service(g, SmartServiceOptions());
+  ScopedFaultSpec chaos("smart.preempt.expire=always");
+  constexpr int kRequests = 10;
+  for (int i = 0; i < kRequests; ++i) {
     const service::QueryResponse response = service.Execute(SmartRequest(q));
     ASSERT_EQ(response.status, service::RequestStatus::kOk) << i;
-    if (i == 0) {
-      first_answer = response.valid_nodes;
-      ASSERT_FALSE(first_answer.empty());
-    } else {
-      // Degraded or not, the answer never moves.
-      EXPECT_EQ(response.valid_nodes, first_answer) << i;
-    }
-    degraded_served += response.served_degraded ? 1u : 0u;
+    EXPECT_EQ(response.valid_nodes, truth.pivot_matches) << i;
   }
 
-  const service::ServiceStats stats = service.Stats();
-  // window=2 at rate 1.0 >= 0.5: entered by request 2, served two degraded
-  // requests (the cooldown), exited, and re-entered on the next window.
-  EXPECT_GE(stats.metrics.degraded_entries, 2u);
-  EXPECT_GE(stats.metrics.degraded_exits, 1u);
-  EXPECT_GE(stats.metrics.degraded_requests, 2u);
-  EXPECT_EQ(stats.metrics.degraded_requests, degraded_served);
-  EXPECT_GE(stats.metrics.method_recoveries, 1u);
+  const service::MetricsSnapshot m = service.Stats().metrics;
+  // Request 1 trains on a sample and runs the rest through the executor;
+  // requests 2.. hit the cache on every candidate and run all of them.
+  EXPECT_GE(m.method_recoveries, static_cast<uint64_t>(kRequests));
 }
 
-TEST_F(FaultInjectionTest, PoisonedCacheTriggersBypassAndRecovers) {
+// Every cache hit hands back a flipped decision. The evaluation contradicts
+// it, the service counts the mismatch, and the answer stays exact.
+TEST_F(FaultInjectionTest, PoisonedCacheCountsMismatchesWithExactAnswers) {
   const uint64_t seed = psi::testing::TestSeed(0xca0e);
   PSI_LOG_TEST_SEED(seed);
   const graph::Graph g = psi::testing::MakeRandomGraph(120, 360, 2, seed);
-  service::PsiService service(g, DegradedServiceOptions());
-  // Every cache hit hands back a flipped decision. The evaluation contradicts
-  // it (answers stay exact), the mismatch-rate detector trips, and the
-  // service clears + bypasses the shared cache until the cooldown elapses.
-  ScopedFaultSpec chaos("cache.lookup.poison=always");
+  const graph::QueryGraph q = psi::testing::ExtractQuery(g, 3, seed);
+  if (q.num_nodes() != 3) GTEST_SKIP() << "query extraction failed";
+  match::BasicEngine basic(g);
+  const auto truth = basic.ProjectPivot(q, match::MatchingEngine::Options());
+  ASSERT_TRUE(truth.complete);
 
-  const graph::QueryGraph q = psi::testing::MakeSingleNodeQuery(0);
-  std::vector<graph::NodeId> first_answer;
-  for (int i = 0; i < 12; ++i) {
+  service::PsiService service(g, SmartServiceOptions());
+  ScopedFaultSpec chaos("cache.lookup.poison=always");
+  for (int i = 0; i < 6; ++i) {
     const service::QueryResponse response = service.Execute(SmartRequest(q));
     ASSERT_EQ(response.status, service::RequestStatus::kOk) << i;
-    if (i == 0) {
-      first_answer = response.valid_nodes;
-    } else {
-      EXPECT_EQ(response.valid_nodes, first_answer) << i;
-    }
+    EXPECT_EQ(response.valid_nodes, truth.pivot_matches) << i;
+    // A poisoned hit always disagrees with the confirmed outcome.
+    EXPECT_EQ(response.cache_mismatches, response.cache_hits) << i;
   }
 
-  const service::ServiceStats stats = service.Stats();
-  EXPECT_GE(stats.metrics.cache_mismatches, 1u);
-  EXPECT_GE(stats.metrics.cache_bypass_entries, 1u);
-  EXPECT_GE(stats.metrics.cache_bypass_exits, 1u);
+  const service::MetricsSnapshot m = service.Stats().metrics;
+  EXPECT_GE(m.cache_hits, 1u);
+  EXPECT_GE(m.cache_mismatches, 1u);
+  EXPECT_EQ(m.cache_mismatches, m.cache_hits);
 }
 
 // The service.worker.stall site deschedules a worker between dequeue and
@@ -565,26 +515,6 @@ TEST_F(FaultInjectionTest, OffBuildHooksAreInert) {
 }
 
 #endif  // PSI_FAULT_INJECTION_ENABLED
-
-// Sanity in both build modes: fault-free traffic under enabled degradation
-// policies must never trip a policy.
-TEST_F(FaultInjectionTest, CleanTrafficNeverTriggersDegradation) {
-  const graph::Graph g = psi::testing::MakeFigure1Graph();
-  service::PsiService service(g, DegradedServiceOptions());
-  for (int i = 0; i < 8; ++i) {
-    const service::QueryResponse response =
-        service.Execute(SmartRequest(psi::testing::MakeFigure1Query()));
-    ASSERT_EQ(response.status, service::RequestStatus::kOk);
-    EXPECT_EQ(response.valid_nodes, (std::vector<graph::NodeId>{0, 5}));
-    EXPECT_FALSE(response.served_degraded);
-  }
-  const service::ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.metrics.degraded_entries, 0u);
-  EXPECT_EQ(stats.metrics.cache_bypass_entries, 0u);
-  EXPECT_EQ(stats.metrics.retries, 0u);
-  EXPECT_FALSE(stats.degraded_mode);
-  EXPECT_FALSE(stats.cache_bypass);
-}
 
 }  // namespace
 }  // namespace psi

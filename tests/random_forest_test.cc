@@ -62,18 +62,6 @@ TEST(RandomForestTest, GeneralizesToHeldOut) {
   EXPECT_GT(Accuracy(predicted, actual), 0.85);
 }
 
-TEST(RandomForestTest, ProbabilitiesNormalized) {
-  util::Rng rng(3);
-  const Dataset data = MakeBlobs(200, rng);
-  RandomForest forest;
-  forest.Train(data, 2, ForestConfig(), rng);
-  const auto proba = forest.PredictProba(data.row(0));
-  ASSERT_EQ(proba.size(), 2u);
-  EXPECT_NEAR(proba[0] + proba[1], 1.0, 1e-9);
-  EXPECT_GE(proba[0], 0.0);
-  EXPECT_GE(proba[1], 0.0);
-}
-
 TEST(RandomForestTest, DeterministicGivenSeed) {
   util::Rng rng_data(4);
   const Dataset data = MakeBlobs(300, rng_data);

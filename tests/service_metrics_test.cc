@@ -206,57 +206,48 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
   MetricsSnapshot s;
   s.admitted = 1;
   s.rejected = 2;
-  s.retries = 3;
-  s.completed = 4;
-  s.timed_out = 5;
-  s.cancelled = 6;
-  s.invalid = 7;
-  s.not_found = 8;
-  s.cache_hits = 9;
-  s.method_recoveries = 10;
-  s.plan_fallbacks = 11;
-  s.candidates_evaluated = 12;
-  s.cache_mismatches = 13;
-  s.work_steals = 14;
-  s.degraded_entries = 15;
-  s.degraded_exits = 16;
-  s.degraded_requests = 17;
-  s.cache_bypass_entries = 18;
-  s.cache_bypass_exits = 19;
-  s.snapshot_publishes = 20;
-  s.snapshot_swaps = 21;
-  s.snapshot_retires = 22;
-  s.snapshot_publish_failures = 23;
-  s.batch_submitted = 24;
-  s.batch_rejected = 25;
-  s.batch_queries = 26;
-  s.batch_context_hits = 27;
-  s.batch_degraded = 28;
-  s.cache_entries = 29;
-  s.cache_evictions = 30;
-  s.training_nodes = 31;
-  s.train_micros = 32;
-  s.smart_exec_micros = 64;
+  s.completed = 3;
+  s.timed_out = 4;
+  s.cancelled = 5;
+  s.invalid = 6;
+  s.not_found = 7;
+  s.cache_hits = 8;
+  s.method_recoveries = 9;
+  s.plan_fallbacks = 10;
+  s.candidates_evaluated = 11;
+  s.cache_mismatches = 12;
+  s.work_steals = 13;
+  s.snapshot_publishes = 14;
+  s.snapshot_swaps = 15;
+  s.snapshot_retires = 16;
+  s.snapshot_publish_failures = 17;
+  s.batch_submitted = 18;
+  s.batch_rejected = 19;
+  s.batch_queries = 20;
+  s.batch_context_hits = 21;
+  s.batch_degraded = 22;
+  s.cache_entries = 23;
+  s.cache_evictions = 24;
+  s.training_nodes = 25;
+  s.train_micros = 26;
+  s.smart_exec_micros = 52;
 
   const std::string text = s.ToString();
   const std::vector<std::string> expected = {
       "admitted=1", "rejected=2",
-      "retries=3", "completed=4",
-      "timed_out=5", "cancelled=6",
-      "invalid=7", "not_found=8",
-      "cache_hits=9", "method_recoveries=10",
-      "plan_fallbacks=11", "candidates=12",
-      "cache_mismatches=13", "work_steals=14",
-      "entries=15", "exits=16",
-      "degraded_requests=17", "cache_bypass_entries=18",
-      "cache_bypass_exits=19", "publishes=20",
-      "swaps=21", "retires=22",
-      "publish_failures=23", "batch_submitted=24",
-      "batch_rejected=25", "batch_queries=26",
-      "batch_context_hits=27", "batch_degraded=28",
-      "cache_entries=29", "cache_evictions=30",
-      "training_nodes=31", "train_micros=32",
-      "smart_exec_micros=64", "train_share=0.5",
+      "completed=3", "timed_out=4",
+      "cancelled=5", "invalid=6",
+      "not_found=7", "cache_hits=8",
+      "method_recoveries=9", "plan_fallbacks=10",
+      "candidates=11", "cache_mismatches=12",
+      "work_steals=13", "publishes=14",
+      "swaps=15", "retires=16",
+      "publish_failures=17", "batch_submitted=18",
+      "batch_rejected=19", "batch_queries=20",
+      "batch_context_hits=21", "batch_degraded=22",
+      "cache_entries=23", "cache_evictions=24",
+      "training_nodes=25", "train_micros=26",
+      "smart_exec_micros=52", "train_share=0.5",
   };
   for (const std::string& label : expected) {
     EXPECT_NE(text.find(label), std::string::npos)

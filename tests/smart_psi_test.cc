@@ -122,7 +122,6 @@ TEST_P(SmartPsiExactnessTest, MatchesGroundTruth) {
   config.num_threads = config_case.threads;
   config.signature_method = config_case.method;
   config.min_candidates_for_ml = 8;  // force the ML path on small graphs
-  config.max_train_nodes = 30;
   config.seed = seed;
   SmartPsiEngine engine(g, config);
 
@@ -156,68 +155,6 @@ INSTANTIATE_TEST_SUITE_P(
             ConfigCase{false, false, false, 4,
                        signature::Method::kExploration})));
 
-class SmartPsiClassifierTest
-    : public ::testing::TestWithParam<core::ClassifierKind> {};
-
-// The paper notes other classifiers are orthogonal: exactness must hold
-// with any learner behind Models α and β — a worse model costs recoveries,
-// never answers.
-TEST_P(SmartPsiClassifierTest, ExactWithAnyClassifier) {
-  const graph::Graph g = psi::testing::MakeRandomGraph(400, 1300, 3, 81);
-  graph::QueryExtractor extractor(g);
-  util::Rng rng(82);
-  const graph::QueryGraph q = extractor.Extract(4, rng);
-  ASSERT_EQ(q.num_nodes(), 4u);
-
-  match::BasicEngine basic(g);
-  const auto truth = basic.ProjectPivot(q, match::MatchingEngine::Options());
-  ASSERT_TRUE(truth.complete);
-
-  core::SmartPsiConfig config;
-  config.classifier = GetParam();
-  config.min_candidates_for_ml = 8;
-  config.max_train_nodes = 40;
-  core::SmartPsiEngine engine(g, config);
-  const PsiQueryResult result = engine.Evaluate(q);
-  EXPECT_TRUE(result.complete);
-  EXPECT_EQ(result.valid_nodes, truth.pivot_matches)
-      << "kind " << static_cast<int>(GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(Kinds, SmartPsiClassifierTest,
-                         ::testing::Values(core::ClassifierKind::kRandomForest,
-                                           core::ClassifierKind::kLinearSvm,
-                                           core::ClassifierKind::kNeuralNet));
-
-TEST(ClassifierTest, AllKindsTrainAndPredict) {
-  ml::Dataset data(2);
-  util::Rng data_rng(83);
-  for (int i = 0; i < 200; ++i) {
-    const bool positive = data_rng.NextBool(0.5);
-    data.AddExample(
-        std::vector<float>{
-            static_cast<float>(data_rng.NextGaussian() +
-                               (positive ? 2.0 : -2.0)),
-            static_cast<float>(data_rng.NextGaussian())},
-        positive ? 1 : 0);
-  }
-  for (const auto kind :
-       {core::ClassifierKind::kRandomForest, core::ClassifierKind::kLinearSvm,
-        core::ClassifierKind::kNeuralNet}) {
-    core::Classifier model(kind);
-    EXPECT_FALSE(model.trained());
-    util::Rng rng(84);
-    model.Train(data, 2, 16, rng);
-    EXPECT_TRUE(model.trained());
-    size_t correct = 0;
-    for (size_t i = 0; i < data.size(); ++i) {
-      if (model.Predict(data.row(i)) == data.label(i)) ++correct;
-    }
-    EXPECT_GT(static_cast<double>(correct) / data.size(), 0.9)
-        << "kind " << static_cast<int>(kind);
-  }
-}
-
 TEST(SmartPsiTest, TinyCandidateSetSkipsMl) {
   const graph::Graph g = psi::testing::MakeFigure1Graph();
   SmartPsiConfig config;
@@ -234,7 +171,6 @@ TEST(SmartPsiTest, MlPathReportsAccuracyAndTiming) {
   const graph::Graph g = psi::testing::MakeRandomGraph(600, 2000, 3, 71);
   SmartPsiConfig config;
   config.min_candidates_for_ml = 8;
-  config.max_train_nodes = 40;
   SmartPsiEngine engine(g, config);
   graph::QueryExtractor extractor(g);
   util::Rng rng(72);
@@ -254,7 +190,6 @@ TEST(SmartPsiTest, CacheHitsAccumulateAcrossQueries) {
   const graph::Graph g = psi::testing::MakeRandomGraph(600, 2000, 2, 73);
   SmartPsiConfig config;
   config.min_candidates_for_ml = 8;
-  config.max_train_nodes = 30;
   SmartPsiEngine engine(g, config);
   graph::QueryExtractor extractor(g);
   util::Rng rng(74);
@@ -577,24 +512,18 @@ TEST(SmartPsiTest, DecisionsDoNotDependOnHostLoad) {
 }
 
 // The sample draw is a ceiling and kMinTrainingNodes a floor. A fitted run
-// trains at most ceil(train_fraction × misses) and at most max_train_nodes
+// trains at most ceil(train_fraction × misses) and at most kMaxTrainNodes
 // nodes, and at least min(kMinTrainingNodes, that ceiling). A fresh engine
 // misses on every candidate.
 TEST(SmartPsiTest, TrainingSampleStaysBetweenMinimumAndCeiling) {
   const graph::Graph g = psi::testing::MakeRandomGraph(600, 2000, 2, 73);
-  struct Case {
-    double fraction;
-    size_t cap;
-  };
   size_t fitted = 0;
   size_t at_floor = 0;
-  for (const Case c : {Case{0.1, 1000}, Case{0.5, 1000}, Case{1.0, 6},
-                       Case{0.1, 3}}) {
+  for (const double fraction : {0.1, 0.5, 1.0, 0.01}) {
     for (uint64_t s = 0; s < 4; ++s) {
       SmartPsiConfig config;
       config.min_candidates_for_ml = 8;
-      config.train_fraction = c.fraction;
-      config.max_train_nodes = c.cap;
+      config.train_fraction = fraction;
       SmartPsiEngine engine(g, config);
       const graph::QueryGraph q = psi::testing::ExtractQuery(g, 3, 500 + s);
       const PsiQueryResult r = engine.Evaluate(q);
@@ -605,12 +534,13 @@ TEST(SmartPsiTest, TrainingSampleStaysBetweenMinimumAndCeiling) {
       }
       ++fitted;
       const size_t ceiling = std::min(
-          c.cap, static_cast<size_t>(std::ceil(
-                     c.fraction * static_cast<double>(r.num_candidates))));
+          SmartPsiEngine::kMaxTrainNodes,
+          static_cast<size_t>(std::ceil(
+              fraction * static_cast<double>(r.num_candidates))));
       const size_t floor =
           std::min(SmartPsiEngine::kMinTrainingNodes, ceiling);
-      EXPECT_LE(r.num_training_nodes, ceiling) << c.fraction << " " << c.cap;
-      EXPECT_GE(r.num_training_nodes, floor) << c.fraction << " " << c.cap;
+      EXPECT_LE(r.num_training_nodes, ceiling) << fraction;
+      EXPECT_GE(r.num_training_nodes, floor) << fraction;
       if (ceiling <= SmartPsiEngine::kMinTrainingNodes) {
         // The budget is first checked after the floor: nothing stops early.
         EXPECT_EQ(r.num_training_nodes, ceiling);

@@ -23,14 +23,6 @@ TEST(StopTokenTest, ObservesSource) {
   EXPECT_TRUE(token.StopRequested());
 }
 
-TEST(StopTokenTest, ResetRearms) {
-  StopSource source;
-  source.RequestStop();
-  EXPECT_TRUE(source.StopRequested());
-  source.Reset();
-  EXPECT_FALSE(source.StopRequested());
-}
-
 TEST(StopTokenTest, VisibleAcrossThreads) {
   StopSource source;
   StopToken token(&source);

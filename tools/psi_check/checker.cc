@@ -413,6 +413,7 @@ struct FunctionDecl {
   std::string name;
   int line = 0;
   size_t token = 0;  // index of the name token
+  std::string cls;   // enclosing class; "" at namespace scope
 };
 
 /// Collects the functions a header declares at namespace and class scope.
@@ -535,7 +536,13 @@ class FunctionDeclCollector {
           return true;
         }
       }
-      decls_.push_back(FunctionDecl{t.text, t.line, i});
+      // A friend declared in a class body is a namespace-scope function.
+      const bool is_friend = std::any_of(
+          toks_.begin() + static_cast<std::ptrdiff_t>(start),
+          toks_.begin() + static_cast<std::ptrdiff_t>(i),
+          [](const Token& s) { return IsIdent(s, "friend"); });
+      decls_.push_back(
+          FunctionDecl{t.text, t.line, i, is_friend ? std::string() : cls});
       return true;
     }
     return false;
@@ -578,6 +585,7 @@ bool Checker::Load(const fs::path& root) {
     if (ReadFile(path, &content)) {
       tests_text_ += content;
       tests_text_ += '\n';
+      test_files_.push_back(Lex(content));
     }
   }
   for (const char* dir : {"tools", "bench", "perfbench", "examples"}) {
@@ -974,26 +982,117 @@ void Checker::CheckUnusedDecls() {
     }
   }
 
+  // Every referencing identifier counts for a namespace-scope function. A
+  // member counts as referenced only through `.name`, `->name` or
+  // `Class::name`, or unqualified inside a file that declares or defines
+  // members of its class: a free function of the same name elsewhere does
+  // not keep it alive.
   std::set<std::string> referenced;
+  std::set<std::string> member_access;                       // .name ->name
+  std::set<std::pair<std::string, std::string>> in_class;    // (class, name)
   auto collect = [&](const LexedFile& lexed) {
     const std::vector<Token>& toks = lexed.tokens;
-    for (size_t i = 0; i < toks.size(); ++i) {
-      if (toks[i].kind == Token::Kind::kIdent &&
-          decl_tokens.count({&lexed, i}) == 0 && !IsDefinitionHead(toks, i)) {
-        referenced.insert(toks[i].text);
+    std::set<std::string> own_classes;
+    for (const ClassInfo& c : ClassCollector(toks).Run()) {
+      own_classes.insert(c.name);
+    }
+    for (size_t i = 0; i + 2 < toks.size(); ++i) {
+      if (toks[i].kind == Token::Kind::kIdent && IsPunct(toks[i + 1], "::") &&
+          toks[i + 2].kind == Token::Kind::kIdent &&
+          (IsDefinitionHead(toks, i + 2) || toks[i + 2].text == toks[i].text)) {
+        own_classes.insert(toks[i].text);
       }
     }
-    referenced.insert(lexed.macro_idents.begin(), lexed.macro_idents.end());
+    for (size_t i = 0; i < toks.size(); ++i) {
+      if (toks[i].kind != Token::Kind::kIdent ||
+          decl_tokens.count({&lexed, i}) != 0 || IsDefinitionHead(toks, i)) {
+        continue;
+      }
+      const std::string& name = toks[i].text;
+      referenced.insert(name);
+      const bool after_dot = i > 0 && IsPunct(toks[i - 1], ".");
+      const bool after_arrow = i > 1 && IsPunct(toks[i - 1], ">") &&
+                               IsPunct(toks[i - 2], "-");
+      const bool after_scope = i > 0 && IsPunct(toks[i - 1], "::");
+      if (after_dot || after_arrow) {
+        member_access.insert(name);
+      } else if (after_scope) {
+        if (i > 1 && toks[i - 2].kind == Token::Kind::kIdent) {
+          in_class.insert({toks[i - 2].text, name});
+        }
+      } else {
+        for (const std::string& cls : own_classes) in_class.insert({cls, name});
+      }
+    }
+    // A macro body is not tokenized, so a name it mentions counts for
+    // members too.
+    for (const std::string& name : lexed.macro_idents) {
+      referenced.insert(name);
+      member_access.insert(name);
+    }
   };
   for (const SourceFile& file : files_) collect(file.lexed);
   for (const LexedFile& lexed : caller_files_) collect(lexed);
 
   for (const Declared& d : declared) {
-    if (referenced.count(d.decl.name) != 0) continue;
+    const std::string& name = d.decl.name;
+    const bool used =
+        d.decl.cls.empty()
+            ? referenced.count(name) != 0
+            : member_access.count(name) != 0 ||
+                  in_class.count({d.decl.cls, name}) != 0;
+    if (used) continue;
+    const std::string what =
+        d.decl.cls.empty() ? "function '" + name + "'"
+                           : "member '" + d.decl.cls + "::" + name + "'";
     Report(*d.file, "unused-decl", d.decl.line,
-           "function '" + d.decl.name +
-               "' has no caller in src/, tools/, bench/, perfbench/ or "
+           what +
+               " has no caller in src/, tools/, bench/, perfbench/ or "
                "examples/ — delete it, or waive it as a test oracle");
+  }
+}
+
+void Checker::CheckTestOnlyKnobs() {
+  // `.name =` (not `==`) anywhere in `toks`: the field is assigned there,
+  // by a statement or a designated initializer.
+  auto collect_assigned = [](const LexedFile& lexed,
+                             std::set<std::string>* out) {
+    const std::vector<Token>& toks = lexed.tokens;
+    for (size_t i = 1; i + 2 < toks.size(); ++i) {
+      if (toks[i].kind == Token::Kind::kIdent && IsPunct(toks[i - 1], ".") &&
+          IsPunct(toks[i + 1], "=") && !IsPunct(toks[i + 2], "=")) {
+        out->insert(toks[i].text);
+      }
+    }
+  };
+  std::set<std::string> assigned_outside;
+  for (const SourceFile& file : files_) {
+    collect_assigned(file.lexed, &assigned_outside);
+  }
+  for (const LexedFile& lexed : caller_files_) {
+    collect_assigned(lexed, &assigned_outside);
+  }
+  std::set<std::string> assigned_in_tests;
+  for (const LexedFile& lexed : test_files_) {
+    collect_assigned(lexed, &assigned_in_tests);
+  }
+
+  static const std::set<std::string> kKnobStructs = {
+      "SmartPsiConfig", "ServiceOptions", "FsmConfig"};
+  for (const SourceFile& file : files_) {
+    for (const ClassInfo& c : ClassCollector(file.lexed.tokens).Run()) {
+      if (kKnobStructs.count(c.name) == 0) continue;
+      for (const FieldDecl& f : c.fields) {
+        if (assigned_in_tests.count(f.name) == 0 ||
+            assigned_outside.count(f.name) != 0) {
+          continue;
+        }
+        Report(file, "unused-decl", f.line,
+               "field '" + c.name + "::" + f.name +
+                   "' is set only under tests/ — delete the knob, or make "
+                   "it a constant");
+      }
+    }
   }
 }
 
@@ -1010,6 +1109,7 @@ void Checker::RunAll() {
   CheckFaultSites();
   CheckMetricsPairing();
   CheckUnusedDecls();
+  CheckTestOnlyKnobs();
   std::stable_sort(violations_.begin(), violations_.end(),
                    [](const Violation& a, const Violation& b) {
                      if (a.file != b.file) return a.file < b.file;

@@ -30,10 +30,16 @@
 //   unused-decl   every function declared in a src/ header must be named
 //                 somewhere in src/, tools/, bench/, perfbench/ or
 //                 examples/ besides its own declaration and definition;
-//                 tests alone do not keep code alive. Matching is by
-//                 name, so it can miss dead code but never flags called
-//                 code. Constructors, destructors, operators and
-//                 overrides are exempt.
+//                 tests alone do not keep code alive. A class member
+//                 counts only when named as `.name`, `->name` or
+//                 `Class::name`, or unqualified in a file that declares
+//                 or defines members of its class, so a free function of
+//                 the same name does not hide it. Constructors,
+//                 destructors, operators and overrides are exempt. A
+//                 field of SmartPsiConfig, ServiceOptions or FsmConfig
+//                 that is assigned (`.field =`) under tests/ and nowhere
+//                 else is a test-only knob and is flagged too. Matching
+//                 is by name, so the rule can miss dead code.
 //
 // Any violation is suppressible only by an explicit annotation on the
 // offending line (or the line above):
@@ -91,6 +97,8 @@ class Checker {
   void CheckFaultSites();
   void CheckMetricsPairing();
   void CheckUnusedDecls();
+  /// Part of unused-decl: config fields only tests/ assign.
+  void CheckTestOnlyKnobs();
 
   /// Records `v`, resolving waivers against the file's annotations.
   void Report(const SourceFile& file, std::string rule, int line,
@@ -103,6 +111,7 @@ class Checker {
   std::vector<LexedFile> caller_files_;  // tools, bench, perfbench, examples
   std::string design_text_;              // DESIGN.md (may be empty)
   std::string tests_text_;               // concatenated tests/**/*.{h,cc}
+  std::vector<LexedFile> test_files_;    // the same files, lexed
   std::vector<Violation> violations_;
   std::string error_;
 };

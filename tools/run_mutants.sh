@@ -112,10 +112,15 @@ mutant "CSR edge-label symmetry check skipped on .psnap load" \
 
 mutant "admission counted after enqueue" \
   src/service/service.cc \
-  $'    metrics_.RecordAdmitted(num_queries);\n    // Chaos hook' \
-  $'    // Chaos hook' \
-  $'      if (attempt > 0) metrics_.RecordRetriedAdmission();\n' \
-  $'      metrics_.RecordAdmitted(num_queries);\n      if (attempt > 0) metrics_.RecordRetriedAdmission();\n' \
+  $'  metrics_.RecordAdmitted(num_queries);\n  // Chaos hook' \
+  $'  // Chaos hook' \
+  $'  // Chaos hook: the submitter descheduled' \
+  $'  metrics_.RecordAdmitted(num_queries);\n  // Chaos hook: the submitter descheduled' \
+  $'    metrics_.UndoAdmitted(num_queries);\n' \
+  ''
+
+mutant "shed admission not revoked" \
+  src/service/service.cc \
   $'    metrics_.UndoAdmitted(num_queries);\n' \
   ''
 
@@ -187,6 +192,11 @@ mutant "cache records the first attempt's steps, not the completing run's" \
   $'        outcome = run(predicted_valid, max_steps);\n        first_steps = evaluator.steps();\n' \
   'CacheSteps(evaluator.steps())' \
   'CacheSteps(first_steps != 0 ? first_steps : evaluator.steps())'
+
+mutant "cache mismatch not counted" \
+  src/core/smart_psi.cc \
+  'if (predicted_valid != actual_valid) ++ws.cache_mismatches;' \
+  'if (false) ++ws.cache_mismatches;'
 
 echo "== $KILLED killed, ${#SURVIVORS[@]} survived"
 if [[ ${#SURVIVORS[@]} -gt 0 ]]; then
