@@ -49,7 +49,6 @@ int main() {
         const util::Deadline deadline = util::Deadline::After(budget);
         for (const auto& q : workload) {
           core::TwoThreadedBaseline::Options options;
-          options.spawn_per_node = true;
           options.deadline = deadline;
           censored |= !baseline.Evaluate(q, options).complete;
           if (deadline.Expired()) break;

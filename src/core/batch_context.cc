@@ -69,7 +69,6 @@ std::string PivotClassKey(const graph::QueryGraph& q) {
 BatchEvalContext::Prepared BatchEvalContext::Prepare(
     const graph::QueryGraph& q) {
   assert(q.has_pivot() && "batch preparation requires a pivoted query");
-  ++stats_.queries;
 
   const std::string structure_key = StructureKey(q);
   std::string query_key = structure_key;
@@ -77,32 +76,24 @@ BatchEvalContext::Prepared BatchEvalContext::Prepare(
   query_key += std::to_string(q.pivot());
 
   if (const auto it = by_query_.find(query_key); it != by_query_.end()) {
-    const Entry& entry = it->second;
-    if (entry.context.feasible) {
-      ++stats_.signature_reuses;
-      ++stats_.candidate_reuses;
-    }
-    return {&entry.context,
-            entry.context.feasible ? &entry.pivot_requirement : nullptr,
-            /*reused=*/true};
+    return {&it->second, /*reused=*/true};
   }
 
-  Entry entry;
+  QueryContext context;
   bool reused = false;
   // Same feasibility test as PrepareQuery: a query-node label absent from
   // the data graph means the answer is empty.
   for (graph::NodeId v = 0; v < q.num_nodes(); ++v) {
     const graph::Label label = q.label(v);
     if (label >= graph_.num_labels() || graph_.label_frequency(label) == 0) {
-      entry.context.feasible = false;
+      context.feasible = false;
       break;
     }
   }
 
-  if (entry.context.feasible) {
+  if (context.feasible) {
     auto sit = sigs_by_structure_.find(structure_key);
     if (sit == sigs_by_structure_.end()) {
-      ++stats_.signature_builds;
       sit = sigs_by_structure_
                 .emplace(structure_key,
                          signature::BuildSignatures(
@@ -110,35 +101,23 @@ BatchEvalContext::Prepared BatchEvalContext::Prepare(
                              graph_sigs_.num_labels(), graph_sigs_.decay()))
                 .first;
     } else {
-      ++stats_.signature_reuses;
       reused = true;
     }
-    entry.context.query_sigs = sit->second;
+    context.query_sigs = sit->second;
 
     const std::string class_key = PivotClassKey(q);
     auto cit = candidates_by_class_.find(class_key);
     if (cit == candidates_by_class_.end()) {
-      ++stats_.candidate_extractions;
       cit = candidates_by_class_
                 .emplace(class_key, match::ExtractPivotCandidates(graph_, q))
                 .first;
     } else {
-      ++stats_.candidate_reuses;
       reused = true;
     }
-    entry.context.candidates = cit->second;
-
-    // Plan order starts at the pivot, so this is exactly the level-0
-    // requirement BindQuery would build — the row the pessimistic bulk
-    // prefilter sweeps.
-    entry.pivot_requirement.Assign(entry.context.query_sigs.row(q.pivot()));
+    context.candidates = cit->second;
   }
 
-  const auto inserted = by_query_.emplace(query_key, std::move(entry)).first;
-  return {&inserted->second.context,
-          inserted->second.context.feasible
-              ? &inserted->second.pivot_requirement
-              : nullptr,
+  return {&by_query_.emplace(query_key, std::move(context)).first->second,
           reused};
 }
 

@@ -1,7 +1,6 @@
 #ifndef SMARTPSI_CORE_BATCH_CONTEXT_H_
 #define SMARTPSI_CORE_BATCH_CONTEXT_H_
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -10,7 +9,6 @@
 #include "graph/graph.h"
 #include "graph/query_graph.h"
 #include "signature/signature_matrix.h"
-#include "signature/sparse_requirement.h"
 
 namespace psi::core {
 
@@ -29,9 +27,10 @@ namespace psi::core {
 /// silently share state between different queries and corrupt answers, so
 /// the map keys *are* the structural facts themselves.
 ///
-/// Not thread-safe: one context belongs to one batch, and queries are
-/// prepared on the batch thread before evaluation fans out. The returned
-/// pointers stay valid for the context's lifetime (map nodes are stable).
+/// Not thread-safe: one context belongs to one batch, whose members are
+/// prepared and evaluated one after another on the batch's worker. The
+/// returned pointers stay valid for the context's lifetime (map nodes are
+/// stable).
 class BatchEvalContext {
  public:
   BatchEvalContext(const graph::Graph& g,
@@ -46,10 +45,6 @@ class BatchEvalContext {
     /// context and immutable — consumers copy `candidates` before any
     /// in-place filtering.
     const QueryContext* context = nullptr;
-    /// Sparse view of the pivot's query-signature row (plan level 0) —
-    /// the dense requirement row the pessimistic bulk prefilter sweeps.
-    /// Null for infeasible queries.
-    const signature::SparseRequirement* pivot_requirement = nullptr;
     /// True when any component (signatures or candidates) was served from
     /// the batch memo instead of recomputed — the batch_context_hits
     /// signal.
@@ -60,30 +55,15 @@ class BatchEvalContext {
   /// match. Bit-identical to PrepareQuery at every step.
   Prepared Prepare(const graph::QueryGraph& q);
 
-  struct Stats {
-    uint64_t queries = 0;
-    uint64_t signature_builds = 0;
-    uint64_t signature_reuses = 0;
-    uint64_t candidate_extractions = 0;
-    uint64_t candidate_reuses = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
  private:
-  struct Entry {
-    QueryContext context;
-    signature::SparseRequirement pivot_requirement;
-  };
-
   const graph::Graph& graph_;
   const signature::SignatureMatrix& graph_sigs_;
-  Stats stats_;
   /// Query signatures per pivot-independent structure (labels + edges).
   std::map<std::string, signature::SignatureMatrix> sigs_by_structure_;
   /// Pivot candidate lists per pivot requirement class.
   std::map<std::string, std::vector<graph::NodeId>> candidates_by_class_;
   /// Assembled contexts per exact (structure, pivot) query key.
-  std::map<std::string, Entry> by_query_;
+  std::map<std::string, QueryContext> by_query_;
 };
 
 }  // namespace psi::core

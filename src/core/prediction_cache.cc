@@ -127,12 +127,4 @@ PredictionCache::Counters PredictionCache::counters() const {
   return total;
 }
 
-void PredictionCache::Clear() {
-  for (Shard& shard : shards_) {
-    util::MutexLock lock(shard.mutex);
-    std::vector<Slot>().swap(shard.slots);
-    shard.size = 0;
-  }
-}
-
 }  // namespace psi::core

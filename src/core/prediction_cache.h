@@ -90,11 +90,9 @@ class PredictionCache {
 
   /// Entries held; never above kMaxEntries.
   size_t size() const;
-  /// Drops every entry and releases the slot storage.
-  void Clear();
 
-  /// Snapshot of hit/miss/insert counters since construction (Clear() does
-  /// not reset them; they describe traffic, not contents).
+  /// Snapshot of hit/miss/insert counters since construction (emptying a
+  /// full shard does not reset them; they describe traffic, not contents).
   Counters counters() const;
 
  private:

@@ -7,10 +7,10 @@
 #include <vector>
 
 #include "core/query_context.h"
+#include "match/candidates.h"
 #include "match/parallel_search.h"
 #include "match/plan.h"
 #include "match/psi_evaluator.h"
-#include "signature/kernels.h"
 
 namespace psi::core {
 
@@ -57,7 +57,6 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
   const match::Plan plan = match::MakeHeuristicPlan(q, g, q.pivot());
 
   match::PsiEvaluator::Options eval_options;
-  eval_options.super_optimistic_limit = options.super_optimistic_limit;
   eval_options.deadline = options.deadline;
   eval_options.stop = options.stop;
 
@@ -69,19 +68,8 @@ PureDriverResult EvaluatePure(const graph::Graph& g,
   if (options.strategy == PureStrategy::kPessimistic && limit == 0) {
     filtered = options.prepared != nullptr ? prepared->candidates
                                            : std::move(local.candidates);
-    if (options.prepared != nullptr &&
-        options.prepared_pivot_requirement != nullptr) {
-      // The batch context pre-built the level-0 requirement row; this is
-      // the same kernel call FilterPivotCandidates would make after a
-      // throwaway BindQuery, so the kept set is byte-identical.
-      result.stats.signature_checks += filtered.size();
-      result.stats.pruned_by_signature += signature::FilterCandidates(
-          graph_sigs, *options.prepared_pivot_requirement, filtered);
-    } else {
-      match::PsiEvaluator prefilter(g, graph_sigs);
-      prefilter.BindQuery(q, query_sigs, plan);
-      prefilter.FilterPivotCandidates(filtered, &result.stats);
-    }
+    match::FilterPivotCandidates(graph_sigs, query_sigs.row(q.pivot()),
+                                 filtered, result.stats);
     candidates = filtered;
     eval_options.pivot_prefiltered = true;
     if (candidates.empty()) {

@@ -9,7 +9,6 @@
 #include "match/search_scratch.h"
 #include "match/search_stats.h"
 #include "signature/signature_matrix.h"
-#include "signature/sparse_requirement.h"
 #include "util/stop_token.h"
 #include "util/timer.h"
 
@@ -37,7 +36,6 @@ struct PureDriverResult {
 
 struct PureDriverOptions {
   PureStrategy strategy = PureStrategy::kPessimistic;
-  size_t super_optimistic_limit = 10;
   util::Deadline deadline;
   util::StopToken stop;
   /// Intra-query parallelism: split the pivot-candidate list across this
@@ -59,11 +57,6 @@ struct PureDriverOptions {
   /// candidate list before any in-place filtering; the context is never
   /// written.
   const QueryContext* prepared = nullptr;
-  /// Sparse view of the pivot's signature row matching `prepared` (the
-  /// level-0 requirement BindQuery would build). Lets the pessimistic
-  /// prefilter run the same bulk kernel without constructing a throwaway
-  /// evaluator binding. Ignored when `prepared` is null.
-  const signature::SparseRequirement* prepared_pivot_requirement = nullptr;
   /// Optional scratch pool: each worker leases its search arena from here
   /// instead of allocating privately, so a batch of queries reuses the
   /// same warmed-up buffers (DESIGN.md §9, §17).

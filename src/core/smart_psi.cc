@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "core/query_context.h"
+#include "match/candidates.h"
 #include "match/parallel_search.h"
 #include "match/plan.h"
 #include "match/psi_evaluator.h"
@@ -314,10 +315,8 @@ PsiQueryResult SmartPsiEngine::Evaluate(const graph::QueryGraph& q,
     for (size_t j = 0; j < misses.size(); ++j) {
       kept[j] = candidates[misses[j]];
     }
-    match::SearchScratchPool::Lease scratch(&scratch_pool_);
-    PsiEvaluator evaluator(*graph_, sigs(), scratch.get());
-    evaluator.BindQuery(q, ctx.query_sigs, plan_pool[0]);
-    evaluator.FilterPivotCandidates(kept, &result.search);
+    match::FilterPivotCandidates(sigs(), ctx.query_sigs.row(q.pivot()), kept,
+                                 result.search);
     // The sweep keeps candidate order, so one merge finds the refuted.
     size_t k = 0;
     for (const size_t i : misses) {

@@ -1,14 +1,12 @@
 #include "core/two_threaded.h"
 
 #include <atomic>
-#include <memory>
 #include <thread>
 
 #include "core/query_context.h"
 #include "match/plan.h"
 #include "match/psi_evaluator.h"
 #include "util/stop_token.h"
-#include "util/thread_pool.h"
 
 namespace psi::core {
 
@@ -63,10 +61,6 @@ TwoThreadedBaseline::Result TwoThreadedBaseline::Evaluate(
   optimist.evaluator.BindQuery(q, ctx.query_sigs, plan);
   pessimist.evaluator.BindQuery(q, ctx.query_sigs, plan);
 
-  // Persistent-worker variant shares one pool across nodes.
-  std::unique_ptr<util::ThreadPool> pool;
-  if (!options.spawn_per_node) pool = std::make_unique<util::ThreadPool>(2);
-
   for (const graph::NodeId u : ctx.candidates) {
     if (options.deadline.Expired()) {
       result.complete = false;
@@ -98,7 +92,6 @@ TwoThreadedBaseline::Result TwoThreadedBaseline::Evaluate(
 
     auto run_optimist = [&] {
       match::PsiEvaluator::Options opts;
-      opts.super_optimistic_limit = options.super_optimistic_limit;
       opts.deadline = options.deadline;
       opts.stop = util::StopToken(&stop_source);
       const match::Outcome outcome =
@@ -116,19 +109,13 @@ TwoThreadedBaseline::Result TwoThreadedBaseline::Evaluate(
       publish(outcome, /*from_optimist=*/false);
     };
 
-    if (options.spawn_per_node) {
-      std::thread t1(run_optimist);
-      std::thread t2(run_pessimist);
-      t1.join();
-      t2.join();
-    } else {
-      pool->Submit(run_optimist);
-      pool->Submit(run_pessimist);
-      pool->Wait();
-    }
+    std::thread t1(run_optimist);
+    std::thread t2(run_pessimist);
+    t1.join();
+    t2.join();
 
-    // Relaxed suffices: both racers were joined (or drained via the pool)
-    // above, which already orders their writes before this read.
+    // Relaxed suffices: both racers were joined above, which already
+    // orders their writes before this read.
     switch (state.load(std::memory_order_relaxed)) {
       case kDecidedValid:
         result.valid_nodes.push_back(u);

@@ -15,16 +15,12 @@ namespace psi::core {
 /// node, an optimistic thread races a pessimistic thread; the first decisive
 /// finisher stops the other and supplies the answer. Each node therefore
 /// costs ≈ min(T_opt, T_pess) wall-clock but 2× CPU — the under-utilization
-/// and thread-churn overheads that motivate SmartPSI.
+/// and thread-churn overheads that motivate SmartPSI. Faithful to the
+/// paper, it spawns (and joins) two fresh std::threads per node: the
+/// "initiating and stopping millions of threads" overhead it criticizes.
 class TwoThreadedBaseline {
  public:
   struct Options {
-    /// Faithful mode: spawn (and join) two fresh std::threads per node,
-    /// reproducing the "initiating and stopping millions of threads"
-    /// overhead the paper criticizes. When false, two persistent workers
-    /// are reused (a mildly charitable variant; still 2× CPU per node).
-    bool spawn_per_node = true;
-    size_t super_optimistic_limit = 10;
     util::Deadline deadline;
   };
 

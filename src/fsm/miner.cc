@@ -100,8 +100,7 @@ FsmResult FsmMiner::Mine(util::Deadline deadline) {
                   ? 0.0
                   : std::max(1e-6, deadline.RemainingSeconds());
           futures.push_back(SubmitSupportBatch(
-              *config_.service, batch[i], config_.min_support, remaining,
-              config_.service_graph));
+              *config_.service, batch[i], config_.min_support, remaining));
         }
         for (size_t i = begin; i < end; ++i) {
           auto& future = futures[i - begin];

@@ -40,8 +40,6 @@ struct FsmConfig {
   /// workers; `num_threads` still parallelizes canonicalization. The mined
   /// frequent set is identical to the in-process methods'.
   service::PsiService* service = nullptr;
-  /// Catalog graph name the probes run against; empty = service default.
-  std::string service_graph;
 };
 
 struct MinedPattern {

@@ -98,9 +98,7 @@ SupportResult EvaluateByPsi(const graph::Graph& g,
   counts.reserve(pattern.num_nodes());
   for (graph::NodeId v = 0; v < pattern.num_nodes(); ++v) {
     pivoted.set_pivot(v);
-    const core::BatchEvalContext::Prepared prepared = context.Prepare(pivoted);
-    options.prepared = prepared.context;
-    options.prepared_pivot_requirement = prepared.pivot_requirement;
+    options.prepared = context.Prepare(pivoted).context;
     const core::PureDriverResult probe =
         core::EvaluatePure(g, graph_sigs, pivoted, options);
     if (!probe.complete) {
@@ -143,11 +141,9 @@ SupportResult EvaluateSupport(const graph::Graph& g,
 
 std::optional<std::future<service::BatchResponse>> SubmitSupportBatch(
     service::PsiService& service, const graph::QueryGraph& pattern,
-    uint64_t min_support, double deadline_seconds,
-    const std::string& graph_name) {
+    uint64_t min_support, double deadline_seconds) {
   if (pattern.num_nodes() == 0) return std::nullopt;
   service::BatchRequest batch;
-  batch.graph = graph_name;
   batch.deadline_seconds = deadline_seconds;
   batch.queries.reserve(pattern.num_nodes());
   for (graph::NodeId v = 0; v < pattern.num_nodes(); ++v) {

@@ -5,7 +5,6 @@
 #include <future>
 #include <optional>
 #include <span>
-#include <string>
 
 #include "graph/graph.h"
 #include "graph/query_graph.h"
@@ -83,13 +82,12 @@ SupportResult EvaluateSupport(const graph::Graph& g,
 
 /// Submits the per-pivot probe batch for `pattern` without blocking: one
 /// kPessimistic QueryRequest per pattern node with max_valid_nodes =
-/// `min_support`, all against `graph_name` (empty = service default).
-/// Returns std::nullopt when the batch was shed or the pattern is empty.
+/// `min_support`, all against the service's default graph. Returns
+/// std::nullopt when the batch was shed or the pattern is empty.
 /// `deadline_seconds` <= 0 means the service default.
 std::optional<std::future<service::BatchResponse>> SubmitSupportBatch(
     service::PsiService& service, const graph::QueryGraph& pattern,
-    uint64_t min_support, double deadline_seconds = 0.0,
-    const std::string& graph_name = "");
+    uint64_t min_support, double deadline_seconds = 0.0);
 
 /// Folds a settled probe batch into a SupportResult through ReduceSupport,
 /// over each pivot's valid-node count. Any non-kOk member leaves the

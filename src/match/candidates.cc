@@ -2,6 +2,9 @@
 
 #include <cassert>
 
+#include "signature/kernels.h"
+#include "signature/sparse_requirement.h"
+
 namespace psi::match {
 
 namespace {
@@ -72,6 +75,15 @@ std::vector<graph::NodeId> ExtractPivotCandidates(const graph::Graph& g,
     if (unmet == 0) candidates.push_back(u);
   }
   return candidates;
+}
+
+void FilterPivotCandidates(const signature::SignatureMatrix& graph_sigs,
+                           std::span<const float> pivot_row,
+                           std::vector<graph::NodeId>& candidates,
+                           SearchStats& stats) {
+  stats.signature_checks += candidates.size();
+  stats.pruned_by_signature += signature::FilterCandidates(
+      graph_sigs, signature::SparseRequirement(pivot_row), candidates);
 }
 
 }  // namespace psi::match

@@ -260,14 +260,4 @@ Outcome PsiEvaluator::EvaluateNodeOptimisticStrategy(graph::NodeId candidate,
   return EvaluatePivot(candidate, full, stats);
 }
 
-size_t PsiEvaluator::FilterPivotCandidates(
-    std::vector<graph::NodeId>& candidates, SearchStats* stats) {
-  assert(query_ != nullptr && "BindQuery first");
-  if (stats != nullptr) stats->signature_checks += candidates.size();
-  const size_t pruned = signature::FilterCandidates(
-      graph_sigs_, scratch_->level_reqs[0], candidates);
-  if (stats != nullptr) stats->pruned_by_signature += pruned;
-  return pruned;
-}
-
 }  // namespace psi::match

@@ -2,7 +2,6 @@
 #define SMARTPSI_MATCH_PSI_EVALUATOR_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/graph.h"
 #include "graph/query_graph.h"
@@ -58,8 +57,8 @@ class PsiEvaluator {
     /// Candidate cap for kSuperOptimistic (paper uses 10).
     size_t super_optimistic_limit = 10;
     /// Set by drivers that already ran the whole candidate list through
-    /// FilterPivotCandidates: EvaluateNode then skips the redundant
-    /// per-candidate pivot satisfaction check.
+    /// match::FilterPivotCandidates (candidates.h): EvaluateNode then skips
+    /// the redundant per-candidate pivot satisfaction check.
     bool pivot_prefiltered = false;
     /// Steps (see steps()) one evaluation may take before it returns
     /// kTimeout; the optimistic strategy's passes share it. 0 = unlimited.
@@ -100,14 +99,6 @@ class PsiEvaluator {
   /// check, Search calls and neighbours scanned for candidates, which
   /// SearchStats counts as recursive_calls + candidates_examined.
   uint64_t steps() const { return steps_ - evaluation_start_; }
-
-  /// Bulk Proposition-3.2 prefilter of pivot candidates: one kernel sweep
-  /// over the whole list instead of one check per EvaluateNode call.
-  /// Removes (in place, order-preserving) exactly the candidates the
-  /// per-candidate pessimistic pivot check would prune; returns how many.
-  /// Callers then set Options::pivot_prefiltered on the survivors' runs.
-  size_t FilterPivotCandidates(std::vector<graph::NodeId>& candidates,
-                               SearchStats* stats = nullptr);
 
  private:
   void StartEvaluation(const Options& options);  // new count and budget

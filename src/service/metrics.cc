@@ -145,7 +145,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   s.batch_rejected = batch_rejected_.load(std::memory_order_relaxed);
   s.batch_queries = batch_queries_.load(std::memory_order_relaxed);
   s.batch_context_hits = batch_context_hits_.load(std::memory_order_relaxed);
-  s.batch_degraded = batch_degraded_.load(std::memory_order_relaxed);
   s.admitted = admitted_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   return s;
@@ -170,8 +169,7 @@ std::string MetricsSnapshot::ToString() const {
       << "batch: batch_submitted=" << batch_submitted
       << " batch_rejected=" << batch_rejected
       << " batch_queries=" << batch_queries
-      << " batch_context_hits=" << batch_context_hits
-      << " batch_degraded=" << batch_degraded << "\n"
+      << " batch_context_hits=" << batch_context_hits << "\n"
       << "catalog: publishes=" << snapshot_publishes
       << " swaps=" << snapshot_swaps << " retires=" << snapshot_retires
       << " publish_failures=" << snapshot_publish_failures << "\n"

@@ -91,10 +91,6 @@ struct MetricsSnapshot {
   /// candidates and/or query-signature rows prepared by an earlier query
   /// in the same batch).
   uint64_t batch_context_hits = 0;
-  /// Member queries that abandoned the shared-context fast path (the
-  /// service.batch fault site fired) and were evaluated standalone.
-  /// Answers are unchanged — this is a perf event, not a failure.
-  uint64_t batch_degraded = 0;
 
   // Snapshot catalog traffic. The MetricsRegistry does not own these —
   // PsiService::Stats() folds them in from GraphCatalog::counters() so one
@@ -175,13 +171,10 @@ class MetricsRegistry {
   }
 
   /// Records the member queries of one settled SubmitBatch. Of those
-  /// `queries`, `context_hits` reused a shared batch-context entry and
-  /// `degraded` abandoned the shared context (service.batch fault).
-  void RecordBatchQueries(uint64_t queries, uint64_t context_hits,
-                          uint64_t degraded) {
+  /// `queries`, `context_hits` reused a shared batch-context entry.
+  void RecordBatchQueries(uint64_t queries, uint64_t context_hits) {
     batch_queries_.fetch_add(queries, std::memory_order_relaxed);
     batch_context_hits_.fetch_add(context_hits, std::memory_order_relaxed);
-    batch_degraded_.fetch_add(degraded, std::memory_order_relaxed);
   }
 
   /// Records a terminal response (status bucket + engine counters +
@@ -217,7 +210,6 @@ class MetricsRegistry {
   std::atomic<uint64_t> batch_rejected_{0};
   std::atomic<uint64_t> batch_queries_{0};
   std::atomic<uint64_t> batch_context_hits_{0};
-  std::atomic<uint64_t> batch_degraded_{0};
   LatencyReservoir latencies_;
 };
 

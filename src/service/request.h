@@ -147,9 +147,6 @@ struct BatchResponse {
   uint64_t snapshot_version = 0;
   /// Member queries that reused shared batch-context preparation.
   uint64_t context_hits = 0;
-  /// Member queries that abandoned the shared-context fast path (the
-  /// service.batch fault site) and were evaluated standalone.
-  uint64_t degraded_queries = 0;
   /// Admission-to-settlement latency of the whole batch.
   double latency_seconds = 0.0;
 

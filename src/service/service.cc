@@ -4,8 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "core/batch_context.h"
 #include "core/pure_drivers.h"
-#include "match/parallel_search.h"
 #include "util/fault_injection.h"
 
 namespace psi::service {
@@ -202,8 +202,7 @@ std::optional<std::future<BatchResponse>> PsiService::SubmitBatch(
   // internally, but not batch traffic.
   if (!Admit(std::move(request), [this, promise](BatchResponse response) {
         metrics_.RecordBatchQueries(response.responses.size(),
-                                    response.context_hits,
-                                    response.degraded_queries);
+                                    response.context_hits);
         promise->set_value(std::move(response));
       })) {
     metrics_.RecordBatchRejected();
@@ -231,68 +230,29 @@ BatchResponse PsiService::RunBatch(BatchRequest request, SnapshotPin pin,
   std::optional<core::BatchEvalContext> context;
   match::SearchScratchPool scratch;
 
-  // Preparation runs on the batch thread (BatchEvalContext is not
-  // thread-safe); evaluation may fan out afterwards. Only pure-method
-  // members with a well-formed pivoted query take the shared fast path —
-  // kSmart members go through their checked-out engine as usual.
-  std::vector<BatchSlot> slots(num_queries);
-  std::vector<size_t> pure_members;
+  // One loop in member order. A well-formed pure member on a pinned
+  // snapshot takes its prepared context from the batch; every other member
+  // (kSmart, malformed or unpinned) runs exactly as its own Submit would.
+  // Each member's search spends the service's search_threads, so a member
+  // is evaluated as it would be in a batch of one.
   for (size_t i = 0; i < num_queries; ++i) {
     QueryRequest& q = request.queries[i];
     // The batch pinned one snapshot for everyone; per-member graph names
     // are documented as ignored. Member deadlines default to the batch's.
     q.graph.clear();
     if (q.deadline_seconds <= 0.0) q.deadline_seconds = request.deadline_seconds;
+    const core::QueryContext* prepared = nullptr;
     const bool well_formed = q.query.num_nodes() > 0 && q.query.has_pivot();
-    if (!pin || !well_formed || q.method == Method::kSmart) continue;
-    pure_members.push_back(i);
-    slots[i].scratch = &scratch;
-    // Chaos hook: this member abandons the shared-context fast path and is
-    // evaluated standalone — graceful per-query degradation, identical
-    // answer (the differential chaos test pins this).
-    if (PSI_INJECT_FAULT(util::faults::kServiceBatch)) {
-      slots[i].fault_degraded = true;
-      continue;
+    if (pin && well_formed && q.method != Method::kSmart) {
+      if (!context.has_value()) {
+        context.emplace(pin->graph(), pin->signatures());
+      }
+      const core::BatchEvalContext::Prepared member = context->Prepare(q.query);
+      prepared = member.context;
+      response.context_hits += member.reused ? 1 : 0;
     }
-    if (!context.has_value()) context.emplace(pin->graph(), pin->signatures());
-    const core::BatchEvalContext::Prepared prepared =
-        context->Prepare(q.query);
-    slots[i].prepared = prepared.context;
-    slots[i].pivot_requirement = prepared.pivot_requirement;
-    slots[i].context_hit = prepared.reused;
-  }
-
-  // Pure members fan out across the batch frontier on the work-stealing
-  // executor when the service has intra-query threads to spend; each lane
-  // then runs its member sequentially (search_threads_override = 1).
-  // Answers are independent of the split — EvaluatePure is bit-identical
-  // at every thread count — so this only reshapes latency.
-  const size_t lanes = std::max<size_t>(
-      1, std::min(options_.search_threads, pure_members.size()));
-  if (lanes > 1) {
-    for (const size_t i : pure_members) slots[i].search_threads_override = 1;
-    match::RunWorkStealing(
-        pure_members.size(), lanes, nullptr, [&](size_t item, size_t) {
-          const size_t i = pure_members[item];
-          response.responses[i] = RunOne(std::move(request.queries[i]), pin,
-                                         admission_timer, slots[i]);
-        });
-  } else {
-    for (const size_t i : pure_members) {
-      response.responses[i] = RunOne(std::move(request.queries[i]), pin,
-                                     admission_timer, slots[i]);
-    }
-  }
-  // The rest — kSmart, malformed and unpinned members — hold no scratch.
-  for (size_t i = 0; i < num_queries; ++i) {
-    if (slots[i].scratch != nullptr) continue;
-    response.responses[i] = RunOne(std::move(request.queries[i]), pin,
-                                   admission_timer, slots[i]);
-  }
-
-  for (const BatchSlot& slot : slots) {
-    response.context_hits += slot.context_hit ? 1 : 0;
-    response.degraded_queries += slot.fault_degraded ? 1 : 0;
+    response.responses[i] = RunOne(std::move(q), pin, admission_timer,
+                                   prepared, &scratch);
   }
   response.latency_seconds = admission_timer.Seconds();
   return response;
@@ -300,7 +260,8 @@ BatchResponse PsiService::RunBatch(BatchRequest request, SnapshotPin pin,
 
 QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
                                  util::WallTimer admission_timer,
-                                 const BatchSlot& slot) {
+                                 const core::QueryContext* prepared,
+                                 match::SearchScratchPool* scratch) {
   QueryResponse response;
   response.id = request.id;
   response.snapshot_version = pin ? pin->version() : 0;
@@ -359,20 +320,12 @@ QueryResponse PsiService::RunOne(QueryRequest request, const SnapshotPin& pin,
                           : core::PureStrategy::kPessimistic;
       pure.deadline = deadline;
       pure.stop = stop;
-      pure.search_threads = slot.search_threads_override > 0
-                                ? slot.search_threads_override
-                                : options_.search_threads;
+      pure.search_threads = options_.search_threads;
       pure.max_valid_nodes = request.max_valid_nodes;
-      if (!slot.fault_degraded) {
-        // Shared fast path: evaluate against the batch's prepared context
-        // and lease scratch from its pool. Bit-identical to the standalone
-        // preparation (DESIGN.md §17). A member whose service.batch fault
-        // fired skips this and re-derives everything: same answer,
-        // standalone cost.
-        pure.prepared = slot.prepared;
-        pure.prepared_pivot_requirement = slot.pivot_requirement;
-        pure.scratch_pool = slot.scratch;
-      }
+      // The batch's prepared context and scratch pool: bit-identical to
+      // the standalone preparation (DESIGN.md §17).
+      pure.prepared = prepared;
+      pure.scratch_pool = scratch;
       core::PureDriverResult result = core::EvaluatePure(
           pin->graph(), pin->signatures(), request.query, pure);
       response.valid_nodes = std::move(result.valid_nodes);

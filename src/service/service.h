@@ -8,16 +8,15 @@
 #include <optional>
 #include <vector>
 
-#include "core/batch_context.h"
 #include "core/config.h"
 #include "core/prediction_cache.h"
+#include "core/query_context.h"
 #include "core/smart_psi.h"
 #include "match/search_scratch.h"
 #include "graph/graph.h"
 #include "service/catalog.h"
 #include "service/metrics.h"
 #include "service/request.h"
-#include "signature/sparse_requirement.h"
 #include "util/mutex.h"
 #include "util/stop_token.h"
 #include "util/thread_annotations.h"
@@ -169,24 +168,6 @@ class PsiService {
   const ServiceOptions& options() const { return options_; }
 
  private:
-  /// Per-member-query batch state prepared on the batch thread before
-  /// evaluation (possibly) fans out. `prepared`/`pivot_requirement` point
-  /// into the batch's BatchEvalContext and are null for kSmart members,
-  /// malformed members, and members the service.batch fault degraded to
-  /// the standalone path. `scratch` is set for pure members only.
-  struct BatchSlot {
-    const core::QueryContext* prepared = nullptr;
-    const signature::SparseRequirement* pivot_requirement = nullptr;
-    match::SearchScratchPool* scratch = nullptr;
-    /// Intra-query search threads for this member; 0 keeps the service
-    /// default (set to 1 when the batch fans out across members instead).
-    size_t search_threads_override = 0;
-    bool context_hit = false;
-    /// The service.batch fault fired for this member: it abandons the
-    /// shared-context fast path and evaluates standalone (same answer).
-    bool fault_degraded = false;
-  };
-
   /// Receives an admitted batch's settled response on its worker, after
   /// the batch's snapshot pin has dropped.
   using BatchDone = std::function<void(BatchResponse)>;
@@ -200,9 +181,13 @@ class PsiService {
   /// The only worker entry: evaluates every member against one pin.
   BatchResponse RunBatch(BatchRequest request, SnapshotPin pin,
                          util::WallTimer admission_timer);
-  /// The only per-query evaluator; records the member's outcome.
+  /// The only per-query evaluator; records the member's outcome. A pure
+  /// member evaluates against `prepared`, its batch context entry, and
+  /// leases its search arenas from `scratch`; a kSmart member uses neither.
   QueryResponse RunOne(QueryRequest request, const SnapshotPin& pin,
-                       util::WallTimer admission_timer, const BatchSlot& slot);
+                       util::WallTimer admission_timer,
+                       const core::QueryContext* prepared,
+                       match::SearchScratchPool* scratch);
 
   core::SmartPsiEngine* CheckoutEngine() PSI_EXCLUDES(engines_mutex_);
   void ReturnEngine(core::SmartPsiEngine* engine) PSI_EXCLUDES(engines_mutex_);

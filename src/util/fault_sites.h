@@ -32,7 +32,6 @@ inline constexpr char kCatalogPublish[] = "catalog.publish";
 inline constexpr char kGraphIoShortRead[] = "io.graph.short_read";
 inline constexpr char kQueryIoShortRead[] = "io.query.short_read";
 inline constexpr char kSnapshotLoad[] = "snapshot.load";
-inline constexpr char kServiceBatch[] = "service.batch";
 
 }  // namespace psi::util::faults
 

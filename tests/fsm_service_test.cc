@@ -1,8 +1,8 @@
 // FSM mining through the serving layer and the batched submission path
 // (DESIGN.md §17): the service-backed miner must reproduce the in-process
 // frequent sets exactly, SubmitBatch must be answer-identical to sequential
-// Submit at every search-thread count (bare and under chaos, including the
-// service.batch fault site), and the batch_* counters must account exactly.
+// Submit at every search-thread count (bare and under chaos), and the
+// batch_* counters must account exactly.
 // Registered under the `fsm.` ctest prefix.
 
 #include <algorithm>
@@ -252,7 +252,6 @@ void ExpectBatchMatchesSequential(const graph::Graph& g,
   EXPECT_EQ(m.batch_submitted, 1u);
   EXPECT_EQ(m.batch_queries, requests.size());
   EXPECT_EQ(m.batch_context_hits, response.context_hits);
-  EXPECT_EQ(m.batch_degraded, response.degraded_queries);
   EXPECT_EQ(m.Settled(), m.admitted);
 }
 
@@ -271,11 +270,10 @@ TEST_P(BatchDifferentialTest, SubmitBatchMatchesSequentialSubmit) {
 
   ExpectBatchMatchesSequential(g, requests, search_threads, "bare");
   {
-    // The engine-side chaos cocktail plus the batch fast-path fault: some
-    // members abandon shared preparation mid-batch and are evaluated
-    // standalone — the answers must not move.
-    util::ScopedFaultSpec chaos(psi::testing::MakeChaosSchedule() +
-                                ",service.batch=every:2");
+    // The engine-side chaos cocktail: flipped predictions, forced cache
+    // misses and recoveries may cost the kSmart member time, never move an
+    // answer.
+    util::ScopedFaultSpec chaos(psi::testing::MakeChaosSchedule());
     ExpectBatchMatchesSequential(g, requests, search_threads, "chaos");
   }
 }
@@ -284,65 +282,6 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndThreads, BatchDifferentialTest,
     ::testing::Combine(::testing::Values(19, 47),
                        ::testing::Values(1, 2, 4)));
-
-// ---------------------------------------------------------------------------
-// The service.batch fault site (graceful per-query degradation).
-// ---------------------------------------------------------------------------
-
-TEST_F(FsmServiceTest, ServiceBatchFaultDegradesEveryMemberWithoutAnswerDrift) {
-  const uint64_t seed = psi::testing::TestSeed(101);
-  PSI_LOG_TEST_SEED(seed);
-  const graph::Graph g = psi::testing::MakeRandomGraph(150, 450, 3, seed);
-
-  std::vector<service::QueryRequest> requests;
-  for (size_t i = 0; i < 4; ++i) {
-    const graph::QueryGraph q =
-        psi::testing::ExtractQuery(g, 4, seed * 37 + i);
-    if (q.num_nodes() != 4) continue;
-    service::QueryRequest request;
-    request.id = i + 1;
-    request.query = q;
-    request.method = service::Method::kPessimistic;
-    requests.push_back(std::move(request));
-  }
-  if (requests.empty()) GTEST_SKIP() << "extraction failed";
-
-  std::vector<service::QueryResponse> sequential;
-  {
-    service::PsiService service(g, service::ServiceOptions{});
-    for (const service::QueryRequest& request : requests) {
-      sequential.push_back(service.Execute(request));
-    }
-  }
-
-  const uint64_t fires_before = util::FaultInjector::Global().TotalFires();
-  service::BatchResponse response;
-  {
-    util::ScopedFaultSpec faults("service.batch=always");
-    service::PsiService service(g, service::ServiceOptions{});
-    service::BatchRequest batch;
-    batch.queries = requests;
-    auto future = service.SubmitBatch(batch);
-    ASSERT_TRUE(future.has_value());
-    response = future->get();
-    const service::MetricsSnapshot m = service.Stats().metrics;
-    EXPECT_EQ(m.batch_degraded, response.degraded_queries);
-    EXPECT_EQ(m.batch_context_hits, response.context_hits);
-  }
-  const bool fired = util::FaultInjector::Global().TotalFires() > fires_before;
-
-  ASSERT_EQ(response.responses.size(), sequential.size());
-  if (fired) {
-    // Every well-formed pure member abandoned the fast path...
-    EXPECT_EQ(response.degraded_queries, requests.size());
-    EXPECT_EQ(response.context_hits, 0u);
-  }
-  // ...and the answers are identical either way.
-  for (size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(response.responses[i].status, sequential[i].status);
-    EXPECT_EQ(response.responses[i].valid_nodes, sequential[i].valid_nodes);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Batch admission accounting and edge cases.
@@ -369,7 +308,6 @@ TEST_F(FsmServiceTest, BatchCountersAccountExactly) {
   }
   // Identical member queries: the first prepares, the other two reuse.
   EXPECT_EQ(response.context_hits, 2u);
-  EXPECT_EQ(response.degraded_queries, 0u);
   EXPECT_GT(response.latency_seconds, 0.0);
 
   const service::MetricsSnapshot m = service.Stats().metrics;
@@ -377,7 +315,6 @@ TEST_F(FsmServiceTest, BatchCountersAccountExactly) {
   EXPECT_EQ(m.batch_rejected, 0u);
   EXPECT_EQ(m.batch_queries, 3u);
   EXPECT_EQ(m.batch_context_hits, 2u);
-  EXPECT_EQ(m.batch_degraded, 0u);
   EXPECT_EQ(m.admitted, 3u);
   EXPECT_EQ(m.completed, 3u);
   EXPECT_EQ(m.Settled(), m.admitted);
@@ -422,9 +359,11 @@ TEST_F(FsmServiceTest, ShutDownServiceRejectsBatchWhole) {
 }
 
 // Every member of one SubmitBatch carries its own limit: the same query at
-// different limits, next to unlimited members, each settles with
-// min(k, |answer|) of its full answer — the k smallest, since a batch of
-// several pure members runs each member sequentially.
+// different limits, next to unlimited members, each settles as the same
+// request would through Submit. Sequential search (search_threads = 1)
+// returns the k smallest valid nodes; a parallel search keeps only the
+// request.h contract: a sorted, duplicate-free subset of the full answer of
+// size min(k, |answer|), which subset depending on the schedule.
 TEST_F(FsmServiceTest, BatchMemberLimitsActIndependently) {
   const uint64_t seed = psi::testing::TestSeed(151);
   PSI_LOG_TEST_SEED(seed);
@@ -471,9 +410,17 @@ TEST_F(FsmServiceTest, BatchMemberLimitsActIndependently) {
       ASSERT_EQ(member.status, service::RequestStatus::kOk);
       const size_t expected =
           k == 0 ? full[i].size() : std::min(k, full[i].size());
-      EXPECT_EQ(member.valid_nodes,
-                std::vector<graph::NodeId>(full[i].begin(),
-                                           full[i].begin() + expected));
+      const std::vector<graph::NodeId>& got = member.valid_nodes;
+      if (search_threads == 1) {
+        EXPECT_EQ(got, std::vector<graph::NodeId>(
+                           full[i].begin(), full[i].begin() + expected));
+        continue;
+      }
+      EXPECT_EQ(got.size(), expected);
+      EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+      EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
+      EXPECT_TRUE(std::includes(full[i].begin(), full[i].end(), got.begin(),
+                                got.end()));
     }
   }
 }

@@ -47,14 +47,11 @@ TEST(PredictionCacheTest, OtherEpochIsDroppedAndCounted) {
   EXPECT_EQ(cache.counters().epoch_drops, 2u);
 }
 
-TEST(PredictionCacheTest, Clear) {
+TEST(PredictionCacheTest, SizeCountsDistinctKeys) {
   PredictionCache cache;
   cache.Insert(1, {true, 0});
   cache.Insert(2, {false, 1});
   EXPECT_EQ(cache.size(), 2u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup(1).has_value());
 }
 
 TEST(PredictionCacheTest, ConcurrentInsertLookup) {
@@ -90,16 +87,15 @@ TEST(PredictionCacheTest, HitRateOfIdleCacheIsZero) {
   EXPECT_EQ(cache.counters().HitRate(), 0.0);
 }
 
-TEST(PredictionCacheTest, CountersSurviveClear) {
+TEST(PredictionCacheTest, CountersDescribeTrafficNotContents) {
   PredictionCache cache;
   cache.Insert(1, {true, 0});
   cache.Lookup(1);
-  cache.Clear();
-  // Clear drops entries but keeps lifetime counters (monotonic telemetry).
+  cache.Insert(1, {false, 2});  // an overwrite adds traffic, not an entry
   const auto counters = cache.counters();
   EXPECT_EQ(counters.hits, 1u);
-  EXPECT_EQ(counters.inserts, 1u);
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(counters.inserts, 2u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(PredictionCacheTest, CountersConsistentUnderConcurrency) {
@@ -162,18 +158,17 @@ TEST(PredictionCacheTest, FullShardStartsOverAndKeepsServing) {
   EXPECT_EQ(entry->steps, 1234u);
 }
 
-TEST(PredictionCacheTest, ClearAfterGrowthStartsOver) {
+TEST(PredictionCacheTest, GrowthKeepsEveryEntry) {
   PredictionCache cache;
   for (uint64_t key = 0; key < 5000; ++key) cache.Insert(key, {.valid = true});
   ASSERT_EQ(cache.size(), 5000u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup(42).has_value());
+  EXPECT_EQ(cache.counters().evictions, 0u);
   cache.Insert(42, {.valid = false, .plan_index = 1});
   const auto entry = cache.Lookup(42);
   ASSERT_TRUE(entry.has_value());
   EXPECT_FALSE(entry->valid);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(entry->plan_index, 1u);
+  EXPECT_EQ(cache.size(), 5000u);
 }
 
 }  // namespace

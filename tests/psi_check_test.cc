@@ -127,10 +127,10 @@ class MiniRepoTest : public ::testing::Test {
 };
 
 TEST_F(MiniRepoTest, ExactFindingCountAndNoExtras) {
-  // 18 seeded findings; src/util/clean.h and src/util/hooks.cc contribute
+  // 19 seeded findings; src/util/clean.h and src/util/hooks.cc contribute
   // none. Any change here means a rule drifted.
-  EXPECT_EQ(checker_.violations().size(), 18u);
-  EXPECT_EQ(checker_.unwaived_count(), 17);
+  EXPECT_EQ(checker_.violations().size(), 19u);
+  EXPECT_EQ(checker_.unwaived_count(), 18);
   EXPECT_TRUE(At("lock-guard", "src/util/clean.h").empty());
   for (const Violation& v : checker_.violations()) {
     EXPECT_NE(v.file, "src/util/clean.h") << v.message;
@@ -238,14 +238,26 @@ TEST_F(MiniRepoTest, UnusedDeclMatchesMembersByReceiverOrClass) {
 
 TEST_F(MiniRepoTest, UnusedDeclFlagsConfigFieldsOnlyTestsSet) {
   // test_only_knob is assigned under tests/ alone; shipped_knob is also
-  // assigned in tools/driver.cc, and default_knob is only compared.
+  // assigned in tools/driver.cc, so it is no finding.
   const auto vs = At("unused-decl", "src/core/config.h");
-  ASSERT_EQ(vs.size(), 1u);
+  ASSERT_EQ(vs.size(), 2u);
   EXPECT_EQ(vs[0].line, 7);
   EXPECT_NE(vs[0].message.find("'SmartPsiConfig::test_only_knob'"),
             std::string::npos);
   EXPECT_NE(vs[0].message.find("set only under tests/"), std::string::npos);
   EXPECT_FALSE(vs[0].waived);
+}
+
+TEST_F(MiniRepoTest, UnusedDeclFlagsConfigFieldsNoFileSets) {
+  // default_knob is only compared (`==` is no assignment), in tests/ too:
+  // a knob nobody sets is flagged as well.
+  const auto vs = At("unused-decl", "src/core/config.h");
+  ASSERT_EQ(vs.size(), 2u);
+  EXPECT_EQ(vs[1].line, 9);
+  EXPECT_NE(vs[1].message.find("'SmartPsiConfig::default_knob'"),
+            std::string::npos);
+  EXPECT_NE(vs[1].message.find("set by no file"), std::string::npos);
+  EXPECT_FALSE(vs[1].waived);
 }
 
 TEST_F(MiniRepoTest, WaiverNamingAnotherRuleDoesNotSuppress) {
@@ -280,10 +292,10 @@ TEST_F(MiniRepoTest, ReportsNameEveryRuleAndMarkWaivers) {
             std::string::npos);
   EXPECT_NE(text.find("(waived: fixture: exercising the waiver path)"),
             std::string::npos);
-  EXPECT_NE(text.find("18 finding(s), 17 unwaived"), std::string::npos);
+  EXPECT_NE(text.find("19 finding(s), 18 unwaived"), std::string::npos);
 
   const std::string json = checker_.JsonReport();
-  EXPECT_NE(json.find("\"unwaived\": 17"), std::string::npos);
+  EXPECT_NE(json.find("\"unwaived\": 18"), std::string::npos);
   EXPECT_NE(json.find("\"rule\": \"layering\""), std::string::npos);
   EXPECT_NE(json.find("\"waived\": true"), std::string::npos);
   EXPECT_NE(json.find("\"reason\": \"fixture: exercising the waiver path\""),

@@ -178,9 +178,9 @@ TEST_F(ScratchedEvaluatorTest, FilterPivotCandidatesMatchesPerCandidateCheck) {
 
   std::vector<graph::NodeId> bulk = all;
   SearchStats stats;
-  const size_t pruned = evaluator.FilterPivotCandidates(bulk, &stats);
+  FilterPivotCandidates(gs, qs.row(a), bulk, stats);
   EXPECT_EQ(bulk, reference);
-  EXPECT_EQ(pruned, all.size() - reference.size());
+  EXPECT_EQ(stats.pruned_by_signature, all.size() - reference.size());
   EXPECT_EQ(stats.signature_checks, all.size());
 
   // Survivors evaluated with pivot_prefiltered give the same outcomes as

@@ -225,7 +225,6 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
   s.batch_rejected = 19;
   s.batch_queries = 20;
   s.batch_context_hits = 21;
-  s.batch_degraded = 22;
   s.cache_entries = 23;
   s.cache_evictions = 24;
   s.training_nodes = 25;
@@ -244,8 +243,8 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
       "swaps=15", "retires=16",
       "publish_failures=17", "batch_submitted=18",
       "batch_rejected=19", "batch_queries=20",
-      "batch_context_hits=21", "batch_degraded=22",
-      "cache_entries=23", "cache_evictions=24",
+      "batch_context_hits=21", "cache_entries=23",
+      "cache_evictions=24",
       "training_nodes=25", "train_micros=26",
       "smart_exec_micros=52", "train_share=0.5",
   };
@@ -256,21 +255,19 @@ TEST(MetricsSnapshotTest, ToStringEmitsEveryCounter) {
 }
 
 // Batch-path recorders (DESIGN.md §17): one increment per batch unit, and
-// per settled batch its member queries, with context hits and degradations
-// as subsets of batch_queries.
+// per settled batch its member queries, with context hits a subset of
+// batch_queries.
 TEST(MetricsRegistryTest, BatchRecordersAccumulate) {
   MetricsRegistry metrics;
   metrics.RecordBatchSubmitted();
   metrics.RecordBatchRejected();
-  metrics.RecordBatchQueries(/*queries=*/3, /*context_hits=*/1,
-                             /*degraded=*/1);
+  metrics.RecordBatchQueries(/*queries=*/3, /*context_hits=*/1);
   const MetricsSnapshot s = metrics.Snapshot();
   EXPECT_EQ(s.batch_submitted, 1u);
   EXPECT_EQ(s.batch_rejected, 1u);
   EXPECT_EQ(s.batch_queries, 3u);
   EXPECT_EQ(s.batch_context_hits, 1u);
-  EXPECT_EQ(s.batch_degraded, 1u);
-  EXPECT_LE(s.batch_context_hits + s.batch_degraded, s.batch_queries);
+  EXPECT_LE(s.batch_context_hits, s.batch_queries);
 }
 
 TEST(MetricsSnapshotTest, SearchCoreCountersAggregate) {

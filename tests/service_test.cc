@@ -608,7 +608,6 @@ TEST(PsiServiceTest, PlainSubmitTrafficLeavesBatchCountersAtZero) {
   EXPECT_EQ(m.batch_rejected, 0u);
   EXPECT_EQ(m.batch_queries, 0u);
   EXPECT_EQ(m.batch_context_hits, 0u);
-  EXPECT_EQ(m.batch_degraded, 0u);
 }
 
 // A Submit is a batch of one: the same requests sent through Submit to one

@@ -27,7 +27,7 @@ class TwoThreadedAgreementTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
 
 TEST_P(TwoThreadedAgreementTest, MatchesGroundTruth) {
-  const auto [seed, spawn_per_node] = GetParam();
+  const auto [seed, with_deadline] = GetParam();
   const graph::Graph g = psi::testing::MakeRandomGraph(200, 600, 3, seed);
   const auto gs = signature::BuildSignatures(
       g, signature::Method::kMatrix, 2, g.num_labels());
@@ -43,7 +43,9 @@ TEST_P(TwoThreadedAgreementTest, MatchesGroundTruth) {
 
   TwoThreadedBaseline baseline(g, gs);
   TwoThreadedBaseline::Options options;
-  options.spawn_per_node = spawn_per_node;
+  // A deadline that never fires must leave the answer exact: both racers
+  // poll it, and only the winner's decision stops the loser.
+  if (with_deadline) options.deadline = util::Deadline::After(3600.0);
   const auto result = baseline.Evaluate(q, options);
   EXPECT_TRUE(result.complete);
   EXPECT_EQ(result.valid_nodes, truth.pivot_matches) << q.ToString();

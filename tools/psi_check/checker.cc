@@ -1083,14 +1083,13 @@ void Checker::CheckTestOnlyKnobs() {
     for (const ClassInfo& c : ClassCollector(file.lexed.tokens).Run()) {
       if (kKnobStructs.count(c.name) == 0) continue;
       for (const FieldDecl& f : c.fields) {
-        if (assigned_in_tests.count(f.name) == 0 ||
-            assigned_outside.count(f.name) != 0) {
-          continue;
-        }
+        if (assigned_outside.count(f.name) != 0) continue;
+        const char* where = assigned_in_tests.count(f.name) != 0
+                                ? "' is set only under tests/"
+                                : "' is set by no file, tests included";
         Report(file, "unused-decl", f.line,
-               "field '" + c.name + "::" + f.name +
-                   "' is set only under tests/ — delete the knob, or make "
-                   "it a constant");
+               "field '" + c.name + "::" + f.name + where +
+                   " — delete the knob, or make it a constant");
       }
     }
   }

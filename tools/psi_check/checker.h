@@ -37,9 +37,10 @@
 //                 the same name does not hide it. Constructors,
 //                 destructors, operators and overrides are exempt. A
 //                 field of SmartPsiConfig, ServiceOptions or FsmConfig
-//                 that is assigned (`.field =`) under tests/ and nowhere
-//                 else is a test-only knob and is flagged too. Matching
-//                 is by name, so the rule can miss dead code.
+//                 that nothing outside tests/ assigns (`.field =`) is an
+//                 unset knob and is flagged too, whether tests/ sets it
+//                 or no file does. Matching is by name, so the rule can
+//                 miss dead code.
 //
 // Any violation is suppressible only by an explicit annotation on the
 // offending line (or the line above):
@@ -97,7 +98,8 @@ class Checker {
   void CheckFaultSites();
   void CheckMetricsPairing();
   void CheckUnusedDecls();
-  /// Part of unused-decl: config fields only tests/ assign.
+  /// Part of unused-decl: config fields nothing outside tests/ assigns
+  /// (tests alone, or no file at all).
   void CheckTestOnlyKnobs();
 
   /// Records `v`, resolving waivers against the file's annotations.

@@ -51,7 +51,9 @@ void Usage() {
       "       psi_loadgen --generate N,M,L [options]\n"
       "  --requests R          total requests offered (default 200)\n"
       "  --qps Q               open-loop arrival rate; 0 = saturation mode\n"
-      "                        (submit-with-backpressure, default)\n"
+      "                        (submit-with-backpressure, default: a shed\n"
+      "                        request is re-offered for up to 1 s, then\n"
+      "                        counted as shed)\n"
       "  --workers W           service workers (default 8)\n"
       "  --queue D             admission queue bound (default 256)\n"
       "  --query-size K        nodes per extracted query (default 5)\n"
@@ -81,9 +83,10 @@ void Usage() {
       "                        settles exactly once. Exits nonzero on any\n"
       "                        violation. At saturation shed units are\n"
       "                        re-offered as in any saturation run, so a\n"
-      "                        schedule that sheds every admission needs\n"
-      "                        --qps. Requires a PSI_ENABLE_FAULT_INJECTION\n"
-      "                        build for faults to actually fire\n"
+      "                        schedule that sheds every admission spends\n"
+      "                        1 s per unit. Requires a\n"
+      "                        PSI_ENABLE_FAULT_INJECTION build for faults\n"
+      "                        to actually fire\n"
       "  --faults SPEC         fault schedule for --chaos/--swap-storm, e.g.\n"
       "                        'cache.lookup.miss=every:3,service.worker.stall=prob:0.1@2'\n"
       "                        (see src/util/fault_injection.h for the grammar)\n"
@@ -121,7 +124,8 @@ struct OfferSpec {
   /// query is due); <= 0 offers as fast as admission allows.
   double qps = 0.0;
   /// Re-offer a shed unit after a short pause until it is admitted
-  /// (saturation with backpressure). Off, a shed unit stays shed.
+  /// (saturation with backpressure), for at most kReofferWindow; a unit
+  /// still shed then stays shed. Off, a shed unit stays shed at once.
   bool retry_shed = false;
   /// Shut the service down just before offering the unit holding this
   /// request index, with earlier units still queued and executing.
@@ -135,7 +139,6 @@ struct Tally {
   size_t settled = 0;   // responses received
   size_t batches = 0;
   uint64_t context_hits = 0;
-  uint64_t batch_degraded = 0;
   std::map<std::string, uint64_t> outcomes;
   std::set<uint64_t> versions;
 
@@ -145,6 +148,12 @@ struct Tally {
     versions.insert(response.snapshot_version);
   }
 };
+
+/// How long a shed unit is re-offered before it counts as shed for good.
+/// Real backpressure frees a queue slot within one query's execution; a
+/// queue that admits nothing for this long (a schedule that sheds every
+/// admission, say) would otherwise hang the offer loop.
+constexpr std::chrono::seconds kReofferWindow{1};
 
 /// The one offer loop every mode runs: offers `requests` unit by unit as
 /// `spec` says, then waits for every admitted unit and tallies each
@@ -167,6 +176,7 @@ void Offer(service::PsiService& psi_service,
                       std::chrono::duration<double>(
                           static_cast<double>(begin) / spec.qps)));
     }
+    const auto first_offer = std::chrono::steady_clock::now();
     for (;;) {
       bool admitted = false;
       if (unit == 1) {
@@ -186,7 +196,8 @@ void Offer(service::PsiService& psi_service,
         tally.admitted += end - begin;
         break;
       }
-      if (!spec.retry_shed) {
+      if (!spec.retry_shed ||
+          std::chrono::steady_clock::now() - first_offer >= kReofferWindow) {
         tally.shed += end - begin;
         break;
       }
@@ -198,7 +209,6 @@ void Offer(service::PsiService& psi_service,
     const service::BatchResponse response = future.get();
     ++tally.batches;
     tally.context_hits += response.context_hits;
-    tally.batch_degraded += response.degraded_queries;
     for (const service::QueryResponse& member : response.responses) {
       tally.Settle(member);
     }
@@ -315,8 +325,7 @@ RunReport OfferLoad(const graph::Graph& g,
   CheckSettlement(poller, tally, report.stats, check);
   if (spec.unit > 1) {
     std::cerr << "Batched: " << tally.batches << " batches of <= " << spec.unit
-              << ", context hits " << tally.context_hits << ", degraded "
-              << tally.batch_degraded << "\n";
+              << ", context hits " << tally.context_hits << "\n";
   }
   return report;
 }

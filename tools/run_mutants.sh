@@ -161,8 +161,13 @@ mutant "kSmart request with a limit is evaluated" \
 
 mutant "batch members share the first member's limit" \
   src/service/service.cc \
-  $'    for (const size_t i : pure_members) {\n      response.responses[i] = RunOne(' \
-  $'    for (const size_t i : pure_members) {\n      request.queries[i].max_valid_nodes =\n          request.queries[pure_members[0]].max_valid_nodes;\n      response.responses[i] = RunOne('
+  $'    q.graph.clear();\n' \
+  $'    q.graph.clear();\n    q.max_valid_nodes = request.queries[0].max_valid_nodes;\n'
+
+mutant "batch structure key ignores edge labels" \
+  src/core/batch_context.cc \
+  $'key += \':\';\n        key += std::to_string(elabel);\n' \
+  $'key += \':\';\n'
 
 mutant "ReduceSupport reads past the first short pivot" \
   src/fsm/support.cc \
