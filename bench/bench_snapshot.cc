@@ -57,7 +57,7 @@ signature::SignatureMatrix RebuildSignatures(const graph::Graph& g,
                                              uint32_t depth) {
   signature::SignatureMatrix sigs = signature::BuildSignatures(
       g, signature::Method::kMatrix, depth, g.num_labels());
-  for (size_t i = 0; i < sigs.num_rows(); ++i) sigs.RowHash(i);
+  sigs.MemoizeRowHashes(0, sigs.num_rows());
   sigs.BuildCompact();
   return sigs;
 }

@@ -44,18 +44,16 @@ GraphCatalog::BuildAndPublish(std::string name, graph::Graph g,
       g, options.signature_method, options.signature_depth, g.num_labels(),
       options.pool, options.signature_decay);
   timings.signature_build_seconds = build_timer.Seconds();
-  if (options.prewarm_row_hashes) {
-    util::WallTimer prewarm_timer;
-    const size_t n = sigs.num_rows();
-    if (options.pool != nullptr && n > 0) {
-      options.pool->ParallelFor(n, [&sigs](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) sigs.RowHash(i);
-      });
-    } else {
-      for (size_t i = 0; i < n; ++i) sigs.RowHash(i);
-    }
-    timings.prewarm_seconds = prewarm_timer.Seconds();
+  util::WallTimer prewarm_timer;
+  const size_t n = sigs.num_rows();
+  if (options.pool != nullptr && n > 0) {
+    options.pool->ParallelFor(n, [&sigs](size_t begin, size_t end) {
+      sigs.MemoizeRowHashes(begin, end);
+    });
+  } else {
+    sigs.MemoizeRowHashes(0, n);
   }
+  timings.prewarm_seconds = prewarm_timer.Seconds();
   if (options.build_compact_signatures) {
     util::WallTimer compact_timer;
     sigs.BuildCompact();

@@ -26,7 +26,8 @@ namespace psi::service {
 struct SnapshotTimings {
   /// Seconds spent in BuildSignatures.
   double signature_build_seconds = 0.0;
-  /// Seconds spent prewarming the memoized row hashes (0 when skipped).
+  /// Seconds spent memoizing every row hash (0 for a snapshot loaded from
+  /// a file, whose ROW_HASHES section seeds the memo).
   double prewarm_seconds = 0.0;
   /// Seconds spent quantizing the compact signature matrix (0 when
   /// disabled or loaded pre-quantized from a snapshot file).
@@ -145,10 +146,6 @@ struct SnapshotBuildOptions {
   signature::Method signature_method = signature::Method::kMatrix;
   uint32_t signature_depth = signature::kDefaultDepth;
   float signature_decay = signature::SignatureMatrix::kDefaultDecay;
-  /// Memoize every row hash during the build instead of lazily on first
-  /// lookup, so a freshly swapped-in snapshot serves its first queries at
-  /// steady-state latency.
-  bool prewarm_row_hashes = true;
   /// Quantize the signature matrix into its 8-bit compact companion
   /// (compact_signature.h) so the bulk filter kernels prescreen candidates
   /// at a quarter of the memory traffic. Answers are bit-identical either
@@ -207,7 +204,7 @@ class GraphCatalog {
   GraphCatalog(const GraphCatalog&) = delete;
   GraphCatalog& operator=(const GraphCatalog&) = delete;
 
-  /// Builds signatures (and optionally the row-hash prewarm) for `g`, then
+  /// Builds signatures and memoizes every row hash for `g`, then
   /// publishes the bundle under `name` — replacing the current snapshot of
   /// that name, if any. The build runs outside the catalog lock; only the
   /// final pointer swap is a critical section. Fails (without touching the

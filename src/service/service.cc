@@ -20,9 +20,6 @@ PsiService::PsiService(const graph::Graph& g, ServiceOptions options)
   build.signature_method = options_.engine.signature_method;
   build.signature_depth = options_.engine.signature_depth;
   build.signature_decay = options_.engine.signature_decay;
-  // Row hashes (the prediction-cache keys) are computed lazily on first
-  // use: a quicker start at the cost of a slower first query.
-  build.prewarm_row_hashes = false;
   // The service pool is idle until StartWorkers below, so the startup
   // build may parallelize on it safely (the no-serving-pool rule in
   // BuildOptions only bites once queries are in flight).

@@ -29,7 +29,9 @@ SignatureMatrix BuildExplorationSignatures(
 /// Matrix-based construction (the paper's optimization):
 ///   NS^0(n)  = one-hot(label(n))
 ///   NS^i(n)  = NS^{i-1}(n) + ½ · Σ_{m ∈ N(n)} NS^{i-1}(m)
-/// Complexity O(N·L·d·D). Weights count depth-bounded walks rather than
+/// Complexity O(N·d + N·L·d·(D-1)): the first round adds one weight per
+/// neighbour, later rounds whole rows. Bit-identical to running the dense
+/// recurrence for every round. Weights count depth-bounded walks rather than
 /// shortest paths, so they dominate the exploration weights; Proposition 3.2
 /// pruning remains sound because subgraph embeddings map walks to walks.
 SignatureMatrix BuildMatrixSignatures(

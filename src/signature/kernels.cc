@@ -18,6 +18,13 @@ bool UseAvx2() {
 #endif
 }
 
+/// out[l] += decay * in[l]: restrict-qualified so the loop vectorizes
+/// without a runtime overlap check.
+void AddScaledRow(const float* __restrict in, float decay, size_t n,
+                  float* __restrict out) {
+  for (size_t l = 0; l < n; ++l) out[l] += decay * in[l];
+}
+
 }  // namespace
 
 bool KernelsUseAvx2() { return UseAvx2(); }
@@ -71,6 +78,21 @@ bool CompactRowMaySatisfy(std::span<const uint8_t> row,
   }
 #endif
   return CompactRowMaySatisfyScalar(row, req);
+}
+
+void PropagateRow(const float* prev, size_t num_labels, graph::NodeId u,
+                  std::span<const graph::NodeId> nbrs, float decay,
+                  float* out) {
+#if defined(PSI_HAVE_AVX2_KERNELS)
+  if (UseAvx2()) {
+    PropagateRowAvx2(prev, num_labels, u, nbrs, decay, out);
+    return;
+  }
+#endif
+  std::copy_n(prev + size_t{u} * num_labels, num_labels, out);
+  for (const graph::NodeId v : nbrs) {
+    AddScaledRow(prev + size_t{v} * num_labels, decay, num_labels, out);
+  }
 }
 
 }  // namespace internal

@@ -100,6 +100,18 @@ bool CompactRowMaySatisfy(std::span<const uint8_t> row,
 bool CompactRowMaySatisfyScalar(std::span<const uint8_t> row,
                                 const SparseRequirement& req);
 
+/// One round of the matrix-signature recurrence (builders.h) for node u:
+/// out = prev[u] + decay * prev[v] for each neighbour v, added neighbour by
+/// neighbour in adjacency order, so every label's float sum rounds exactly
+/// as the dense reference loop does. `prev` is the row-major NS^{i-1}
+/// matrix (num_labels floats per row); `out` is u's row of NS^i and must
+/// not overlap `prev`. Dispatched scalar/AVX2 like RowSatisfies; both paths
+/// produce bit-identical rows (one rounded multiply and one rounded add per
+/// label and neighbour, never a fused multiply-add).
+void PropagateRow(const float* prev, size_t num_labels, graph::NodeId u,
+                  std::span<const graph::NodeId> nbrs, float decay,
+                  float* out);
+
 #if defined(PSI_HAVE_AVX2_KERNELS)
 /// Definitions live in kernels_avx2.cc, compiled with -mavx2; only called
 /// after a runtime __builtin_cpu_supports("avx2") check.
@@ -115,6 +127,12 @@ double RowScoreAvx2(const float* row, const uint32_t* idx, const double* val,
 /// SparseRequirement::dense_threshold_codes() buffer guarantees that pad.
 bool CompactRowMaySatisfyAvx2(const uint8_t* row, const uint8_t* tcodes,
                               size_t dim);
+/// PropagateRow over blocks of up to 64 labels held in registers across
+/// the whole neighbour list; a block's last 1-8 lanes are masked loads and
+/// stores, so no row is read or written past its end.
+void PropagateRowAvx2(const float* prev, size_t num_labels, graph::NodeId u,
+                      std::span<const graph::NodeId> nbrs, float decay,
+                      float* out);
 #endif
 
 }  // namespace internal

@@ -6,7 +6,10 @@
 // must visit candidates in exactly the same order): the satisfaction kernel
 // performs the same float add + compare, and the score kernel performs the
 // same exactly-rounded double divisions with the same left-to-right
-// accumulation order — only the data movement is vectorized.
+// accumulation order — only the data movement is vectorized. The
+// propagation kernel performs the scalar loop's rounded multiply, then its
+// rounded add, lane by lane and neighbour by neighbour (never a fused
+// multiply-add: this unit is built with -ffp-contract=off).
 
 #include "signature/kernels.h"
 
@@ -14,7 +17,62 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace psi::signature::internal {
+
+namespace {
+
+/// Propagates labels [l0, l0 + 8 * (kVecs - 1) + last_lanes) of u's row
+/// with kVecs accumulators that stay in registers across the whole
+/// neighbour list; the last accumulator holds `last_lanes` (1-8) lanes.
+template <int kVecs>
+void PropagateBlockAvx2(const float* prev, size_t num_labels, size_t l0,
+                        size_t last_lanes, graph::NodeId u,
+                        std::span<const graph::NodeId> nbrs, float decay,
+                        float* out) {
+  const __m256i tail = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(last_lanes)),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256 d = _mm256_set1_ps(decay);
+  constexpr int kLast = kVecs - 1;
+  const float* self = prev + size_t{u} * num_labels + l0;
+  __m256 acc[kVecs];
+  for (int k = 0; k < kLast; ++k) acc[k] = _mm256_loadu_ps(self + 8 * k);
+  acc[kLast] = _mm256_maskload_ps(self + 8 * kLast, tail);
+  for (const graph::NodeId v : nbrs) {
+    const float* in = prev + size_t{v} * num_labels + l0;
+    for (int k = 0; k < kLast; ++k) {
+      acc[k] = _mm256_add_ps(acc[k],
+                             _mm256_mul_ps(d, _mm256_loadu_ps(in + 8 * k)));
+    }
+    acc[kLast] = _mm256_add_ps(
+        acc[kLast], _mm256_mul_ps(d, _mm256_maskload_ps(in + 8 * kLast, tail)));
+  }
+  for (int k = 0; k < kLast; ++k) _mm256_storeu_ps(out + l0 + 8 * k, acc[k]);
+  _mm256_maskstore_ps(out + l0 + 8 * kLast, tail, acc[kLast]);
+}
+
+}  // namespace
+
+void PropagateRowAvx2(const float* prev, size_t num_labels, graph::NodeId u,
+                      std::span<const graph::NodeId> nbrs, float decay,
+                      float* out) {
+  using BlockFn = void (*)(const float*, size_t, size_t, size_t,
+                           graph::NodeId, std::span<const graph::NodeId>,
+                           float, float*);
+  static constexpr BlockFn kBlocks[8] = {
+      PropagateBlockAvx2<1>, PropagateBlockAvx2<2>, PropagateBlockAvx2<3>,
+      PropagateBlockAvx2<4>, PropagateBlockAvx2<5>, PropagateBlockAvx2<6>,
+      PropagateBlockAvx2<7>, PropagateBlockAvx2<8>};
+  // Blocks of up to 64 labels (8 accumulators, half the register file).
+  for (size_t l0 = 0; l0 < num_labels; l0 += 64) {
+    const size_t width = std::min<size_t>(64, num_labels - l0);
+    const size_t vecs = (width + 7) / 8;
+    kBlocks[vecs - 1](prev, num_labels, l0, width - 8 * (vecs - 1), u, nbrs,
+                      decay, out);
+  }
+}
 
 bool RowSatisfiesAvx2(const float* row, const uint32_t* idx, const float* val,
                       size_t nnz) {

@@ -1,8 +1,9 @@
 #include "signature/signature_matrix.h"
 
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "signature/compact_signature.h"
@@ -93,9 +94,15 @@ void SignatureMatrix::SwapData(SignatureMatrix& other) {
 void SignatureMatrix::AdoptRowHashes(std::span<const uint64_t> hashes) {
   assert(hashes.size() == num_rows_);
   for (size_t i = 0; i < hashes.size(); ++i) {
-    uint64_t h = hashes[i];
-    if (h == 0) h = 0x9e3779b97f4a7c15ULL;
-    row_hashes_[i].store(h, std::memory_order_relaxed);
+    row_hashes_[i].store(MemoValue(hashes[i]), std::memory_order_relaxed);
+  }
+}
+
+void SignatureMatrix::MemoizeRowHashes(size_t begin, size_t end) const {
+  assert(begin <= end && end <= num_rows_);
+  for (size_t i = begin; i < end; ++i) {
+    row_hashes_[i].store(MemoValue(HashSignature(row(i))),
+                         std::memory_order_relaxed);
   }
 }
 
@@ -148,17 +155,65 @@ double SatisfiabilityScore(std::span<const float> candidate,
   return terms == 0 ? 0.0 : sum / static_cast<double>(terms);
 }
 
-uint64_t HashSignature(std::span<const float> row) {
-  // FNV-1a over 1/1024-quantized weights.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const float w : row) {
-    const auto q = static_cast<int64_t>(std::llround(w * 1024.0f));
-    uint64_t bits = static_cast<uint64_t>(q);
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (bits >> (byte * 8)) & 0xffULL;
-      h *= 0x100000001b3ULL;
-    }
+namespace {
+
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// kFnvPrime^k for k = 0..64. FNV-1a turns a zero byte into one multiply
+/// (h ^= 0 changes nothing), so a run of k zero bytes is one multiply by
+/// kFnvPrimePowers[k].
+constexpr std::array<uint64_t, 65> kFnvPrimePowers = [] {
+  std::array<uint64_t, 65> powers{};
+  uint64_t p = 1;
+  for (uint64_t& power : powers) {
+    power = p;
+    p *= kFnvPrime;
   }
+  return powers;
+}();
+
+/// std::llround(x) without the libm call: nearest integer, halves away from
+/// zero. Out of range (|x| >= 2^63, NaN) it returns INT64_MIN, the value
+/// llround produces there on x86-64.
+int64_t RoundHalfAwayFromZero(float x) {
+  if (!(std::fabs(x) < 0x1p63f)) return INT64_MIN;
+  const auto truncated = static_cast<int64_t>(x);
+  // Exact: x and its truncation share the float's exponent range.
+  const float fraction = x - static_cast<float>(truncated);
+  return truncated + (fraction >= 0.5f) - (fraction <= -0.5f);
+}
+
+}  // namespace
+
+uint64_t HashSignature(std::span<const float> row) {
+  // FNV-1a over the 8 little-endian bytes of each 1/1024-quantized weight,
+  // with each weight's high zero bytes (and whole zero weights) held back
+  // as a pending run and applied as one multiply before the next nonzero
+  // byte. Same value as the byte-at-a-time loop.
+  uint64_t h = kFnvOffset;
+  size_t zeros = 0;
+  auto flush_zeros = [&] {
+    for (; zeros > 64; zeros -= 64) h *= kFnvPrimePowers[64];
+    h *= kFnvPrimePowers[zeros];
+    zeros = 0;
+  };
+  for (const float w : row) {
+    const auto bits =
+        static_cast<uint64_t>(RoundHalfAwayFromZero(w * 1024.0f));
+    if (bits == 0) {
+      zeros += 8;
+      continue;
+    }
+    flush_zeros();
+    const int bytes = (71 - std::countl_zero(bits)) / 8;  // 1..8
+    for (int byte = 0; byte < bytes; ++byte) {
+      h ^= (bits >> (byte * 8)) & 0xffULL;
+      h *= kFnvPrime;
+    }
+    zeros = 8 - bytes;
+  }
+  flush_zeros();
   return h;
 }
 

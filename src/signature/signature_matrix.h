@@ -32,6 +32,15 @@ enum class Method {
 
 const char* MethodName(Method method);
 
+/// Hash of a signature row after quantization (weights are multiples of
+/// 2^-depth for exploration signatures; matrix weights are quantized to
+/// 1/1024): FNV-1a over the little-endian bytes of each weight rounded
+/// half away from zero to an int64 count of 1/1024ths. Two nodes with equal
+/// hashes almost surely have identical neighborhoods at the signature's
+/// resolution — the key of SmartPSI's prediction cache (paper §4.2.3).
+/// The values are persisted in the ROW_HASHES section of .psnap files, so
+/// they must not change without a format version bump. Hot callers should
+/// prefer the memoized SignatureMatrix::RowHash.
 uint64_t HashSignature(std::span<const float> row);
 
 class CompactSignatureMatrix;
@@ -122,11 +131,15 @@ class SignatureMatrix {
     std::atomic<uint64_t>& slot = row_hashes_[i];
     uint64_t h = slot.load(std::memory_order_relaxed);
     if (h != 0) return h;
-    h = HashSignature(row(i));
-    if (h == 0) h = 0x9e3779b97f4a7c15ULL;
+    h = MemoValue(HashSignature(row(i)));
     slot.store(h, std::memory_order_relaxed);
     return h;
   }
+
+  /// Memoizes RowHash for rows [begin, end) in one pass — the publish-time
+  /// prewarm, so a freshly swapped-in snapshot serves its first queries at
+  /// steady-state latency. Stores exactly what RowHash would.
+  void MemoizeRowHashes(size_t begin, size_t end) const;
 
   /// Seeds the RowHash memo from precomputed values (a .psnap ROW_HASHES
   /// section), so a mapped snapshot skips the first-touch rehash of every
@@ -148,6 +161,12 @@ class SignatureMatrix {
   const CompactSignatureMatrix* compact() const { return compact_.get(); }
 
  private:
+  /// The memo slot value for hash `h`: 0 marks an unset slot, so a row
+  /// hashing to 0 memoizes a fixed substitute instead.
+  static uint64_t MemoValue(uint64_t h) {
+    return h != 0 ? h : 0x9e3779b97f4a7c15ULL;
+  }
+
   static std::unique_ptr<std::atomic<uint64_t>[]> MakeHashSlots(size_t n) {
     return n == 0 ? nullptr
                   : std::make_unique<std::atomic<uint64_t>[]>(n);
@@ -185,13 +204,6 @@ bool Satisfies(std::span<const float> candidate,
 /// an all-zero `required` row.
 double SatisfiabilityScore(std::span<const float> candidate,
                            std::span<const float> required);
-
-/// Hash of a signature row after quantization (weights are multiples of
-/// 2^-depth for exploration signatures; matrix weights are quantized to
-/// 1/1024). Two nodes with equal hashes almost surely have identical
-/// neighborhoods at the signature's resolution — the key of SmartPSI's
-/// prediction cache (paper §4.2.3). Declared above the SignatureMatrix
-/// class; hot callers should prefer the memoized SignatureMatrix::RowHash.
 
 }  // namespace psi::signature
 

@@ -47,6 +47,28 @@ TEST_F(GraphCatalogTest, PublishThenResolve) {
   EXPECT_EQ(catalog.counters().swaps, 0u);
 }
 
+TEST_F(GraphCatalogTest, PublishedRowHashesAreHashSignature) {
+  // The publish-time prewarm fills every RowHash memo slot in one pass; a
+  // slot must hold what RowHash would memoize itself: HashSignature of the
+  // row, with 0 replaced by RowHash's fixed substitute.
+  util::ThreadPool pool(3);
+  for (util::ThreadPool* build_pool : {static_cast<util::ThreadPool*>(nullptr),
+                                       &pool}) {
+    SnapshotBuildOptions options;
+    options.pool = build_pool;
+    GraphCatalog catalog;
+    const auto published = catalog.BuildAndPublish(
+        "g", testing::MakeRandomGraph(3000, 9000, 7, 5), options);
+    ASSERT_TRUE(published.ok()) << published.status().ToString();
+    const signature::SignatureMatrix& sigs = published.value()->signatures();
+    for (size_t i = 0; i < sigs.num_rows(); ++i) {
+      const uint64_t direct = signature::HashSignature(sigs.row(i));
+      ASSERT_EQ(sigs.RowHash(i), direct == 0 ? 0x9e3779b97f4a7c15ULL : direct)
+          << "row " << i << (build_pool != nullptr ? " (pool)" : " (serial)");
+    }
+  }
+}
+
 TEST_F(GraphCatalogTest, EmptyNameIsRejected) {
   GraphCatalog catalog;
   const auto published =

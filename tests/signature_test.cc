@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "signature/kernels.h"
 #include "signature/signature_matrix.h"
 #include "tests/test_fixtures.h"
+#include "util/random.h"
 
 namespace psi::signature {
 namespace {
@@ -42,6 +50,21 @@ TEST(ExplorationSignatureTest, DepthZeroIsOneHot) {
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     for (size_t l = 0; l < ns.num_labels(); ++l) {
       EXPECT_FLOAT_EQ(ns.at(u, l), l == g.label(u) ? 1.0f : 0.0f);
+    }
+  }
+}
+
+/// Asserts that `a` and `b` hold the same float bits in every cell.
+void ExpectBitIdentical(const SignatureMatrix& a, const SignatureMatrix& b,
+                        const std::string& context) {
+  ASSERT_EQ(a.num_rows(), b.num_rows()) << context;
+  ASSERT_EQ(a.num_labels(), b.num_labels()) << context;
+  for (size_t u = 0; u < a.num_rows(); ++u) {
+    for (size_t l = 0; l < a.num_labels(); ++l) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(a.at(u, l)),
+                std::bit_cast<uint32_t>(b.at(u, l)))
+          << context << " u=" << u << " l=" << l << ": " << a.at(u, l)
+          << " vs " << b.at(u, l) << " (avx2=" << KernelsUseAvx2() << ")";
     }
   }
 }
@@ -105,11 +128,80 @@ TEST(MatrixSignatureTest, GraphAndQueryBuildersAgree) {
   const graph::Graph g = std::move(b).Build();
   const graph::QueryGraph q = psi::testing::MakeFigure2Query();
 
-  const SignatureMatrix from_graph = BuildMatrixSignatures(g, 2, 4);
-  const SignatureMatrix from_query = BuildMatrixSignatures(q, 2, 4);
-  for (size_t v = 0; v < 5; ++v) {
-    for (size_t l = 0; l < 4; ++l) {
-      EXPECT_FLOAT_EQ(from_graph.at(v, l), from_query.at(v, l));
+  for (uint32_t depth = 0; depth <= 3; ++depth) {
+    ExpectBitIdentical(BuildMatrixSignatures(g, depth, 4),
+                       BuildMatrixSignatures(q, depth, 4),
+                       "depth " + std::to_string(depth));
+  }
+}
+
+/// The matrix recurrence as the paper writes it: every round, every row,
+/// dense over all labels, neighbour by neighbour in adjacency order. The
+/// builder's one-hot first round and vector kernels must reproduce it bit
+/// for bit.
+SignatureMatrix DenseReferenceSignatures(const graph::Graph& g,
+                                         uint32_t depth, size_t num_labels,
+                                         float decay) {
+  SignatureMatrix current(g.num_nodes(), num_labels, Method::kMatrix, depth,
+                          decay);
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    current.at(u, g.label(u)) = 1.0f;
+  }
+  SignatureMatrix next = current;
+  for (uint32_t iter = 0; iter < depth; ++iter) {
+    for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+      for (size_t l = 0; l < num_labels; ++l) {
+        next.at(u, l) = current.at(u, l);
+      }
+      for (const graph::NodeId v : g.neighbors(u)) {
+        for (size_t l = 0; l < num_labels; ++l) {
+          next.at(u, l) += decay * current.at(v, l);
+        }
+      }
+    }
+    current.SwapData(next);
+  }
+  return current;
+}
+
+/// A random graph with one hub adjacent to most nodes (long neighbour
+/// lists, repeated labels) and a few isolated nodes (rows that stay
+/// one-hot), labelled uniformly from [0, num_labels).
+graph::Graph MakeHubGraph(size_t num_labels, uint64_t seed) {
+  util::Rng rng(seed);
+  constexpr size_t kNodes = 48;
+  constexpr size_t kIsolated = 3;
+  graph::GraphBuilder b;
+  for (size_t u = 0; u < kNodes; ++u) {
+    b.AddNode(static_cast<graph::Label>(rng.NextBounded(num_labels)));
+  }
+  const size_t connected = kNodes - kIsolated;
+  for (graph::NodeId u = 1; u < connected; ++u) {
+    if (rng.NextBool(0.8)) b.AddEdge(0, u);
+  }
+  for (size_t e = 0; e < 3 * connected; ++e) {
+    const auto u = static_cast<graph::NodeId>(rng.NextBounded(connected));
+    const auto v = static_cast<graph::NodeId>(rng.NextBounded(connected));
+    if (u != v) b.AddEdge(u, v);
+  }
+  return std::move(b).Build();
+}
+
+TEST(MatrixSignatureTest, BuildIsBitIdenticalToDenseReference) {
+  // Label counts 1..70 run every tail width of the vector kernel (1-8
+  // lanes) and both one and two 64-label register blocks.
+  for (size_t num_labels = 1; num_labels <= 70; ++num_labels) {
+    const graph::Graph g = MakeHubGraph(num_labels, 1000 + num_labels);
+    for (uint32_t depth = 0; depth <= 3; ++depth) {
+      for (const float decay : {0.5f, 0.3f, 0.7f, 1.0f}) {
+        ExpectBitIdentical(
+            BuildMatrixSignatures(g, depth, num_labels, nullptr, decay),
+            DenseReferenceSignatures(g, depth, num_labels, decay),
+            "labels=" + std::to_string(num_labels) +
+                " depth=" + std::to_string(depth) +
+                " decay=" + std::to_string(decay));
+        if (::testing::Test::HasFatalFailure()) return;
+      }
     }
   }
 }
@@ -206,6 +298,62 @@ TEST(HashSignatureTest, QuantizationMergesTinyDifferences) {
   EXPECT_EQ(HashSignature(a), HashSignature(b));
 }
 
+/// HashSignature's definition: FNV-1a over the 8 little-endian bytes of
+/// llround(w * 1024) per weight, one byte at a time.
+uint64_t BytewiseReferenceHash(const std::vector<float>& row) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const float w : row) {
+    const auto bits = static_cast<uint64_t>(std::llround(w * 1024.0f));
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (byte * 8)) & 0xffULL;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(HashSignatureTest, FoldedHashMatchesBytewiseReference) {
+  // Weights that stress the rounding (exact halves of 1/1024 either side
+  // of zero, and their float neighbours), the zero-byte folding (zero
+  // weights, long zero runs, zero bytes between nonzero ones) and the
+  // magnitude (above 2^24 / 1024 every float is an integer count; negative
+  // counts carry 0xff high bytes).
+  const std::vector<float> special = {
+      0.0f, -0.0f, 0.5f / 1024, -0.5f / 1024, 1.5f / 1024, -1.5f / 1024,
+      2.5f / 1024, -2.5f / 1024, 1023.5f / 1024,
+      std::nextafter(0.5f, 0.0f) / 1024, std::nextafter(0.5f, 1.0f) / 1024,
+      0.25f, 1.0f, 1.25f, 3.75f, 65537.0f / 1024, 16777217.0f / 1024,
+      16384.0f, 16384.5f, 20000.25f, 1e6f, 3e9f, -7.0f, -20000.25f};
+  std::vector<std::vector<float>> rows = {{}, {0.0f}, special};
+  rows.push_back(std::vector<float>(9, 0.0f));    // 72 zero bytes
+  rows.push_back(std::vector<float>(100, 0.0f));  // 800 zero bytes
+  std::vector<float> sparse(70, 0.0f);
+  sparse[8] = 2.5f;
+  sparse[69] = 1.0f;
+  rows.push_back(sparse);
+  util::Rng rng(77);
+  for (int r = 0; r < 500; ++r) {
+    std::vector<float> row(rng.NextBounded(80));
+    for (float& w : row) {
+      const uint64_t kind = rng.NextBounded(4);
+      if (kind == 0) {
+        w = 0.0f;
+      } else if (kind == 1) {
+        w = special[rng.NextBounded(special.size())];
+      } else if (kind == 2) {  // a multiple of 1/4, as depth-2 rows hold
+        w = static_cast<float>(rng.NextBounded(4096)) / 4.0f;
+      } else {
+        w = static_cast<float>(rng.NextDouble() * 2000.0 - 100.0);
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(HashSignature(rows[r]), BytewiseReferenceHash(rows[r]))
+        << "row " << r << " of " << rows[r].size() << " weights";
+  }
+}
+
 TEST(DecayTest, DecayOneCountsReachableNodes) {
   // With decay = 1 the exploration signature degenerates to "number of
   // nodes with each label within D hops (self included)".
@@ -247,16 +395,9 @@ TEST(BuildSignaturesTest, ParallelMatchesSerial) {
   const graph::Graph g = psi::testing::MakeRandomGraph(3000, 9000, 5, 21);
   util::ThreadPool pool(4);
   for (const Method method : {Method::kExploration, Method::kMatrix}) {
-    const SignatureMatrix serial =
-        BuildSignatures(g, method, 2, g.num_labels());
-    const SignatureMatrix parallel =
-        BuildSignatures(g, method, 2, g.num_labels(), &pool);
-    for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-      for (size_t l = 0; l < serial.num_labels(); ++l) {
-        ASSERT_FLOAT_EQ(serial.at(u, l), parallel.at(u, l))
-            << MethodName(method) << " u=" << u << " l=" << l;
-      }
-    }
+    ExpectBitIdentical(BuildSignatures(g, method, 2, g.num_labels()),
+                       BuildSignatures(g, method, 2, g.num_labels(), &pool),
+                       MethodName(method));
   }
 }
 

@@ -11,7 +11,7 @@
 #
 # Extra CMake configure flags can be passed in CMAKE_ARGS, e.g.
 #   CMAKE_ARGS="-G Ninja -DCMAKE_BUILD_TYPE=Release" tools/run_mutants.sh
-# The AVX2 kernel mutant only bites on hosts that run the AVX2 kernels, and
+# The AVX2 kernel mutants only bite on hosts that run the AVX2 kernels, and
 # the deadline mutant needs fault injection on (the default build).
 
 set -euo pipefail
@@ -104,6 +104,21 @@ mutant "AVX2 satisfaction comparison flipped" \
   src/signature/kernels_avx2.cc \
   '_mm256_cmp_ps(_mm256_add_ps(cand, eps), need, _CMP_LT_OQ);' \
   '_mm256_cmp_ps(_mm256_add_ps(cand, eps), need, _CMP_GE_OQ);'
+
+mutant "matrix signature round 1 adds decay to the node's own label" \
+  src/signature/builders.cc \
+  'row[g.label(static_cast<graph::NodeId>(u))] = 1.0f;' \
+  'row[g.label(static_cast<graph::NodeId>(u))] = 1.0f + decay;'
+
+mutant "AVX2 signature propagation drops a tail lane" \
+  src/signature/kernels_avx2.cc \
+  '_mm256_set1_epi32(static_cast<int>(last_lanes)),' \
+  '_mm256_set1_epi32(static_cast<int>(last_lanes) - 1),'
+
+mutant "row hash zero-run fold one power off" \
+  src/signature/signature_matrix.cc \
+  '    zeros = 8 - bytes;' \
+  '    zeros = 9 - bytes;'
 
 mutant "CSR edge-label symmetry check skipped on .psnap load" \
   src/graph/graph_builder.cc \
